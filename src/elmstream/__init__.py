@@ -11,7 +11,6 @@ from .data import (
     LabeledDataset,
     Normalizer,
     StreamPlan,
-    apply_normalizer,
     fit_normalizer,
     kfold,
     load_csv,
@@ -54,10 +53,8 @@ from .numerics import (
     NumericalError,
     ShapeError,
     SingularMatrixError,
-    matmul,
     pinv_normal,
     solve_spd,
-    transpose,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +72,6 @@ __all__ = [
     "SingularMatrixError",
     "StreamPlan",
     "ThresholdCalibration",
-    "apply_normalizer",
     "calibrate_threshold",
     "compute_report",
     "decode",
@@ -95,7 +91,6 @@ __all__ = [
     "load_fold_file",
     "load_model",
     "load_sparse",
-    "matmul",
     "pinv_normal",
     "predict_raw",
     "report_kv_lines",
@@ -104,6 +99,5 @@ __all__ = [
     "solve_spd",
     "stream_blocks",
     "to_bipolar",
-    "transpose",
     "update",
 ]

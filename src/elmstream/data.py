@@ -29,7 +29,6 @@ __all__ = [
     "load_sparse",
     "save_sparse",
     "fit_normalizer",
-    "apply_normalizer",
     "kfold",
     "stream_blocks",
     "load_fold_file",
@@ -48,7 +47,6 @@ class LabeledDataset:
     labels: np.ndarray  # N x M int8, entries 0/1
     feature_names: list[str] | None = None
     label_names: list[str] | None = None
-    domain_tag: str | None = None
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.labels.ndim != 2:
@@ -72,14 +70,13 @@ class LabeledDataset:
         return self.labels.shape[1]
 
     def subset(self, rows) -> "LabeledDataset":
-        """Row-sliced copy keeping names and tag."""
+        """Row-sliced copy keeping names."""
         idx = np.asarray(rows)
         return LabeledDataset(
             features=self.features[idx].copy(),
             labels=self.labels[idx].copy(),
             feature_names=self.feature_names,
             label_names=self.label_names,
-            domain_tag=self.domain_tag,
         )
 
 
@@ -282,17 +279,6 @@ def fit_normalizer(ds: LabeledDataset, rows=None) -> Normalizer:
     scale = np.where(constant, 0.0, 2.0 / safe_span)
     offset = np.where(constant, 0.0, -(hi + lo) / safe_span)
     return Normalizer(scale=scale, offset=offset)
-
-
-def apply_normalizer(norm: Normalizer, ds: LabeledDataset) -> LabeledDataset:
-    """Dataset with transformed features; labels and names shared."""
-    return LabeledDataset(
-        features=norm.transform(ds.features),
-        labels=ds.labels,
-        feature_names=ds.feature_names,
-        label_names=ds.label_names,
-        domain_tag=ds.domain_tag,
-    )
 
 
 def kfold(ds: LabeledDataset, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:

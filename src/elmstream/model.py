@@ -14,15 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Normalizer
+from .data import DataError, Normalizer, _finite_float
 from .numerics import (
     NumericalError,
     ShapeError,
     as_matrix,
     ensure_finite,
-    matmul,
     solve_spd,
-    transpose,
 )
 
 __all__ = [
@@ -40,13 +38,8 @@ __all__ = [
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Two-branch form stays finite for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # The tanh form of 1 / (1 + exp(-z)) cannot overflow for large |z|.
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def _hardlim(z: np.ndarray) -> np.ndarray:
@@ -107,8 +100,12 @@ def hidden_output(layer: HiddenLayer, x) -> np.ndarray:
         raise ShapeError(
             f"input has {x.shape[1]} features, hidden layer expects {layer.input_dim}"
         )
-    z = matmul(x, transpose(layer.weights)) + layer.biases
-    return ensure_finite(ACTIVATIONS[layer.activation](z), "hidden activations")
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = x @ layer.weights.T + layer.biases
+    # Overflow is reported by this check, not as a warning. It covers the
+    # activations too: each maps finite input to finite output.
+    ensure_finite(z, "hidden pre-activations")
+    return ACTIVATIONS[layer.activation](z)
 
 
 @dataclass
@@ -123,18 +120,6 @@ class OselmModel:
     threshold: float = 0.0
     samples_seen: int = 0
     blocks_seen: int = 0
-
-    def snapshot(self) -> "OselmModel":
-        """Deep copy that stays fixed while the original keeps training."""
-        return OselmModel(
-            hidden=self.hidden,
-            gram_inv=self.gram_inv.copy(),
-            beta=self.beta.copy(),
-            label_count=self.label_count,
-            threshold=self.threshold,
-            samples_seen=self.samples_seen,
-            blocks_seen=self.blocks_seen,
-        )
 
 
 def _check_bipolar(y: np.ndarray, name: str = "targets") -> np.ndarray:
@@ -241,7 +226,7 @@ def update(model: OselmModel, x, y) -> OselmModel:
 
 def predict_raw(model: OselmModel, x) -> np.ndarray:
     """Raw (unthresholded) output values: hidden activations times beta."""
-    return matmul(hidden_output(model.hidden, x), model.beta)
+    return ensure_finite(hidden_output(model.hidden, x) @ model.beta, "raw outputs")
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +302,12 @@ class _Reader:
                 f"{self.path}: expected {count} values at line {self.pos}, got {len(values)}"
             )
         try:
-            return np.array([float(v) for v in values])
+            out = np.array([float(v) for v in values])
         except ValueError:
             raise DataError(f"{self.path}: bad numeric value at line {self.pos}") from None
+        if not np.isfinite(out).all():
+            raise DataError(f"{self.path}: non-finite value at line {self.pos}")
+        return out
 
     def matrix(self, key: str) -> np.ndarray:
         header = self.field(key).split()
@@ -341,7 +329,7 @@ def load_model(path) -> tuple[OselmModel, Normalizer | None]:
     input_dim = int(r.field("input_dim"))
     hidden_count = int(r.field("hidden_count"))
     label_count = int(r.field("label_count"))
-    threshold = float(r.field("threshold"))
+    threshold = _finite_float(r.field("threshold"), r.path, r.pos, "threshold")
     samples_seen = int(r.field("samples_seen"))
     blocks_seen = int(r.field("blocks_seen"))
     weights = r.matrix("weights")
@@ -350,6 +338,8 @@ def load_model(path) -> tuple[OselmModel, Normalizer | None]:
     beta = r.matrix("beta")
     if weights.shape != (hidden_count, input_dim):
         raise DataError(f"{r.path}: weights shape {weights.shape} does not match header")
+    if biases.size != hidden_count:
+        raise DataError(f"{r.path}: {biases.size} biases for {hidden_count} hidden neurons")
     if gram_inv.shape != (hidden_count, hidden_count) or beta.shape != (
         hidden_count,
         label_count,
@@ -359,6 +349,8 @@ def load_model(path) -> tuple[OselmModel, Normalizer | None]:
     normalizer = None
     if norm_field != "none":
         dim = int(norm_field)
+        if dim != input_dim:
+            raise DataError(f"{r.path}: normalizer width {dim} != input_dim {input_dim}")
         normalizer = Normalizer(scale=r.floats(dim), offset=r.floats(dim))
     if r.next_line() != "end":
         raise DataError(f"{r.path}: missing end marker")

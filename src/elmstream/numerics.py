@@ -17,8 +17,6 @@ __all__ = [
     "SingularMatrixError",
     "as_matrix",
     "ensure_finite",
-    "matmul",
-    "transpose",
     "solve_spd",
     "pinv_normal",
 ]
@@ -58,61 +56,6 @@ def ensure_finite(a: np.ndarray, what: str = "result") -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with explicit conformance checking."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-    return ensure_finite(out, "matrix product")
-
-
-def transpose(a) -> np.ndarray:
-    """Transpose, returned as a fresh row-major array."""
-    return np.ascontiguousarray(as_matrix(a).T)
-
-
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of an SPD matrix.
-
-    Raises SingularMatrixError when a pivot falls at or below
-    PIVOT_RTOL times the largest diagonal entry.
-    """
-    n = a.shape[0]
-    tol = max(PIVOT_RTOL * float(np.max(np.diagonal(a))), 0.0) if n else 0.0
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not pivot > tol:
-            raise SingularMatrixError(
-                f"non-positive pivot {pivot:.3e} at column {j} "
-                f"(tolerance {tol:.3e}); matrix is singular or indefinite"
-            )
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-    return lower
-
-
-def _solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    y = np.zeros_like(b)
-    for i in range(lower.shape[0]):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    return y
-
-
-def _solve_upper(upper: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = upper.shape[0]
-    x = np.zeros_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - upper[i, i + 1 :] @ x[i + 1 :]) / upper[i, i]
-    return x
-
-
 def solve_spd(a, b) -> np.ndarray:
     """Solve a @ x = b for symmetric positive-definite ``a``.
 
@@ -136,9 +79,25 @@ def solve_spd(a, b) -> np.ndarray:
     scale = float(np.max(np.abs(a))) if n else 0.0
     if scale > 0.0 and float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
         raise ValueError("coefficient matrix is not symmetric to 1e-10 relative")
-    lower = _cholesky(a)
-    x = _solve_upper(lower.T, _solve_lower(lower, b))
-    return ensure_finite(x, "SPD solve result")
+    # Cholesky only certifies definiteness (its squared diagonal holds the
+    # pivots). numpy has no triangular solver, and LAPACK's general solve
+    # beats two triangular solves done through it.
+    try:
+        pivots = np.linalg.cholesky(a).diagonal() ** 2
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(
+            "non-positive pivot in Cholesky factorization; "
+            "matrix is singular or indefinite"
+        ) from None
+    if n:
+        tol = PIVOT_RTOL * float(np.max(np.diagonal(a)))
+        j = int(np.argmin(pivots))
+        if not pivots[j] > tol:
+            raise SingularMatrixError(
+                f"pivot {pivots[j]:.3e} at column {j} is at or below tolerance "
+                f"{tol:.3e}; matrix is singular or indefinite"
+            )
+    return ensure_finite(np.linalg.solve(a, b), "SPD solve result")
 
 
 def pinv_normal(h, ridge: float = 0.0) -> np.ndarray:
@@ -159,4 +118,4 @@ def pinv_normal(h, ridge: float = 0.0) -> np.ndarray:
     if ridge > 0.0:
         gram = gram + ridge * np.eye(h.shape[1])
     gram = (gram + gram.T) / 2.0
-    return solve_spd(gram, transpose(h))
+    return solve_spd(gram, h.T)

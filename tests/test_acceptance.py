@@ -26,7 +26,7 @@ from elmstream.metrics import (
     label_density,
 )
 from elmstream.model import hidden_output, init_hidden, init_phase, update
-from elmstream.numerics import matmul, pinv_normal
+from elmstream.numerics import pinv_normal
 
 
 @contextmanager
@@ -74,7 +74,7 @@ def test_criterion_1_rls_batch_equivalence():
         model = init_phase(layer, x[:30], y[:30])
         for i in range(30, 200):
             update(model, x[i : i + 1], y[i : i + 1])
-        beta_batch = matmul(pinv_normal(hidden_output(layer, x), 0.0), y)
+        beta_batch = pinv_normal(hidden_output(layer, x), 0.0) @ y
         diff = np.max(np.abs(model.beta - beta_batch))
         assert diff <= 1e-6, f"max-abs difference {diff:.3e} > 1e-6"
 

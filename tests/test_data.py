@@ -6,7 +6,6 @@ from elmstream.data import (
     DataError,
     LabeledDataset,
     StreamPlan,
-    apply_normalizer,
     fit_normalizer,
     kfold,
     load_csv,
@@ -189,13 +188,6 @@ class TestNormalizer:
         )
         norm = fit_normalizer(ds, rows=range(2))
         assert norm.transform(np.array([[100.0]]))[0, 0] == pytest.approx(19.0)
-
-    def test_apply_normalizer_keeps_labels(self):
-        ds = synthetic_stream(20, 3, 2, seed=5)
-        out = apply_normalizer(fit_normalizer(ds), ds)
-        assert out.labels is ds.labels
-        assert out.features.min() >= -1.0 - 1e-12
-        assert out.features.max() <= 1.0 + 1e-12
 
     def test_empty_range_rejected(self):
         ds = synthetic_stream(5, 2, 2, seed=6)

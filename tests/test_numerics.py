@@ -2,83 +2,11 @@ import numpy as np
 import pytest
 
 from elmstream.numerics import (
-    NumericalError,
     ShapeError,
     SingularMatrixError,
-    matmul,
     pinv_normal,
     solve_spd,
-    transpose,
 )
-
-
-def matmul_oracle(a, b):
-    """Scalar triple loop, independent of the production path."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_computed(self):
-        a = [[1.0, 2.0], [3.0, 4.0]]
-        b = [[5.0], [6.0]]
-        assert np.array_equal(matmul(a, b), [[17.0], [39.0]])
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(7, 5))
-        b = rng.normal(size=(5, 3))
-        assert np.max(np.abs(matmul(a, b) - matmul_oracle(a, b))) <= 1e-12
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"2x3.*4x2"):
-            matmul(np.ones((2, 3)), np.ones((4, 2)))
-
-    def test_nonfinite_result_rejected(self):
-        big = np.full((2, 2), 1e200)
-        with pytest.raises(NumericalError):
-            matmul(big, big)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            a = rng.normal(size=(4, 6))
-            b = rng.normal(size=(6, 3))
-            c = rng.normal(size=(3, 5))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.max(np.abs(left - right)) <= 1e-10 * np.max(np.abs(left))
-
-
-class TestTranspose:
-    def test_involution(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(4, 7))
-        assert np.array_equal(transpose(transpose(a)), a)
-
-    def test_row_to_column(self):
-        assert np.array_equal(transpose([[1.0, 2.0, 3.0]]), [[1.0], [2.0], [3.0]])
-
-    def test_symmetric_fixed_point(self):
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        assert np.array_equal(transpose(a), a)
-
-    def test_result_is_row_major(self):
-        out = transpose(np.arange(6.0).reshape(2, 3))
-        assert out.flags["C_CONTIGUOUS"]
 
 
 def random_spd(rng, n, shift=1.0):
@@ -115,6 +43,11 @@ class TestSolveSpd:
         a = np.ones((3, 3))  # rank one
         with pytest.raises(SingularMatrixError, match="pivot"):
             solve_spd(a, np.eye(3))
+
+    def test_pivot_below_relative_tolerance_raises(self):
+        # LAPACK factors this matrix; the 1e-12 relative tolerance rejects it.
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            solve_spd(np.diag([1.0, 1e-14]), np.eye(2))
 
     def test_indefinite_raises(self):
         a = np.diag([1.0, -1.0])
