@@ -23,7 +23,6 @@ from .labels import (
     ThresholdCalibration,
     calibrate_threshold,
     decode,
-    from_bipolar,
     to_bipolar,
 )
 from .metrics import (
@@ -79,7 +78,6 @@ __all__ = [
     "example_prf",
     "fit_normalizer",
     "format_report",
-    "from_bipolar",
     "hamming_loss",
     "hidden_output",
     "init_hidden",

@@ -1,8 +1,12 @@
 """Command-line surface: train, eval, cv, and bench.
 
+``train``, ``cv`` and ``bench`` share one timed streaming loop, so
+``bench`` times exactly the work ``train`` does, threshold calibration
+and ``--recalibrate`` included.
+
 Exit codes: 0 success, 1 usage, 2 data error, 3 numerical error. Flags
 override values from an optional flat key-value config file (--config),
-whose keys mirror the RunConfig field names.
+whose keys, types and defaults are the RunConfig fields.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -40,7 +45,7 @@ from .model import (
 )
 from .numerics import NumericalError, ShapeError
 
-__all__ = ["RunConfig", "main", "run_train", "run_eval", "run_cv", "run_bench"]
+__all__ = ["RunConfig", "main", "run_train", "run_eval", "run_cv"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,34 +84,12 @@ class RunConfig:
     arrival_interval: float | None = None
 
 
+# Config key -> value type, read off the RunConfig annotations
+# (``int | None`` -> int); "command" comes from the subcommand, not a key.
 _FIELD_TYPES = {
-    "data": str,
-    "model": str,
-    "out": str,
-    "format": str,
-    "header": bool,
-    "labels": int,
-    "features": int,
-    "hidden": int,
-    "activation": str,
-    "seed": int,
-    "ridge": float,
-    "init_block": int,
-    "block": int,
-    "shuffle_seed": int,
-    "folds": int,
-    "fold_file": str,
-    "recalibrate": bool,
-    "arrival_interval": float,
-}
-
-_DEFAULTS = {
-    "format": "csv",
-    "header": False,
-    "activation": "sigmoid",
-    "seed": 0,
-    "ridge": 0.0,
-    "recalibrate": False,
+    name: next(t for t in (get_args(hint) or (hint,)) if t is not type(None))
+    for name, hint in get_type_hints(RunConfig).items()
+    if name != "command"
 }
 
 
@@ -213,12 +196,11 @@ def _read_config_file(path: str) -> dict:
 
 def _merge_config(ns: argparse.Namespace) -> RunConfig:
     file_values = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
-    cfg = RunConfig(command=ns.command)
-    for name in _FIELD_TYPES:
-        value = getattr(ns, name, None)
-        if value is None:
-            value = file_values.get(name, _DEFAULTS.get(name))
-        setattr(cfg, name, value)
+    flag_values = {
+        name: value for name in _FIELD_TYPES
+        if (value := getattr(ns, name, None)) is not None
+    }
+    cfg = RunConfig(command=ns.command, **{**file_values, **flag_values})
     if cfg.format not in ("csv", "sparse"):
         raise UsageError(f"--format must be csv or sparse, got {cfg.format!r}")
     if cfg.activation not in ACTIVATIONS:
@@ -254,16 +236,14 @@ def _write_kv(path: str, lines: list[str]) -> None:
 
 @dataclass
 class TrainOutcome:
+    """A trained model and its timings: ``train_time`` from one timer around
+    the stream loop, ``block_times`` from one timer per block inside it."""
+
     model: OselmModel
     normalizer: Normalizer
     train_time: float
-
-
-@dataclass
-class BenchOutcome:
     block_rows: list[int]
     block_times: list[float]
-    total_time: float
 
     @property
     def blocks(self) -> int:
@@ -271,7 +251,7 @@ class BenchOutcome:
 
     @property
     def avg_block_time(self) -> float:
-        return self.total_time / self.blocks
+        return self.train_time / self.blocks
 
     @property
     def max_block_time(self) -> float:
@@ -297,7 +277,8 @@ def _train_streaming(
     The normalizer defaults to one fit on the initial block (streaming
     contract); cross-validation passes one fit on the whole training fold.
     Preprocessing happens before the timer so the reported time covers
-    model work only.
+    model work only. Block 0 is the initial solve plus calibration; each
+    later block is one update, plus recalibration with --recalibrate.
     """
     _require(cfg, "hidden", "init_block", "block")
     plan = StreamPlan(cfg.init_block, cfg.block, cfg.shuffle_seed)
@@ -308,16 +289,21 @@ def _train_streaming(
     prepared = [
         (norm.transform(b.features), to_bipolar(b.labels), b.labels) for b in blocks
     ]
+    block_times = []
     start = time.perf_counter()
-    model = init_phase(layer, prepared[0][0], prepared[0][1], cfg.ridge)
-    model.threshold = calibrate_threshold(
-        predict_raw(model, prepared[0][0]), prepared[0][2]
-    ).threshold
-    for xb, yb, lab in prepared[1:]:
-        update(model, xb, yb)
-        if cfg.recalibrate:
+    for i, (xb, yb, lab) in enumerate(prepared):
+        block_start = time.perf_counter()
+        if i == 0:
+            model = init_phase(layer, xb, yb, cfg.ridge)
+        else:
+            update(model, xb, yb)
+        if i == 0 or cfg.recalibrate:
             model.threshold = calibrate_threshold(predict_raw(model, xb), lab).threshold
-    return TrainOutcome(model, norm, time.perf_counter() - start)
+        block_times.append(time.perf_counter() - block_start)
+    train_time = time.perf_counter() - start
+    return TrainOutcome(
+        model, norm, train_time, [b.n_samples for b in blocks], block_times
+    )
 
 
 def _evaluate(
@@ -373,32 +359,6 @@ def run_cv(cfg: RunConfig) -> CvOutcome:
     return CvOutcome(reports)
 
 
-def run_bench(cfg: RunConfig) -> BenchOutcome:
-    _require(cfg, "data", "hidden", "init_block", "block")
-    ds = _load_dataset(cfg, cfg.data)
-    plan = StreamPlan(cfg.init_block, cfg.block, cfg.shuffle_seed)
-    blocks = stream_blocks(ds, plan)
-    norm = fit_normalizer(blocks[0])
-    layer = init_hidden(ds.n_features, cfg.hidden, cfg.activation, cfg.seed)
-    prepared = [(norm.transform(b.features), to_bipolar(b.labels)) for b in blocks]
-    block_times = []
-    model = None
-    start_all = time.perf_counter()
-    for i, (xb, yb) in enumerate(prepared):
-        start = time.perf_counter()
-        if i == 0:
-            model = init_phase(layer, xb, yb, cfg.ridge)
-        else:
-            update(model, xb, yb)
-        block_times.append(time.perf_counter() - start)
-    total = time.perf_counter() - start_all
-    return BenchOutcome(
-        block_rows=[b.n_samples for b in blocks],
-        block_times=block_times,
-        total_time=total,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -444,11 +404,11 @@ def cmd_cv(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    outcome = run_bench(cfg)
+    outcome = run_train(cfg)
     print(f"{'block':>5}  {'rows':>6}  {'seconds':>10}")
     for i, (rows, t) in enumerate(zip(outcome.block_rows, outcome.block_times), start=1):
         print(f"{i:>5}  {rows:>6}  {t:>10.6f}")
-    print(f"training time: {outcome.total_time:.6f} s")
+    print(f"training time: {outcome.train_time:.6f} s")
     print(f"blocks: {outcome.blocks}")
     print(f"avg time/block: {outcome.avg_block_time:.6f} s")
     print(f"max block time: {outcome.max_block_time:.6f} s")
@@ -460,7 +420,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         )
     if cfg.out:
         lines = [
-            f"training_time\t{outcome.total_time:.6f}",
+            f"training_time\t{outcome.train_time:.6f}",
             f"blocks\t{outcome.blocks}",
             f"avg_time_per_block\t{outcome.avg_block_time:.6f}",
             f"max_block_time\t{outcome.max_block_time:.6f}",

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "ThresholdCalibration",
     "to_bipolar",
-    "from_bipolar",
     "decode",
     "calibrate_threshold",
 ]
@@ -46,16 +45,6 @@ def to_bipolar(y) -> np.ndarray:
     """Map binary labels to bipolar targets: 0 -> -1, 1 -> +1."""
     y = _as_label_matrix(y)
     return 2.0 * y - 1.0
-
-
-def from_bipolar(b) -> np.ndarray:
-    """Inverse of to_bipolar; input entries must be exactly -1 or +1."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 2:
-        raise ValueError(f"bipolar matrix must be 2-D, got ndim={b.ndim}")
-    if not np.isin(b, (-1.0, 1.0)).all():
-        raise ValueError("bipolar entries must all be -1 or +1")
-    return (b > 0).astype(np.int8)
 
 
 def decode(raw, threshold: float) -> np.ndarray:

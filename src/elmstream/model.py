@@ -17,7 +17,9 @@ import numpy as np
 from .data import DataError, Normalizer, _finite_float
 from .numerics import (
     NumericalError,
+    SYMMETRY_RTOL,
     ShapeError,
+    _asymmetric,
     as_matrix,
     ensure_finite,
     solve_spd,
@@ -295,6 +297,21 @@ class _Reader:
             raise DataError(f"{self.path}: expected '{key} <value>' at line {self.pos}")
         return parts[1]
 
+    def count(self, text: str, what: str) -> int:
+        """Parse a count from the line just read: an integer >= 1."""
+        try:
+            value = int(text)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise DataError(
+                f"{self.path}:{self.pos}: {what} must be an integer >= 1, got {text!r}"
+            )
+        return value
+
+    def count_field(self, key: str) -> int:
+        return self.count(self.field(key), key)
+
     def floats(self, count: int) -> np.ndarray:
         values = self.next_line().split()
         if len(values) != count:
@@ -313,7 +330,7 @@ class _Reader:
         header = self.field(key).split()
         if len(header) != 2:
             raise DataError(f"{self.path}: bad {key} header at line {self.pos}")
-        rows, cols = (int(v) for v in header)
+        rows, cols = (self.count(v, f"{key} size") for v in header)
         return np.vstack([self.floats(cols) for _ in range(rows)]).reshape(rows, cols)
 
 
@@ -326,14 +343,14 @@ def load_model(path) -> tuple[OselmModel, Normalizer | None]:
     activation = r.field("activation")
     if activation not in ACTIVATIONS:
         raise DataError(f"{r.path}: unknown activation {activation!r}")
-    input_dim = int(r.field("input_dim"))
-    hidden_count = int(r.field("hidden_count"))
-    label_count = int(r.field("label_count"))
+    input_dim = r.count_field("input_dim")
+    hidden_count = r.count_field("hidden_count")
+    label_count = r.count_field("label_count")
     threshold = _finite_float(r.field("threshold"), r.path, r.pos, "threshold")
-    samples_seen = int(r.field("samples_seen"))
-    blocks_seen = int(r.field("blocks_seen"))
+    samples_seen = r.count_field("samples_seen")
+    blocks_seen = r.count_field("blocks_seen")
     weights = r.matrix("weights")
-    biases = r.floats(int(r.field("biases")))
+    biases = r.floats(r.count_field("biases"))
     gram_inv = r.matrix("gram_inv")
     beta = r.matrix("beta")
     if weights.shape != (hidden_count, input_dim):
@@ -345,10 +362,12 @@ def load_model(path) -> tuple[OselmModel, Normalizer | None]:
         label_count,
     ):
         raise DataError(f"{r.path}: matrix shapes do not match header")
+    if _asymmetric(gram_inv):
+        raise DataError(f"{r.path}: gram_inv is not symmetric to {SYMMETRY_RTOL:g} relative")
     norm_field = r.field("normalizer")
     normalizer = None
     if norm_field != "none":
-        dim = int(norm_field)
+        dim = r.count(norm_field, "normalizer width")
         if dim != input_dim:
             raise DataError(f"{r.path}: normalizer width {dim} != input_dim {input_dim}")
         normalizer = Normalizer(scale=r.floats(dim), offset=r.floats(dim))

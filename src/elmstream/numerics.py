@@ -56,6 +56,12 @@ def ensure_finite(a: np.ndarray, what: str = "result") -> np.ndarray:
     return a
 
 
+def _asymmetric(a: np.ndarray) -> bool:
+    """True when max |a - a.T| exceeds SYMMETRY_RTOL times max |a|."""
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    return scale > 0.0 and float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale
+
+
 def solve_spd(a, b) -> np.ndarray:
     """Solve a @ x = b for symmetric positive-definite ``a``.
 
@@ -76,8 +82,7 @@ def solve_spd(a, b) -> np.ndarray:
         raise ShapeError(
             f"right-hand side has {b.shape[0]} rows, coefficient matrix has {n}"
         )
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    if scale > 0.0 and float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
+    if _asymmetric(a):
         raise ValueError("coefficient matrix is not symmetric to 1e-10 relative")
     # Cholesky only certifies definiteness (its squared diagonal holds the
     # pivots). numpy has no triangular solver, and LAPACK's general solve

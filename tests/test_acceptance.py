@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR, DATASETS_DIR, synthetic_stream, write_csv
-from elmstream.cli import RunConfig, main, run_bench, run_cv, run_train
+from elmstream.cli import RunConfig, main, run_cv, run_train
 from elmstream.data import load_csv
 from elmstream.labels import calibrate_threshold, decode, to_bipolar
 from elmstream.metrics import (
@@ -230,10 +230,10 @@ def test_criterion_7_streaming_feasibility(tmp_path):
         write_csv(data, ds)
         cfg = RunConfig(command="bench", data=str(data), labels=14, hidden=100,
                         init_block=150, block=30, seed=4)
-        outcome = run_bench(cfg)
+        outcome = run_train(cfg)
         assert outcome.blocks == 1 + int(np.ceil((2417 - 150) / 30))
         assert outcome.avg_block_time == pytest.approx(
-            outcome.total_time / outcome.blocks, rel=1e-12
+            outcome.train_time / outcome.blocks, rel=1e-12
         )
         assert outcome.avg_block_time == pytest.approx(
             float(np.mean(outcome.block_times)), abs=2e-3

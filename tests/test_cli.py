@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_stream, write_csv
+from elmstream import cli
 from elmstream.cli import (
     EXIT_DATA,
     EXIT_NUMERIC,
@@ -9,9 +10,9 @@ from elmstream.cli import (
     EXIT_USAGE,
     RunConfig,
     main,
-    run_bench,
     run_cv,
     run_eval,
+    run_train,
 )
 from elmstream.model import load_model
 
@@ -219,23 +220,48 @@ class TestBenchCommand:
         return cfg
 
     def test_avg_is_total_over_blocks(self, tmp_path):
-        outcome = run_bench(self.bench_cfg(tmp_path))
+        outcome = run_train(self.bench_cfg(tmp_path))
         assert outcome.blocks == 9
         assert outcome.avg_block_time == pytest.approx(
-            outcome.total_time / outcome.blocks, rel=1e-12
+            outcome.train_time / outcome.blocks, rel=1e-12
         )
 
     def test_avg_close_to_mean_of_block_timers(self, tmp_path):
-        outcome = run_bench(self.bench_cfg(tmp_path))
+        outcome = run_train(self.bench_cfg(tmp_path))
         # enclosing timer vs per-block timers: equal up to loop overhead
         assert outcome.avg_block_time == pytest.approx(
             float(np.mean(outcome.block_times)), abs=2e-3
         )
 
     def test_single_block_dataset_avg_equals_total(self, tmp_path):
-        outcome = run_bench(self.bench_cfg(tmp_path, n=20, init_block=20, block=10))
+        outcome = run_train(self.bench_cfg(tmp_path, n=20, init_block=20, block=10))
         assert outcome.blocks == 1
-        assert outcome.avg_block_time == outcome.total_time
+        assert outcome.avg_block_time == outcome.train_time
+
+    def test_bench_trains_the_model_train_writes(self, tmp_path, monkeypatch):
+        ds = synthetic_stream(100, 5, 3, seed=70)
+        data = tmp_path / "bench.csv"
+        write_csv(data, ds)
+        argv = ["--data", str(data), "--labels", "3", "--hidden", "10",
+                "--init-block", "20", "--block", "10", "--seed", "2"]
+        outcomes = []
+
+        def recording_run_train(cfg):
+            outcomes.append(run_train(cfg))
+            return outcomes[-1]
+
+        monkeypatch.setattr(cli, "run_train", recording_run_train)
+        model_path = tmp_path / "model.txt"
+        assert main(["bench", *argv, "--recalibrate"]) == EXIT_OK
+        assert main(["train", *argv, "--recalibrate", "--out", str(model_path)]) == EXIT_OK
+        assert main(["bench", *argv]) == EXIT_OK
+        bench, _, plain = outcomes
+        trained, _ = load_model(model_path)
+        assert np.array_equal(bench.model.beta, trained.beta)
+        assert bench.model.threshold == trained.threshold
+        assert plain.model.threshold != trained.threshold
+        assert len(bench.block_times) == bench.model.blocks_seen
+        assert sum(bench.block_rows) == ds.n_samples
 
     def test_command_output_and_report_file(self, tmp_path, capsys):
         ds = synthetic_stream(60, 4, 2, seed=71)

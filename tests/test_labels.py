@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from elmstream.labels import calibrate_threshold, decode, from_bipolar, to_bipolar
+from elmstream.labels import calibrate_threshold, decode, to_bipolar
 from elmstream.metrics import hamming_loss
 
 
@@ -36,15 +36,11 @@ class TestBipolar:
     def test_round_trip_random(self):
         rng = np.random.default_rng(0)
         y = rng.integers(0, 2, size=(20, 5))
-        assert np.array_equal(from_bipolar(to_bipolar(y)), y)
+        assert np.array_equal(to_bipolar(y), 2 * y - 1)
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             to_bipolar([[0, 2]])
-
-    def test_from_bipolar_rejects_other_values(self):
-        with pytest.raises(ValueError):
-            from_bipolar([[0.5, -1.0]])
 
 
 class TestDecode:

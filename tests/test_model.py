@@ -333,6 +333,13 @@ def _nan_in_gram_inv(lines):
     lines[i + 1] = " ".join(["nan"] + lines[i + 1].split()[1:])
 
 
+def _triple_gram_inv_entry(lines):
+    i = _line_of(lines, "gram_inv")
+    row = lines[i + 1].split()
+    row[1] = repr(3.0 * float(row[1]))
+    lines[i + 1] = " ".join(row)
+
+
 class TestSerialization:
     def make_model(self):
         layer, x, y = stream_fixture(seed=43, n=40, d=5, m=2, hidden=8)
@@ -399,8 +406,15 @@ class TestSerialization:
             lambda lines: _replace_field(lines, "threshold", "nan"),
             _narrow_normalizer,
             _nan_in_gram_inv,
+            lambda lines: _replace_field(lines, "samples_seen", -7),
+            lambda lines: _replace_field(lines, "blocks_seen", 0),
+            lambda lines: _replace_field(lines, "input_dim", "x"),
+            lambda lines: _replace_field(lines, "weights", "-1 3"),
+            _triple_gram_inv_entry,
         ],
-        ids=["broadcast_bias", "nan_threshold", "normalizer_width", "nan_gram_inv"],
+        ids=["broadcast_bias", "nan_threshold", "normalizer_width", "nan_gram_inv",
+             "negative_samples_seen", "zero_blocks_seen", "non_integer_input_dim",
+             "negative_weights_rows", "asymmetric_gram_inv"],
     )
     def test_inconsistent_or_nonfinite_content_rejected(self, tmp_path, corrupt):
         model = self.make_model()
@@ -410,5 +424,6 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         corrupt(lines)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as excinfo:
             load_model(path)
+        assert str(path) in str(excinfo.value)
