@@ -90,6 +90,19 @@ def _finite_float(text: str, path: str, lineno: int, what: str) -> float:
     return value
 
 
+def _text_lines(path: str):
+    """Yield (line number, line) of a UTF-8 text file.
+
+    Bytes that are not UTF-8 raise DataError naming the file. The decoder
+    works ahead of the lines handed out, so the error names no line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset:
     """Load a dense CSV dataset whose last ``label_count`` fields are labels."""
     if label_count < 1:
@@ -99,47 +112,46 @@ def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset
     expected_fields = None
     feature_rows: list[list[float]] = []
     label_rows: list[list[int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if has_header and feature_names is None and expected_fields is None:
-                if len(fields) <= label_count:
-                    raise DataError(
-                        f"{path}:{lineno}: header has {len(fields)} fields, "
-                        f"need more than {label_count}"
-                    )
-                feature_names = fields[:-label_count]
-                label_names = fields[-label_count:]
-                expected_fields = len(fields)
-                continue
-            if expected_fields is None:
-                if len(fields) <= label_count:
-                    raise DataError(
-                        f"{path}:{lineno}: row has {len(fields)} fields, "
-                        f"need more than {label_count}"
-                    )
-                expected_fields = len(fields)
-            elif len(fields) != expected_fields:
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if has_header and feature_names is None and expected_fields is None:
+            if len(fields) <= label_count:
                 raise DataError(
-                    f"{path}:{lineno}: ragged row with {len(fields)} fields, "
-                    f"expected {expected_fields}"
+                    f"{path}:{lineno}: header has {len(fields)} fields, "
+                    f"need more than {label_count}"
                 )
-            feats = [
-                _finite_float(f, path, lineno, "feature") for f in fields[:-label_count]
-            ]
-            labs = []
-            for f in fields[-label_count:]:
-                if f == "0":
-                    labs.append(0)
-                elif f == "1":
-                    labs.append(1)
-                else:
-                    raise DataError(f"{path}:{lineno}: label field {f!r} is not 0 or 1")
-            feature_rows.append(feats)
-            label_rows.append(labs)
+            feature_names = fields[:-label_count]
+            label_names = fields[-label_count:]
+            expected_fields = len(fields)
+            continue
+        if expected_fields is None:
+            if len(fields) <= label_count:
+                raise DataError(
+                    f"{path}:{lineno}: row has {len(fields)} fields, "
+                    f"need more than {label_count}"
+                )
+            expected_fields = len(fields)
+        elif len(fields) != expected_fields:
+            raise DataError(
+                f"{path}:{lineno}: ragged row with {len(fields)} fields, "
+                f"expected {expected_fields}"
+            )
+        feats = [
+            _finite_float(f, path, lineno, "feature") for f in fields[:-label_count]
+        ]
+        labs = []
+        for f in fields[-label_count:]:
+            if f == "0":
+                labs.append(0)
+            elif f == "1":
+                labs.append(1)
+            else:
+                raise DataError(f"{path}:{lineno}: label field {f!r} is not 0 or 1")
+        feature_rows.append(feats)
+        label_rows.append(labs)
     if not feature_rows:
         raise DataError(f"{path}: no data rows")
     return LabeledDataset(
@@ -157,56 +169,55 @@ def load_sparse(path, feature_count: int, label_count: int) -> LabeledDataset:
     path = str(path)
     feature_rows: list[np.ndarray] = []
     label_rows: list[np.ndarray] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            feats = np.zeros(feature_count, dtype=float)
-            labs = np.zeros(label_count, dtype=np.int8)
-            start = 0
-            if ":" not in tokens[0]:
-                start = 1
-                seen_labels = set()
-                for part in tokens[0].split(","):
-                    try:
-                        idx = int(part)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{lineno}: bad label index {part!r}"
-                        ) from None
-                    if not 1 <= idx <= label_count:
-                        raise DataError(
-                            f"{path}:{lineno}: label index {idx} out of range 1..{label_count}"
-                        )
-                    if idx in seen_labels:
-                        raise DataError(f"{path}:{lineno}: duplicate label index {idx}")
-                    seen_labels.add(idx)
-                    labs[idx - 1] = 1
-            seen_features = set()
-            for token in tokens[start:]:
-                idx_text, sep, val_text = token.partition(":")
-                if not sep:
-                    raise DataError(
-                        f"{path}:{lineno}: expected index:value, got {token!r}"
-                    )
+    for lineno, line in _text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        feats = np.zeros(feature_count, dtype=float)
+        labs = np.zeros(label_count, dtype=np.int8)
+        start = 0
+        if ":" not in tokens[0]:
+            start = 1
+            seen_labels = set()
+            for part in tokens[0].split(","):
                 try:
-                    idx = int(idx_text)
+                    idx = int(part)
                 except ValueError:
                     raise DataError(
-                        f"{path}:{lineno}: bad feature index {idx_text!r}"
+                        f"{path}:{lineno}: bad label index {part!r}"
                     ) from None
-                if not 1 <= idx <= feature_count:
+                if not 1 <= idx <= label_count:
                     raise DataError(
-                        f"{path}:{lineno}: feature index {idx} out of range 1..{feature_count}"
+                        f"{path}:{lineno}: label index {idx} out of range 1..{label_count}"
                     )
-                if idx in seen_features:
-                    raise DataError(f"{path}:{lineno}: duplicate feature index {idx}")
-                seen_features.add(idx)
-                feats[idx - 1] = _finite_float(val_text, path, lineno, "feature value")
-            feature_rows.append(feats)
-            label_rows.append(labs)
+                if idx in seen_labels:
+                    raise DataError(f"{path}:{lineno}: duplicate label index {idx}")
+                seen_labels.add(idx)
+                labs[idx - 1] = 1
+        seen_features = set()
+        for token in tokens[start:]:
+            idx_text, sep, val_text = token.partition(":")
+            if not sep:
+                raise DataError(
+                    f"{path}:{lineno}: expected index:value, got {token!r}"
+                )
+            try:
+                idx = int(idx_text)
+            except ValueError:
+                raise DataError(
+                    f"{path}:{lineno}: bad feature index {idx_text!r}"
+                ) from None
+            if not 1 <= idx <= feature_count:
+                raise DataError(
+                    f"{path}:{lineno}: feature index {idx} out of range 1..{feature_count}"
+                )
+            if idx in seen_features:
+                raise DataError(f"{path}:{lineno}: duplicate feature index {idx}")
+            seen_features.add(idx)
+            feats[idx - 1] = _finite_float(val_text, path, lineno, "feature value")
+        feature_rows.append(feats)
+        label_rows.append(labs)
     if not feature_rows:
         raise DataError(f"{path}: no data rows")
     return LabeledDataset(
@@ -340,25 +351,24 @@ def load_fold_file(path, n_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
     path = str(path)
     folds = []
     seen = np.zeros(n_samples, dtype=bool)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                idx = np.array([int(tok) for tok in line.split()], dtype=np.int64)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: fold indices must be integers") from None
-            if idx.size == 0:
-                continue
-            if idx.min() < 0 or idx.max() >= n_samples:
-                raise DataError(
-                    f"{path}:{lineno}: fold index out of range 0..{n_samples - 1}"
-                )
-            if seen[idx].any():
-                raise DataError(f"{path}:{lineno}: index appears in more than one fold")
-            seen[idx] = True
-            folds.append(np.sort(idx))
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            idx = np.array([int(tok) for tok in line.split()], dtype=np.int64)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: fold indices must be integers") from None
+        if idx.size == 0:
+            continue
+        if idx.min() < 0 or idx.max() >= n_samples:
+            raise DataError(
+                f"{path}:{lineno}: fold index out of range 0..{n_samples - 1}"
+            )
+        if seen[idx].any():
+            raise DataError(f"{path}:{lineno}: index appears in more than one fold")
+        seen[idx] = True
+        folds.append(np.sort(idx))
     if len(folds) < 2:
         raise DataError(f"{path}: need at least two folds")
     if not seen.all():

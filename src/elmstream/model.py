@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Normalizer, _finite_float
+from .data import DataError, Normalizer, _finite_float, _text_lines
 from .numerics import (
     NumericalError,
     SYMMETRY_RTOL,
     ShapeError,
     _asymmetric,
     as_matrix,
+    cholesky_spd,
     ensure_finite,
     solve_spd,
 )
@@ -170,17 +171,31 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
 def update(model: OselmModel, x, y) -> OselmModel:
     """Recursive least-squares update with one sample or a block.
 
-    A single sample uses the rank-one form
+    With M the inverse Gram matrix and H the B x hidden_count hidden
+    output of the new rows, the update is the Woodbury identity
 
-        M <- M - (M h h' M) / (1 + h' M h)
-        beta <- beta + (M_new h) (y' - h' beta)
+        M_new = M - M H' S^-1 H M,    S = I_B + H M H'
+        beta_new = beta + M_new H' (Y - H beta),
 
-    and a block of B samples the Woodbury generalization
+    computed in factor form so that M_new is symmetric by construction
+    and the weight step never reads M_new. For a block, S = L L' is
+    factored and V = L^-1 H M, which gives
 
-        M <- M - M H' (I_B + H M H')^-1 H M
-        beta <- beta + M_new H' (Y - H beta).
+        M_new = M - V'V
+        beta_new = beta + V' L^-1 (Y - H beta),
 
-    The model is updated in place and returned.
+    using M_new H' = M H' S^-1. A single sample has S = 1 + h'M h, so
+    with g = M h / sqrt(S)
+
+        M_new = M - g g'
+        beta_new = beta + (M h / S) (y' - h' beta),
+
+    using M_new h = M h / S. Both downdates subtract an exactly
+    symmetric product from M, so M_new is as symmetric as M.
+
+    The model is updated in place and returned. It is left unchanged
+    when the update raises: S that is not positive definite raises
+    NumericalError, as do non-finite results.
     """
     if model.samples_seen < 1:
         raise ValueError("model has not been initialized")
@@ -205,18 +220,26 @@ def update(model: OselmModel, x, y) -> OselmModel:
                 f"update denominator {denom:.3e} <= 0: inverse Gram matrix "
                 "lost positive-definiteness"
             )
-        m_new = m - np.outer(mh, mh) / denom
+        g = mh / np.sqrt(denom)
+        # g g' through BLAS (gemm with one inner term): each entry is the
+        # single rounded product g_i g_j, exactly as np.outer gives it, so
+        # the downdate is exactly symmetric; np.outer's broadcast loop took
+        # twice as long and its time swung with the machine's load.
+        downdate = np.dot(g[:, None], g[None, :])
         residual = y[0] - hv @ model.beta
-        beta_new = model.beta + np.outer(m_new @ hv, residual)
+        beta_new = model.beta + np.outer(mh / denom, residual)
     else:
-        mh_t = m @ h.T  # hidden_count x B
-        s = np.eye(x.shape[0]) + h @ mh_t
+        hm = h @ m  # B x hidden_count, equal to (M H')' as M is symmetric
+        s = np.eye(x.shape[0]) + hm @ h.T
         s = (s + s.T) / 2.0
-        k = solve_spd(s, mh_t.T)  # B x hidden_count
-        m_new = m - mh_t @ k
+        l_inv = np.linalg.inv(cholesky_spd(s))
+        v = l_inv @ hm
+        downdate = v.T @ v  # numpy computes A'A with syrk: exactly symmetric
         residual = y - h @ model.beta
-        beta_new = model.beta + m_new @ (h.T @ residual)
-    m_new = (m_new + m_new.T) / 2.0
+        beta_new = model.beta + v.T @ (l_inv @ residual)
+    # Written over the downdate's fresh buffer: one H x H allocation, and
+    # the model's own arrays stay untouched until every check has passed.
+    m_new = np.subtract(m, downdate, out=downdate)
     ensure_finite(m_new, "inverse Gram matrix")
     ensure_finite(beta_new, "output weights")
     model.gram_inv = m_new
@@ -280,8 +303,7 @@ def save_model(path, model: OselmModel, normalizer: Normalizer | None = None) ->
 class _Reader:
     def __init__(self, path):
         self.path = str(path)
-        with open(path, encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
+        self.lines = [line.rstrip("\n") for _, line in _text_lines(self.path)]
         self.pos = 0
 
     def next_line(self) -> str:

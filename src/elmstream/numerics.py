@@ -17,6 +17,7 @@ __all__ = [
     "SingularMatrixError",
     "as_matrix",
     "ensure_finite",
+    "cholesky_spd",
     "solve_spd",
     "pinv_normal",
 ]
@@ -25,7 +26,7 @@ __all__ = [
 # diagonal entry of the coefficient matrix.
 PIVOT_RTOL = 1e-12
 
-# Relative asymmetry tolerated by solve_spd before rejecting the input.
+# Relative asymmetry tolerated by cholesky_spd before rejecting the input.
 SYMMETRY_RTOL = 1e-10
 
 
@@ -62,6 +63,43 @@ def _asymmetric(a: np.ndarray) -> bool:
     return scale > 0.0 and float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale
 
 
+def cholesky_spd(a) -> np.ndarray:
+    """Lower Cholesky factor L, with L @ L.T == a, of a certified SPD matrix.
+
+    ``a`` must be square and symmetric to within 1e-10 relative. The
+    squared diagonal of L holds the pivots of the factorization; each
+    must exceed ``PIVOT_RTOL`` times the largest diagonal entry of ``a``.
+
+    Raises:
+        ShapeError: non-square ``a``.
+        ValueError: ``a`` is measurably asymmetric.
+        SingularMatrixError: factorization meets a non-positive pivot.
+    """
+    a = as_matrix(a, "coefficient matrix")
+    n = a.shape[0]
+    if a.shape[1] != n:
+        raise ShapeError(f"coefficient matrix must be square, got {a.shape[0]}x{a.shape[1]}")
+    if _asymmetric(a):
+        raise ValueError("coefficient matrix is not symmetric to 1e-10 relative")
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError(
+            "non-positive pivot in Cholesky factorization; "
+            "matrix is singular or indefinite"
+        ) from None
+    if n:
+        pivots = lower.diagonal() ** 2
+        tol = PIVOT_RTOL * float(np.max(np.diagonal(a)))
+        j = int(np.argmin(pivots))
+        if not pivots[j] > tol:
+            raise SingularMatrixError(
+                f"pivot {pivots[j]:.3e} at column {j} is at or below tolerance "
+                f"{tol:.3e}; matrix is singular or indefinite"
+            )
+    return lower
+
+
 def solve_spd(a, b) -> np.ndarray:
     """Solve a @ x = b for symmetric positive-definite ``a``.
 
@@ -75,33 +113,14 @@ def solve_spd(a, b) -> np.ndarray:
     """
     a = as_matrix(a, "coefficient matrix")
     b = as_matrix(b, "right-hand side")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ShapeError(f"coefficient matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    if b.shape[0] != n:
+    # The factor only certifies definiteness. numpy has no triangular
+    # solver, and LAPACK's general solve beats two triangular solves
+    # done through it.
+    cholesky_spd(a)
+    if b.shape[0] != a.shape[0]:
         raise ShapeError(
-            f"right-hand side has {b.shape[0]} rows, coefficient matrix has {n}"
+            f"right-hand side has {b.shape[0]} rows, coefficient matrix has {a.shape[0]}"
         )
-    if _asymmetric(a):
-        raise ValueError("coefficient matrix is not symmetric to 1e-10 relative")
-    # Cholesky only certifies definiteness (its squared diagonal holds the
-    # pivots). numpy has no triangular solver, and LAPACK's general solve
-    # beats two triangular solves done through it.
-    try:
-        pivots = np.linalg.cholesky(a).diagonal() ** 2
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(
-            "non-positive pivot in Cholesky factorization; "
-            "matrix is singular or indefinite"
-        ) from None
-    if n:
-        tol = PIVOT_RTOL * float(np.max(np.diagonal(a)))
-        j = int(np.argmin(pivots))
-        if not pivots[j] > tol:
-            raise SingularMatrixError(
-                f"pivot {pivots[j]:.3e} at column {j} is at or below tolerance "
-                f"{tol:.3e}; matrix is singular or indefinite"
-            )
     return ensure_finite(np.linalg.solve(a, b), "SPD solve result")
 
 

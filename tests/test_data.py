@@ -69,12 +69,24 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"junk.csv:2"):
             load_csv(p, label_count=1)
 
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"1.0,2.0,1\n1.0,\xff2.0,1\n")
+        with pytest.raises(DataError, match=r"latin1.csv: not UTF-8"):
+            load_csv(p, label_count=1)
+
     def test_yeast_shaped_dims(self, yeast_excerpt):
         assert yeast_excerpt.n_features == 103
         assert yeast_excerpt.n_labels == 14
 
 
 class TestLoadSparse:
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        p = tmp_path / "latin1.sparse"
+        p.write_bytes(b"1 1:0.5\n2 1:\xe90.5\n")
+        with pytest.raises(DataError, match=r"latin1.sparse: not UTF-8"):
+            load_sparse(p, feature_count=1, label_count=2)
+
     def test_hand_readable_line(self, tmp_path):
         p = tmp_path / "toy.sparse"
         p.write_text("1,3 2:0.5 7:1.0\n")
@@ -303,6 +315,12 @@ class TestFoldFile:
         p.write_text("0\n1\n")
         with pytest.raises(DataError, match="appears in no fold"):
             load_fold_file(p, 3)
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        p = tmp_path / "folds.txt"
+        p.write_bytes(b"0 1\n2 \xff3\n")
+        with pytest.raises(DataError, match=r"folds.txt: not UTF-8"):
+            load_fold_file(p, 4)
 
     def test_out_of_range_rejected(self, tmp_path):
         p = tmp_path / "folds.txt"

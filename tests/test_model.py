@@ -242,9 +242,44 @@ class TestUpdate:
             update(permuted, x[i : i + 1], y[i : i + 1])
         assert np.max(np.abs(forward.beta - permuted.beta)) <= 1e-6
 
-    def test_breakdown_detected(self):
+    def test_exactly_symmetric_after_single_and_block_updates(self):
+        # Sizes at which OpenBLAS's general gemm for V'V is not exactly
+        # symmetric, so an update that loses the syrk path shows here.
+        layer, x, y = stream_fixture(seed=36, hidden=50)
+        model = init_phase(layer, x[:60], y[:60])
+        for i in range(60, 100):
+            update(model, x[i : i + 1], y[i : i + 1])
+        assert np.array_equal(model.gram_inv, model.gram_inv.T)
+        for s in range(100, 200, 17):
+            update(model, x[s : s + 17], y[s : s + 17])
+        assert np.array_equal(model.gram_inv, model.gram_inv.T)
+
+    def test_block_beta_matches_textbook_formula(self):
+        layer, x, y = stream_fixture(seed=44)
+        model = init_phase(layer, x[:30], y[:30])
+        m, beta = model.gram_inv.copy(), model.beta.copy()
+        h = hidden_output(layer, x[30:42])
+        m_new = m - m @ h.T @ np.linalg.inv(np.eye(12) + h @ m @ h.T) @ h @ m
+        expected = beta + m_new @ h.T @ (y[30:42] - h @ beta)
+        update(model, x[30:42], y[30:42])
+        assert np.max(np.abs(model.beta - expected)) <= 1e-10
+
+    def test_single_sample_downdate_is_the_rounded_outer_product(self):
+        # The rank-one product goes through BLAS; each entry must still be
+        # the one rounded product g_i g_j that np.outer gives.
+        layer, x, y = stream_fixture(seed=45)
+        model = init_phase(layer, x[:30], y[:30])
+        m = model.gram_inv.copy()
+        hv = hidden_output(layer, x[30:31])[0]
+        mh = m @ hv
+        g = mh / np.sqrt(1.0 + hv @ mh)
+        update(model, x[30:31], y[30:31])
+        assert np.array_equal(model.gram_inv, m - np.outer(g, g))
+
+    @staticmethod
+    def corrupted_model():
         layer = init_hidden(2, 2, "sigmoid", seed=39)
-        model = OselmModel(
+        return OselmModel(
             hidden=layer,
             gram_inv=-10.0 * np.eye(2),  # corrupted state: not positive-definite
             beta=np.zeros((2, 1)),
@@ -252,8 +287,25 @@ class TestUpdate:
             samples_seen=4,
             blocks_seen=1,
         )
+
+    @staticmethod
+    def assert_unchanged(model):
+        assert np.array_equal(model.gram_inv, -10.0 * np.eye(2))
+        assert np.array_equal(model.beta, np.zeros((2, 1)))
+        assert (model.samples_seen, model.blocks_seen) == (4, 1)
+
+    def test_breakdown_detected(self):
+        model = self.corrupted_model()
         with pytest.raises(NumericalError, match="positive-definite"):
             update(model, np.array([[0.5, 0.5]]), np.array([[1.0]]))
+        self.assert_unchanged(model)
+
+    def test_block_breakdown_detected(self):
+        model = self.corrupted_model()
+        x = np.array([[0.5, 0.5], [-0.5, 1.0], [1.0, 0.0]])
+        with pytest.raises(NumericalError):
+            update(model, x, np.ones((3, 1)))
+        self.assert_unchanged(model)
 
     def test_rejects_uninitialized_model(self):
         layer = init_hidden(2, 2, seed=40)
@@ -388,6 +440,15 @@ class TestSerialization:
         p = tmp_path / "bad.txt"
         p.write_text("not a model\n")
         with pytest.raises(DataError):
+            load_model(p)
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        p = tmp_path / "m.txt"
+        save_model(p, self.make_model())
+        data = bytearray(p.read_bytes())
+        data[200] = 0xFF
+        p.write_bytes(bytes(data))
+        with pytest.raises(DataError, match=r"m.txt: not UTF-8"):
             load_model(p)
 
     def test_truncated_file_rejected(self, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from elmstream.numerics import (
     ShapeError,
     SingularMatrixError,
+    cholesky_spd,
     pinv_normal,
     solve_spd,
 )
@@ -12,6 +13,26 @@ from elmstream.numerics import (
 def random_spd(rng, n, shift=1.0):
     g = rng.normal(size=(n, n))
     return g.T @ g + shift * np.eye(n)
+
+
+class TestCholeskySpd:
+    def test_factor_reproduces_matrix(self):
+        a = random_spd(np.random.default_rng(5), 7)
+        lower = cholesky_spd(a)
+        assert np.array_equal(lower, np.tril(lower))
+        assert np.max(np.abs(lower @ lower.T - a)) <= 1e-12
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_indefinite_raises(self):
+        with pytest.raises(SingularMatrixError):
+            cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_pivot_below_relative_tolerance_raises(self):
+        with pytest.raises(SingularMatrixError, match="pivot"):
+            cholesky_spd(np.diag([1.0, 1e-14]))
 
 
 class TestSolveSpd:
