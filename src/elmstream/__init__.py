@@ -52,8 +52,6 @@ from .numerics import (
     NumericalError,
     ShapeError,
     SingularMatrixError,
-    pinv_normal,
-    solve_spd,
 )
 
 __version__ = "0.1.0"
@@ -89,12 +87,10 @@ __all__ = [
     "load_fold_file",
     "load_model",
     "load_sparse",
-    "pinv_normal",
     "predict_raw",
     "report_kv_lines",
     "save_model",
     "save_sparse",
-    "solve_spd",
     "stream_blocks",
     "to_bipolar",
     "update",

@@ -191,6 +191,8 @@ def _read_config_file(path: str) -> dict:
                 values[key] = _coerce(key, text.strip())
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: config file is not UTF-8 text ({exc.reason})") from None
     return values
 
 

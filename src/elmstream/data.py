@@ -70,11 +70,14 @@ class LabeledDataset:
         return self.labels.shape[1]
 
     def subset(self, rows) -> "LabeledDataset":
-        """Row-sliced copy keeping names."""
+        """Copy of the selected rows, keeping names.
+
+        Indexing with an array of row numbers always copies.
+        """
         idx = np.asarray(rows)
         return LabeledDataset(
-            features=self.features[idx].copy(),
-            labels=self.labels[idx].copy(),
+            features=self.features[idx],
+            labels=self.labels[idx],
             feature_names=self.feature_names,
             label_names=self.label_names,
         )

@@ -26,7 +26,7 @@ def _as_label_matrix(y, name: str = "labels") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={out.ndim}")
     if out.size == 0:
         raise ValueError(f"{name} must have at least one row and one column")
-    if not np.isin(out, (0, 1)).all():
+    if not ((out == 0) | (out == 1)).all():
         raise ValueError(f"{name} entries must all be 0 or 1")
     return out.astype(np.int8, copy=False)
 

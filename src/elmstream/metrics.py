@@ -33,7 +33,7 @@ def _pair(pred, truth):
     if pred.ndim != 2 or pred.size == 0:
         raise ValueError("label matrices must be non-empty and 2-D")
     for name, a in (("pred", pred), ("truth", truth)):
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError(f"{name} entries must all be 0 or 1")
     return pred.astype(np.int64, copy=False), truth.astype(np.int64, copy=False)
 
@@ -73,7 +73,7 @@ def label_cardinality(y) -> float:
     y = np.asarray(y)
     if y.ndim != 2 or y.size == 0:
         raise ValueError("label matrix must be non-empty and 2-D")
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("label entries must all be 0 or 1")
     return float(y.astype(np.int64).sum(axis=1).mean())
 

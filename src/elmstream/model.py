@@ -23,7 +23,6 @@ from .numerics import (
     as_matrix,
     cholesky_spd,
     ensure_finite,
-    solve_spd,
 )
 
 __all__ = [
@@ -42,16 +41,26 @@ __all__ = [
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # The tanh form of 1 / (1 + exp(-z)) cannot overflow for large |z|.
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    return z
+
+
+def _sine(z: np.ndarray) -> np.ndarray:
+    return np.sin(z, out=z)
 
 
 def _hardlim(z: np.ndarray) -> np.ndarray:
     return (z > 0).astype(float)
 
 
+# Each activation may overwrite its float64 argument and return it:
+# hidden_output hands over its own pre-activation buffer.
 ACTIVATIONS = {
     "sigmoid": _sigmoid,
-    "sine": np.sin,
+    "sine": _sine,
     "hardlim": _hardlim,
 }
 
@@ -127,7 +136,7 @@ class OselmModel:
 
 def _check_bipolar(y: np.ndarray, name: str = "targets") -> np.ndarray:
     y = as_matrix(y, name)
-    if not np.isin(y, (-1.0, 1.0)).all():
+    if not (np.abs(y) == 1.0).all():
         raise ValueError(f"{name} must be bipolar (-1/+1)")
     return y
 
@@ -138,7 +147,8 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
     Solves the regularized normal equations for the initial output
     weights and stores the inverse Gram matrix that the sequential phase
     will keep updating. With ridge = 0 the block must have at least as
-    many rows as there are hidden neurons, else the solve is singular.
+    many rows as there are hidden neurons, else the Gram matrix is
+    singular and SingularMatrixError is raised.
     """
     x0 = as_matrix(x0, "initial features")
     y0 = _check_bipolar(y0, "initial targets")
@@ -149,12 +159,18 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
     if ridge < 0.0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     h0 = hidden_output(layer, x0)
-    gram = h0.T @ h0
+    gram = h0.T @ h0  # numpy computes A'A with syrk: exactly symmetric
     if ridge > 0.0:
-        gram = gram + ridge * np.eye(layer.hidden_count)
-    gram = (gram + gram.T) / 2.0
-    gram_inv = solve_spd(gram, np.eye(layer.hidden_count))
+        gram[np.diag_indices_from(gram)] += ridge
+    # The factor only certifies definiteness. numpy has no triangular
+    # inverse, and LAPACK's general inverse beats inverting the factor
+    # through it.
+    cholesky_spd(gram)
+    gram_inv = np.linalg.inv(gram)
+    # update() needs M exactly symmetric: its downdates keep M only as
+    # symmetric as they find it.
     gram_inv = (gram_inv + gram_inv.T) / 2.0
+    ensure_finite(gram_inv, "inverse Gram matrix")
     beta = gram_inv @ (h0.T @ y0)
     ensure_finite(beta, "initial output weights")
     return OselmModel(

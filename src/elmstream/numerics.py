@@ -3,8 +3,9 @@
 Matrices are 2-D float64 numpy arrays in row-major (C) order. Public
 functions validate shapes on entry and guarantee finite entries on exit,
 so numerical breakdown surfaces here instead of in callers. The
-pseudoinverse goes through the normal equations with an optional ridge
-term as an escape hatch for rank-deficient designs.
+learner's one batch solve, the ridge-regularized normal equations of
+``model.init_phase``, is certified positive definite by ``cholesky_spd``
+before it is inverted.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ __all__ = [
     "as_matrix",
     "ensure_finite",
     "cholesky_spd",
-    "solve_spd",
-    "pinv_normal",
 ]
 
 # Pivot tolerance for the SPD factorization, relative to the largest
@@ -98,48 +97,3 @@ def cholesky_spd(a) -> np.ndarray:
                 f"{tol:.3e}; matrix is singular or indefinite"
             )
     return lower
-
-
-def solve_spd(a, b) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive-definite ``a``.
-
-    ``a`` must be square and symmetric to within 1e-10 relative;
-    ``b`` is an n x m right-hand side.
-
-    Raises:
-        ShapeError: non-square ``a`` or mismatched ``b``.
-        ValueError: ``a`` is measurably asymmetric.
-        SingularMatrixError: factorization meets a non-positive pivot.
-    """
-    a = as_matrix(a, "coefficient matrix")
-    b = as_matrix(b, "right-hand side")
-    # The factor only certifies definiteness. numpy has no triangular
-    # solver, and LAPACK's general solve beats two triangular solves
-    # done through it.
-    cholesky_spd(a)
-    if b.shape[0] != a.shape[0]:
-        raise ShapeError(
-            f"right-hand side has {b.shape[0]} rows, coefficient matrix has {a.shape[0]}"
-        )
-    return ensure_finite(np.linalg.solve(a, b), "SPD solve result")
-
-
-def pinv_normal(h, ridge: float = 0.0) -> np.ndarray:
-    """Left pseudoinverse (HtH + ridge*I)^-1 Ht of a tall matrix H.
-
-    With ridge = 0 and full column rank this is the Moore-Penrose
-    pseudoinverse. A SingularMatrixError signals rank deficiency; the
-    caller may retry with ridge > 0.
-    """
-    h = as_matrix(h, "design matrix")
-    if h.shape[0] < h.shape[1]:
-        raise ShapeError(
-            f"need rows >= cols for the normal equations, got {h.shape[0]}x{h.shape[1]}"
-        )
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
-    gram = h.T @ h
-    if ridge > 0.0:
-        gram = gram + ridge * np.eye(h.shape[1])
-    gram = (gram + gram.T) / 2.0
-    return solve_spd(gram, h.T)

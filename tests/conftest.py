@@ -46,6 +46,13 @@ def small_learnable():
     return synthetic_stream(n=240, d=8, m=3, seed=11)
 
 
+def batch_beta(h, y, ridge=0.0):
+    """Batch oracle: output weights solving (H'H + ridge I) beta = H'Y,
+    computed with numpy alone, independently of the library's solve."""
+    h = np.asarray(h, dtype=float)
+    return np.linalg.solve(h.T @ h + ridge * np.eye(h.shape[1]), h.T @ y)
+
+
 def write_csv(path, ds: LabeledDataset) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(ds.n_samples):

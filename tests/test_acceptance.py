@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, DATASETS_DIR, synthetic_stream, write_csv
+from conftest import DATA_DIR, DATASETS_DIR, batch_beta, synthetic_stream, write_csv
 from elmstream.cli import RunConfig, main, run_cv, run_train
 from elmstream.data import load_csv
 from elmstream.labels import calibrate_threshold, decode, to_bipolar
@@ -26,7 +26,6 @@ from elmstream.metrics import (
     label_density,
 )
 from elmstream.model import hidden_output, init_hidden, init_phase, update
-from elmstream.numerics import pinv_normal
 
 
 @contextmanager
@@ -74,7 +73,7 @@ def test_criterion_1_rls_batch_equivalence():
         model = init_phase(layer, x[:30], y[:30])
         for i in range(30, 200):
             update(model, x[i : i + 1], y[i : i + 1])
-        beta_batch = pinv_normal(hidden_output(layer, x), 0.0) @ y
+        beta_batch = batch_beta(hidden_output(layer, x), y)
         diff = np.max(np.abs(model.beta - beta_batch))
         assert diff <= 1e-6, f"max-abs difference {diff:.3e} > 1e-6"
 

@@ -305,6 +305,14 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "labls" in capsys.readouterr().err
 
+    def test_config_not_utf8_is_usage_error(self, interpolating_csv, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"hidden 6\nlabels \xff3\n")
+        code = main(["train", "--config", str(config), "--data", str(interpolating_csv),
+                     "--out", str(tmp_path / "m.txt")])
+        assert code == EXIT_USAGE
+        assert str(config) in capsys.readouterr().err
+
     def test_bad_boolean_rejected(self, interpolating_csv, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("recalibrate maybe\n")

@@ -242,6 +242,17 @@ class TestKfold:
             kfold(ds, 6, seed=0)
 
 
+class TestSubset:
+    def test_writing_into_subset_leaves_parent_unchanged(self):
+        ds = synthetic_stream(10, 3, 2, seed=19)
+        features, labels = ds.features.copy(), ds.labels.copy()
+        sub = ds.subset(np.array([1, 4, 7]))
+        sub.features[:] = 99.0
+        sub.labels[:] = 1 - sub.labels
+        assert np.array_equal(ds.features, features)
+        assert np.array_equal(ds.labels, labels)
+
+
 class TestStreamBlocks:
     def test_even_split(self):
         ds = synthetic_stream(100, 2, 2, seed=12)

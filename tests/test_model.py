@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import synthetic_stream
+from conftest import batch_beta, synthetic_stream
 from elmstream.data import DataError, Normalizer, StreamPlan, stream_blocks
 from elmstream.labels import to_bipolar
 from elmstream.model import (
@@ -19,7 +19,6 @@ from elmstream.numerics import (
     NumericalError,
     ShapeError,
     SingularMatrixError,
-    pinv_normal,
 )
 
 
@@ -145,7 +144,7 @@ class TestInitPhase:
         y0 = to_bipolar(rng.integers(0, 2, (20, 4)))
         model = init_phase(layer, x0, y0, ridge=0.0)
         h0 = hidden_output(layer, x0)
-        beta_direct = pinv_normal(h0, 0.0) @ y0
+        beta_direct = batch_beta(h0, y0)
         assert np.max(np.abs(model.beta - beta_direct)) <= 1e-10
 
     def test_beta_matches_pinv_path_with_ridge(self):
@@ -155,7 +154,7 @@ class TestInitPhase:
         y0 = to_bipolar(rng.integers(0, 2, (20, 4)))
         model = init_phase(layer, x0, y0, ridge=0.5)
         h0 = hidden_output(layer, x0)
-        beta_direct = pinv_normal(h0, 0.5) @ y0
+        beta_direct = batch_beta(h0, y0, 0.5)
         assert np.max(np.abs(model.beta - beta_direct)) <= 1e-10
 
     def test_yeast_shaped_block_runs(self):
@@ -186,6 +185,20 @@ class TestInitPhase:
         with pytest.raises(ShapeError):
             init_phase(layer, x0[:-1], y0)
 
+    def test_rejects_negative_ridge(self, square_init):
+        layer, x0, y0 = square_init
+        with pytest.raises(ValueError, match="ridge"):
+            init_phase(layer, x0, y0, ridge=-1.0)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_gram_inv_exactly_symmetric(self, ridge):
+        rng = np.random.default_rng(21)
+        layer = init_hidden(5, 8, "sigmoid", seed=22)
+        x0 = rng.uniform(-1, 1, (20, 5))
+        y0 = to_bipolar(rng.integers(0, 2, (20, 4)))
+        model = init_phase(layer, x0, y0, ridge=ridge)
+        assert np.array_equal(model.gram_inv, model.gram_inv.T)
+
 
 def stream_fixture(seed=31, n=200, d=10, m=3, hidden=20):
     rng = np.random.default_rng(seed)
@@ -201,7 +214,7 @@ class TestUpdate:
         model = init_phase(layer, x[:30], y[:30])
         for i in range(30, 200):
             update(model, x[i : i + 1], y[i : i + 1])
-        beta_batch = pinv_normal(hidden_output(layer, x), 0.0) @ y
+        beta_batch = batch_beta(hidden_output(layer, x), y)
         assert np.max(np.abs(model.beta - beta_batch)) <= 1e-6
         assert model.samples_seen == 200
         assert model.blocks_seen == 1 + 170
