@@ -12,6 +12,7 @@ whose keys, types and defaults are the RunConfig fields.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -91,6 +92,16 @@ _FIELD_TYPES = {
     for name, hint in get_type_hints(RunConfig).items()
     if name != "command"
 }
+
+# Bounds a value must meet whatever the data: (keys, test, requirement).
+# Limits that depend on the data, such as an init block longer than the
+# file, are data errors raised where the data is read.
+_BOUNDS = [
+    (("labels", "features", "hidden", "init_block", "block"), lambda v: v >= 1, ">= 1"),
+    (("folds",), lambda v: v >= 2, ">= 2"),
+    (("ridge",), lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
+    (("arrival_interval",), lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +220,22 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
         raise UsageError(
             f"--activation must be one of {sorted(ACTIVATIONS)}, got {cfg.activation!r}"
         )
+    for names, ok, requirement in _BOUNDS:
+        for name in names:
+            value = getattr(cfg, name)
+            if value is not None and not ok(value):
+                raise UsageError(f"{_flag(name)} must be {requirement}, got {value!r}")
     return cfg
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
     for name in names:
         if getattr(cfg, name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"{flag} is required for '{cfg.command}'")
+            raise UsageError(f"{_flag(name)} is required for '{cfg.command}'")
 
 
 def _load_dataset(cfg: RunConfig, path: str) -> LabeledDataset:

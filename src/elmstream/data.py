@@ -2,9 +2,9 @@
 
 Two on-disk formats are supported:
 
-* Dense CSV: UTF-8, comma-separated, optional single header line. Each
-  data row holds D real feature fields followed by M label fields that
-  must be literally ``0`` or ``1``.
+* Dense CSV: UTF-8, comma-separated, optional single header line (skipped;
+  rows must match its width). Each data row holds D real feature fields
+  followed by M label fields that must be literally ``0`` or ``1``.
 * Sparse: one sample per line, ``<label-idx-list> <idx>:<val> ...`` with
   1-based indices, the label list comma-separated. Unlisted features and
   labels are zero. ``#`` starts a comment; blank lines are skipped. A line
@@ -27,7 +27,6 @@ __all__ = [
     "StreamPlan",
     "load_csv",
     "load_sparse",
-    "save_sparse",
     "fit_normalizer",
     "kfold",
     "stream_blocks",
@@ -45,8 +44,6 @@ class LabeledDataset:
 
     features: np.ndarray  # N x D float64
     labels: np.ndarray  # N x M int8, entries 0/1
-    feature_names: list[str] | None = None
-    label_names: list[str] | None = None
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.labels.ndim != 2:
@@ -70,17 +67,12 @@ class LabeledDataset:
         return self.labels.shape[1]
 
     def subset(self, rows) -> "LabeledDataset":
-        """Copy of the selected rows, keeping names.
+        """Copy of the selected rows.
 
         Indexing with an array of row numbers always copies.
         """
         idx = np.asarray(rows)
-        return LabeledDataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            feature_names=self.feature_names,
-            label_names=self.label_names,
-        )
+        return LabeledDataset(features=self.features[idx], labels=self.labels[idx])
 
 
 def _finite_float(text: str, path: str, lineno: int, what: str) -> float:
@@ -107,11 +99,14 @@ def _text_lines(path: str):
 
 
 def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset:
-    """Load a dense CSV dataset whose last ``label_count`` fields are labels."""
+    """Load a dense CSV dataset whose last ``label_count`` fields are labels.
+
+    With ``has_header`` the first non-blank line is a header: it is
+    skipped, and its field count is the width every data row must have.
+    """
     if label_count < 1:
         raise DataError(f"label_count must be >= 1, got {label_count}")
     path = str(path)
-    feature_names = label_names = None
     expected_fields = None
     feature_rows: list[list[float]] = []
     label_rows: list[list[int]] = []
@@ -120,14 +115,12 @@ def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
-        if has_header and feature_names is None and expected_fields is None:
+        if expected_fields is None and has_header:
             if len(fields) <= label_count:
                 raise DataError(
                     f"{path}:{lineno}: header has {len(fields)} fields, "
                     f"need more than {label_count}"
                 )
-            feature_names = fields[:-label_count]
-            label_names = fields[-label_count:]
             expected_fields = len(fields)
             continue
         if expected_fields is None:
@@ -160,8 +153,6 @@ def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset
     return LabeledDataset(
         features=np.array(feature_rows, dtype=float),
         labels=np.array(label_rows, dtype=np.int8),
-        feature_names=feature_names,
-        label_names=label_names,
     )
 
 
@@ -228,31 +219,6 @@ def load_sparse(path, feature_count: int, label_count: int) -> LabeledDataset:
     )
 
 
-def save_sparse(path, ds: LabeledDataset) -> None:
-    """Write a dataset in the sparse format; exact round-trip with load_sparse.
-
-    A row with no labels and no nonzero features has no sparse encoding
-    and raises DataError.
-    """
-    path = str(path)
-    lines = []
-    for i in range(ds.n_samples):
-        label_idx = np.flatnonzero(ds.labels[i]) + 1
-        feat_idx = np.flatnonzero(ds.features[i]) + 1
-        if label_idx.size == 0 and feat_idx.size == 0:
-            raise DataError(
-                f"row {i} has no labels and no nonzero features; "
-                "not representable in sparse format"
-            )
-        parts = []
-        if label_idx.size:
-            parts.append(",".join(str(j) for j in label_idx))
-        parts += [f"{j}:{float(ds.features[i, j - 1])!r}" for j in feat_idx]
-        lines.append(" ".join(parts))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 @dataclass(frozen=True)
 class Normalizer:
     """Frozen per-feature affine map x -> x * scale + offset."""
@@ -269,22 +235,16 @@ class Normalizer:
         return x * self.scale + self.offset
 
 
-def fit_normalizer(ds: LabeledDataset, rows=None) -> Normalizer:
+def fit_normalizer(ds: LabeledDataset) -> Normalizer:
     """Fit the map sending each feature's observed [min, max] to [-1, 1].
 
     Constant features map to 0. Values outside the fitted range pass
     through the affine map unchanged (no clamping), so they may land
     outside [-1, 1].
     """
-    if rows is None:
-        x = ds.features
-    else:
-        idx = np.asarray(rows, dtype=np.intp)
-        if idx.size == 0:
-            raise DataError("cannot fit a normalizer on an empty row range")
-        x = ds.features[idx]
+    x = ds.features
     if x.size == 0:
-        raise DataError("cannot fit a normalizer on an empty row range")
+        raise DataError("cannot fit a normalizer on an empty dataset")
     lo = x.min(axis=0)
     hi = x.max(axis=0)
     span = hi - lo
@@ -362,8 +322,6 @@ def load_fold_file(path, n_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
             idx = np.array([int(tok) for tok in line.split()], dtype=np.int64)
         except ValueError:
             raise DataError(f"{path}:{lineno}: fold indices must be integers") from None
-        if idx.size == 0:
-            continue
         if idx.min() < 0 or idx.max() >= n_samples:
             raise DataError(
                 f"{path}:{lineno}: fold index out of range 0..{n_samples - 1}"

@@ -38,7 +38,6 @@ class ThresholdCalibration:
 
     threshold: float
     training_hamming: float
-    candidates_evaluated: int
 
 
 def to_bipolar(y) -> np.ndarray:
@@ -99,8 +98,4 @@ def calibrate_threshold(raw, truth) -> ThresholdCalibration:
     best_errors = int(errors.min())
     tied = candidates[errors == best_errors]
     threshold = float(min(tied, key=lambda t: (abs(t), t)))
-    return ThresholdCalibration(
-        threshold=threshold,
-        training_hamming=best_errors / flat.size,
-        candidates_evaluated=int(candidates.size),
-    )
+    return ThresholdCalibration(threshold, best_errors / flat.size)

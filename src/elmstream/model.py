@@ -113,7 +113,8 @@ def hidden_output(layer: HiddenLayer, x) -> np.ndarray:
             f"input has {x.shape[1]} features, hidden layer expects {layer.input_dim}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        z = x @ layer.weights.T + layer.biases
+        z = x @ layer.weights.T
+        z += layer.biases
     # Overflow is reported by this check, not as a warning. It covers the
     # activations too: each maps finite input to finite output.
     ensure_finite(z, "hidden pre-activations")
@@ -128,10 +129,13 @@ class OselmModel:
     hidden: HiddenLayer
     gram_inv: np.ndarray  # hidden_count x hidden_count
     beta: np.ndarray  # hidden_count x label_count
-    label_count: int
     threshold: float = 0.0
     samples_seen: int = 0
     blocks_seen: int = 0
+
+    @property
+    def label_count(self) -> int:
+        return self.beta.shape[1]
 
 
 def _check_bipolar(y: np.ndarray, name: str = "targets") -> np.ndarray:
@@ -156,8 +160,8 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
         raise ShapeError(
             f"initial block has {x0.shape[0]} feature rows but {y0.shape[0]} target rows"
         )
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if not (np.isfinite(ridge) and ridge >= 0.0):
+        raise ValueError(f"ridge must be a finite number >= 0, got {ridge}")
     h0 = hidden_output(layer, x0)
     gram = h0.T @ h0  # numpy computes A'A with syrk: exactly symmetric
     if ridge > 0.0:
@@ -177,8 +181,6 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
         hidden=layer,
         gram_inv=gram_inv,
         beta=beta,
-        label_count=y0.shape[1],
-        threshold=0.0,
         samples_seen=x0.shape[0],
         blocks_seen=1,
     )
@@ -418,7 +420,6 @@ def load_model(path) -> tuple[OselmModel, Normalizer | None]:
         hidden=layer,
         gram_inv=gram_inv,
         beta=beta,
-        label_count=label_count,
         threshold=threshold,
         samples_seen=samples_seen,
         blocks_seen=blocks_seen,

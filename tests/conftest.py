@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from elmstream.data import LabeledDataset, load_csv
+from elmstream.data import DataError, LabeledDataset, load_csv
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -59,3 +59,27 @@ def write_csv(path, ds: LabeledDataset) -> None:
             feats = ",".join(repr(float(v)) for v in ds.features[i])
             labs = ",".join(str(int(v)) for v in ds.labels[i])
             fh.write(f"{feats},{labs}\n")
+
+
+def save_sparse(path, ds: LabeledDataset) -> None:
+    """Write a dataset in the sparse format; exact round-trip with load_sparse.
+
+    A row with no labels and no nonzero features has no sparse encoding
+    and raises DataError.
+    """
+    lines = []
+    for i in range(ds.n_samples):
+        label_idx = np.flatnonzero(ds.labels[i]) + 1
+        feat_idx = np.flatnonzero(ds.features[i]) + 1
+        if label_idx.size == 0 and feat_idx.size == 0:
+            raise DataError(
+                f"row {i} has no labels and no nonzero features; "
+                "not representable in sparse format"
+            )
+        parts = []
+        if label_idx.size:
+            parts.append(",".join(str(j) for j in label_idx))
+        parts += [f"{j}:{float(ds.features[i, j - 1])!r}" for j in feat_idx]
+        lines.append(" ".join(parts))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -327,6 +327,41 @@ class TestUsage:
     def test_bad_flag_value(self, tmp_path):
         assert main(["train", "--hidden", "lots"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("train", "hidden", "0"),
+            ("train", "init_block", "0"),
+            ("train", "block", "0"),
+            ("train", "labels", "0"),
+            ("train", "features", "0"),
+            ("train", "ridge", "-1"),
+            ("train", "ridge", "nan"),
+            ("train", "ridge", "inf"),
+            ("cv", "folds", "1"),
+            ("bench", "arrival_interval", "-1"),
+            ("bench", "arrival_interval", "nan"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(
+        self, interpolating_csv, tmp_path, capsys, command, key, value, source
+    ):
+        settings = {"labels": "3", "hidden": "6", "init_block": "6", "block": "2"}
+        settings.pop(key, None)
+        argv = [command, "--data", str(interpolating_csv), "--out", str(tmp_path / "out")]
+        if source == "flag":
+            settings[key] = value
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{key} {value}\n")
+            argv += ["--config", str(config)]
+        for name, text in settings.items():
+            argv += ["--" + name.replace("_", "-"), text]
+        assert main(argv) == EXIT_USAGE
+        flag = "--" + key.replace("_", "-")
+        assert f"usage error: {flag} must be" in capsys.readouterr().err
+
     def test_sparse_requires_features(self, tmp_path):
         p = tmp_path / "d.sparse"
         p.write_text("1 1:0.5\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import synthetic_stream, write_csv
+from conftest import save_sparse, synthetic_stream, write_csv
 from elmstream.data import (
     DataError,
     LabeledDataset,
@@ -11,7 +11,6 @@ from elmstream.data import (
     load_csv,
     load_fold_file,
     load_sparse,
-    save_sparse,
     stream_blocks,
 )
 
@@ -29,9 +28,12 @@ class TestLoadCsv:
         p = tmp_path / "toy.csv"
         p.write_text("f1,f2,a,b\n1.0,2.0,1,0\n")
         ds = load_csv(p, label_count=2, has_header=True)
-        assert ds.feature_names == ["f1", "f2"]
-        assert ds.label_names == ["a", "b"]
-        assert ds.n_samples == 1
+        assert np.array_equal(ds.features, [[1.0, 2.0]])
+        assert np.array_equal(ds.labels, [[1, 0]])
+        # The header's width is the width every row must have.
+        p.write_text("f1,f2,a,b\n1.0,2.0,3.0,1,0\n")
+        with pytest.raises(DataError, match=r"toy.csv:2.*expected 4"):
+            load_csv(p, label_count=2, has_header=True)
 
     def test_empty_file_is_an_error(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -198,13 +200,13 @@ class TestNormalizer:
             features=np.array([[0.0], [10.0], [100.0]]),
             labels=np.zeros((3, 1), dtype=np.int8),
         )
-        norm = fit_normalizer(ds, rows=range(2))
+        norm = fit_normalizer(ds.subset(range(2)))
         assert norm.transform(np.array([[100.0]]))[0, 0] == pytest.approx(19.0)
 
     def test_empty_range_rejected(self):
         ds = synthetic_stream(5, 2, 2, seed=6)
-        with pytest.raises(DataError):
-            fit_normalizer(ds, rows=[])
+        with pytest.raises(DataError, match="empty"):
+            fit_normalizer(ds.subset(np.arange(0)))
 
 
 class TestKfold:

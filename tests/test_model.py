@@ -187,8 +187,9 @@ class TestInitPhase:
 
     def test_rejects_negative_ridge(self, square_init):
         layer, x0, y0 = square_init
-        with pytest.raises(ValueError, match="ridge"):
-            init_phase(layer, x0, y0, ridge=-1.0)
+        for ridge in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
+                init_phase(layer, x0, y0, ridge=ridge)
 
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
     def test_gram_inv_exactly_symmetric(self, ridge):
@@ -296,7 +297,6 @@ class TestUpdate:
             hidden=layer,
             gram_inv=-10.0 * np.eye(2),  # corrupted state: not positive-definite
             beta=np.zeros((2, 1)),
-            label_count=1,
             samples_seen=4,
             blocks_seen=1,
         )
@@ -322,9 +322,7 @@ class TestUpdate:
 
     def test_rejects_uninitialized_model(self):
         layer = init_hidden(2, 2, seed=40)
-        model = OselmModel(
-            hidden=layer, gram_inv=np.eye(2), beta=np.zeros((2, 1)), label_count=1
-        )
+        model = OselmModel(hidden=layer, gram_inv=np.eye(2), beta=np.zeros((2, 1)))
         with pytest.raises(ValueError, match="initialized"):
             update(model, np.ones((1, 2)), np.ones((1, 1)))
 

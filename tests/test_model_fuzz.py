@@ -50,7 +50,6 @@ def models(draw):
         hidden=layer,
         gram_inv=gram_inv,
         beta=draw(arrays((hidden, labels))),
-        label_count=labels,
         threshold=draw(finite),
         samples_seen=draw(st.integers(1, 10**12)),
         blocks_seen=draw(st.integers(1, 10**6)),
@@ -106,7 +105,6 @@ def reference(tmp_path_factory):
         hidden=layer,
         gram_inv=gram_inv @ gram_inv.T,
         beta=rng.normal(size=(3, 2)),
-        label_count=2,
         threshold=0.25,
         samples_seen=40,
         blocks_seen=4,

@@ -60,7 +60,6 @@ class TestSolveSpd:
             hidden=init_hidden(2, 2, "sigmoid", seed=39),
             gram_inv=-10.0 * np.eye(2),
             beta=np.zeros((2, 1)),
-            label_count=1,
             samples_seen=4,
             blocks_seen=1,
         )

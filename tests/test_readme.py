@@ -1,0 +1,25 @@
+"""README's library quick start runs as written."""
+
+import pathlib
+import re
+
+import numpy as np
+
+from conftest import synthetic_stream, write_csv
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    code = re.search(r"```python\n(.*?)```", text, re.DOTALL).group(1)
+    # Yeast-shaped: 103 features, 14 labels; 210 rows stream as the
+    # quick start's init block of 150 and two blocks of 30.
+    ds = synthetic_stream(270, 103, 14, seed=12)
+    write_csv(tmp_path / "train.csv", ds.subset(np.arange(210)))
+    write_csv(tmp_path / "test.csv", ds.subset(np.arange(210, 270)))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, str(README), "exec"), {"__name__": "__main__"})
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("hamming loss:")
+    assert 0.0 <= float(line.split(":")[1]) < 0.5
