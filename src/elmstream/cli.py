@@ -99,6 +99,7 @@ _FIELD_TYPES = {
 _BOUNDS = [
     (("labels", "features", "hidden", "init_block", "block"), lambda v: v >= 1, ">= 1"),
     (("folds",), lambda v: v >= 2, ">= 2"),
+    (("seed", "shuffle_seed"), lambda v: v >= 0, ">= 0"),
     (("ridge",), lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0"),
     (("arrival_interval",), lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
 ]

@@ -69,9 +69,11 @@ class LabeledDataset:
     def subset(self, rows) -> "LabeledDataset":
         """Copy of the selected rows.
 
-        Indexing with an array of row numbers always copies.
+        Indexing with an array of row numbers or a boolean mask always copies.
         """
         idx = np.asarray(rows)
+        if idx.size == 0 and idx.dtype != bool:
+            idx = idx.astype(np.intp)  # np.asarray([]) is a float array
         return LabeledDataset(features=self.features[idx], labels=self.labels[idx])
 
 

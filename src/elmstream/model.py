@@ -10,11 +10,12 @@ always equal the batch solution on everything seen so far.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError, Normalizer, _finite_float, _text_lines
+from .data import DataError, Normalizer, _finite_float
 from .numerics import (
     NumericalError,
     SYMMETRY_RTOL,
@@ -273,155 +274,116 @@ def predict_raw(model: OselmModel, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: a self-describing text format. Floats are written with 17
-# significant digits so a load/save round trip is bit-exact.
+# Serialization, format v2: a UTF-8 text header (the tag line, one "key value"
+# line per _HEADER entry, an "end" line), then weights, biases, gram_inv, beta
+# and, with a normalizer, scale and offset as raw little-endian float64. The
+# header counts fix every shape, and raw floats round-trip bit for bit.
 
 _FORMAT_TAG = "elmstream-model"
-_FORMAT_VERSION = "1"
+_FORMAT_VERSION = "2"
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % value
+def _count(text: str, path: str, lineno: int, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise DataError(f"{path}:{lineno}: {what} must be an integer >= 1, got {text!r}")
+    return value
 
 
-def _matrix_lines(tag: str, a: np.ndarray) -> list[str]:
-    lines = [f"{tag} {a.shape[0]} {a.shape[1]}"]
-    lines += [" ".join(_fmt(v) for v in row) for row in a]
-    return lines
+def _choice(options):
+    def parse(text: str, path: str, lineno: int, what: str) -> str:
+        if text not in options:
+            raise DataError(f"{path}:{lineno}: unknown {what} {text!r}")
+        return text
+
+    return parse
+
+
+# The header keys in file order, each with the parser that checks its value.
+_HEADER = {
+    "activation": _choice(ACTIVATIONS),
+    "input_dim": _count,
+    "hidden_count": _count,
+    "label_count": _count,
+    "threshold": _finite_float,
+    "samples_seen": _count,
+    "blocks_seen": _count,
+    "normalizer": _choice(("none", "affine")),
+}
 
 
 def save_model(path, model: OselmModel, normalizer: Normalizer | None = None) -> None:
-    """Write the model (and the feature normalizer, if any) as text."""
-    lines = [
-        f"{_FORMAT_TAG} {_FORMAT_VERSION}",
-        f"activation {model.hidden.activation}",
-        f"input_dim {model.hidden.input_dim}",
-        f"hidden_count {model.hidden.hidden_count}",
-        f"label_count {model.label_count}",
-        f"threshold {_fmt(model.threshold)}",
-        f"samples_seen {model.samples_seen}",
-        f"blocks_seen {model.blocks_seen}",
-    ]
-    lines += _matrix_lines("weights", model.hidden.weights)
-    lines.append("biases " + str(model.hidden.biases.size))
-    lines.append(" ".join(_fmt(v) for v in model.hidden.biases))
-    lines += _matrix_lines("gram_inv", model.gram_inv)
-    lines += _matrix_lines("beta", model.beta)
-    if normalizer is None:
-        lines.append("normalizer none")
-    else:
-        lines.append(f"normalizer {normalizer.scale.size}")
-        lines.append(" ".join(_fmt(v) for v in normalizer.scale))
-        lines.append(" ".join(_fmt(v) for v in normalizer.offset))
-    lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-class _Reader:
-    def __init__(self, path):
-        self.path = str(path)
-        self.lines = [line.rstrip("\n") for _, line in _text_lines(self.path)]
-        self.pos = 0
-
-    def next_line(self) -> str:
-        if self.pos >= len(self.lines):
-            raise DataError(f"{self.path}: truncated model file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def field(self, key: str) -> str:
-        parts = self.next_line().split(None, 1)
-        if len(parts) != 2 or parts[0] != key:
-            raise DataError(f"{self.path}: expected '{key} <value>' at line {self.pos}")
-        return parts[1]
-
-    def count(self, text: str, what: str) -> int:
-        """Parse a count from the line just read: an integer >= 1."""
-        try:
-            value = int(text)
-        except ValueError:
-            value = 0
-        if value < 1:
-            raise DataError(
-                f"{self.path}:{self.pos}: {what} must be an integer >= 1, got {text!r}"
-            )
-        return value
-
-    def count_field(self, key: str) -> int:
-        return self.count(self.field(key), key)
-
-    def floats(self, count: int) -> np.ndarray:
-        values = self.next_line().split()
-        if len(values) != count:
-            raise DataError(
-                f"{self.path}: expected {count} values at line {self.pos}, got {len(values)}"
-            )
-        try:
-            out = np.array([float(v) for v in values])
-        except ValueError:
-            raise DataError(f"{self.path}: bad numeric value at line {self.pos}") from None
-        if not np.isfinite(out).all():
-            raise DataError(f"{self.path}: non-finite value at line {self.pos}")
-        return out
-
-    def matrix(self, key: str) -> np.ndarray:
-        header = self.field(key).split()
-        if len(header) != 2:
-            raise DataError(f"{self.path}: bad {key} header at line {self.pos}")
-        rows, cols = (self.count(v, f"{key} size") for v in header)
-        return np.vstack([self.floats(cols) for _ in range(rows)]).reshape(rows, cols)
+    """Write the model (and the feature normalizer, if any) in format v2."""
+    fields = {
+        "activation": model.hidden.activation,
+        "input_dim": model.hidden.input_dim,
+        "hidden_count": model.hidden.hidden_count,
+        "label_count": model.label_count,
+        "threshold": float(model.threshold),  # str() gives the shortest exact form
+        "samples_seen": model.samples_seen,
+        "blocks_seen": model.blocks_seen,
+        "normalizer": "none" if normalizer is None else "affine",
+    }
+    header = [f"{_FORMAT_TAG} {_FORMAT_VERSION}"]
+    header += [f"{key} {fields[key]}" for key in _HEADER] + ["end"]
+    arrays = [model.hidden.weights, model.hidden.biases, model.gram_inv, model.beta]
+    if normalizer is not None:
+        arrays += [normalizer.scale, normalizer.offset]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("utf-8"))
+        for a in arrays:
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def load_model(path) -> tuple[OselmModel, Normalizer | None]:
     """Read a model file written by save_model."""
-    r = _Reader(path)
-    head = r.next_line().split()
-    if head != [_FORMAT_TAG, _FORMAT_VERSION]:
-        raise DataError(f"{r.path}: not a {_FORMAT_TAG} v{_FORMAT_VERSION} file")
-    activation = r.field("activation")
-    if activation not in ACTIVATIONS:
-        raise DataError(f"{r.path}: unknown activation {activation!r}")
-    input_dim = r.count_field("input_dim")
-    hidden_count = r.count_field("hidden_count")
-    label_count = r.count_field("label_count")
-    threshold = _finite_float(r.field("threshold"), r.path, r.pos, "threshold")
-    samples_seen = r.count_field("samples_seen")
-    blocks_seen = r.count_field("blocks_seen")
-    weights = r.matrix("weights")
-    biases = r.floats(r.count_field("biases"))
-    gram_inv = r.matrix("gram_inv")
-    beta = r.matrix("beta")
-    if weights.shape != (hidden_count, input_dim):
-        raise DataError(f"{r.path}: weights shape {weights.shape} does not match header")
-    if biases.size != hidden_count:
-        raise DataError(f"{r.path}: {biases.size} biases for {hidden_count} hidden neurons")
-    if gram_inv.shape != (hidden_count, hidden_count) or beta.shape != (
-        hidden_count,
-        label_count,
-    ):
-        raise DataError(f"{r.path}: matrix shapes do not match header")
+    with open(path, "rb") as fh:
+        head = [fh.readline() for _ in range(len(_HEADER) + 2)]
+        payload = fh.read()
+    try:
+        lines = [line.decode("utf-8").rstrip("\n") for line in head]
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if lines[0].split() != [_FORMAT_TAG, _FORMAT_VERSION]:
+        raise DataError(f"{path}: not an {_FORMAT_TAG} v{_FORMAT_VERSION} file")
+    fields = {}
+    for lineno, key, line in zip(range(2, len(lines)), _HEADER, lines[1:]):
+        name, _, text = line.partition(" ")
+        if name != key:
+            raise DataError(f"{path}: expected '{key} <value>' at line {lineno}")
+        fields[key] = _HEADER[key](text, path, lineno, key)
+    if lines[-1] != "end":
+        raise DataError(f"{path}: missing end marker")
+    dim, hidden, labels = fields["input_dim"], fields["hidden_count"], fields["label_count"]
+    shapes = [(hidden, dim), (hidden,), (hidden, hidden), (hidden, labels)]
+    if fields["normalizer"] == "affine":
+        shapes += [(dim,), (dim,)]
+    sizes = [math.prod(shape) for shape in shapes]
+    if len(payload) != 8 * sum(sizes):
+        raise DataError(
+            f"{path}: {len(payload)} bytes of arrays, the header needs {8 * sum(sizes)}"
+        )
+    flat = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise DataError(f"{path}: non-finite array value")
+    weights, biases, gram_inv, beta, *norm = (
+        part.reshape(shape).astype(float)
+        for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)
+    )
     if _asymmetric(gram_inv):
-        raise DataError(f"{r.path}: gram_inv is not symmetric to {SYMMETRY_RTOL:g} relative")
-    norm_field = r.field("normalizer")
-    normalizer = None
-    if norm_field != "none":
-        dim = r.count(norm_field, "normalizer width")
-        if dim != input_dim:
-            raise DataError(f"{r.path}: normalizer width {dim} != input_dim {input_dim}")
-        normalizer = Normalizer(scale=r.floats(dim), offset=r.floats(dim))
-    if r.next_line() != "end":
-        raise DataError(f"{r.path}: missing end marker")
+        raise DataError(f"{path}: gram_inv is not symmetric to {SYMMETRY_RTOL:g} relative")
     weights.setflags(write=False)
     biases.setflags(write=False)
-    layer = HiddenLayer(weights=weights, biases=biases, activation=activation)
+    layer = HiddenLayer(weights=weights, biases=biases, activation=fields["activation"])
     model = OselmModel(
         hidden=layer,
         gram_inv=gram_inv,
         beta=beta,
-        threshold=threshold,
-        samples_seen=samples_seen,
-        blocks_seen=blocks_seen,
+        threshold=fields["threshold"],
+        samples_seen=fields["samples_seen"],
+        blocks_seen=fields["blocks_seen"],
     )
-    return model, normalizer
+    return model, Normalizer(*norm) if norm else None

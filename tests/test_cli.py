@@ -339,7 +339,10 @@ class TestUsage:
             ("train", "ridge", "-1"),
             ("train", "ridge", "nan"),
             ("train", "ridge", "inf"),
+            ("train", "seed", "-1"),
+            ("train", "shuffle_seed", "-3"),
             ("cv", "folds", "1"),
+            ("cv", "seed", "-1"),
             ("bench", "arrival_interval", "-1"),
             ("bench", "arrival_interval", "nan"),
         ],

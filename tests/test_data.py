@@ -254,6 +254,21 @@ class TestSubset:
         assert np.array_equal(ds.features, features)
         assert np.array_equal(ds.labels, labels)
 
+    def test_empty_row_list_keeps_the_widths(self):
+        ds = synthetic_stream(10, 3, 2, seed=19)
+        for rows in ([], np.arange(0), np.zeros(10, dtype=bool)):
+            sub = ds.subset(rows)
+            assert sub.features.shape == (0, 3)
+            assert sub.labels.shape == (0, 2)
+            assert sub.labels.dtype == ds.labels.dtype
+
+    def test_boolean_mask_selects_rows(self):
+        ds = synthetic_stream(10, 3, 2, seed=19)
+        mask = np.arange(10) % 3 == 0
+        sub = ds.subset(mask)
+        assert np.array_equal(sub.features, ds.features[[0, 3, 6, 9]])
+        assert np.array_equal(sub.labels, ds.labels[[0, 3, 6, 9]])
+
 
 class TestStreamBlocks:
     def test_even_split(self):

@@ -370,37 +370,33 @@ class TestStreamingAtYeastShape:
         assert model.samples_seen == 1500
 
 
-def _line_of(lines, key):
-    return next(n for n, line in enumerate(lines) if line.split()[0] == key)
+def _replace_field(key, value):
+    """Corruption that rewrites the header line of ``key`` as ``key value``."""
+
+    def corrupt(header, floats):
+        lines = header.split("\n")
+        i = next(n for n, line in enumerate(lines) if line.split()[0] == key)
+        lines[i] = f"{key} {value}"
+        return "\n".join(lines), floats
+
+    return corrupt
 
 
-def _replace_field(lines, key, value):
-    i = _line_of(lines, key)
-    lines[i] = f"{key} {value}"
-    return i
+def _replace_float(at, change):
+    """Corruption that replaces payload float ``at`` by ``change`` of it."""
+
+    def corrupt(header, floats):
+        floats[at] = change(floats[at])
+        return header, floats
+
+    return corrupt
 
 
-def _one_bias(lines):
-    i = _replace_field(lines, "biases", 1)
-    lines[i + 1] = "0.5"
-
-
-def _narrow_normalizer(lines):
-    i = _replace_field(lines, "normalizer", 4)
-    for j in (i + 1, i + 2):
-        lines[j] = " ".join(lines[j].split()[:4])
-
-
-def _nan_in_gram_inv(lines):
-    i = _line_of(lines, "gram_inv")
-    lines[i + 1] = " ".join(["nan"] + lines[i + 1].split()[1:])
-
-
-def _triple_gram_inv_entry(lines):
-    i = _line_of(lines, "gram_inv")
-    row = lines[i + 1].split()
-    row[1] = repr(3.0 * float(row[1]))
-    lines[i + 1] = " ".join(row)
+# Float offsets in the payload of TestSerialization's model (8 hidden
+# neurons, 5 features, 2 labels): weights 0-39, biases 40-47, gram_inv
+# 48-111, beta 112-127, normalizer scale 128-132 and offset 133-137.
+_BIASES = 40
+_GRAM_INV = 48
 
 
 class TestSerialization:
@@ -457,7 +453,7 @@ class TestSerialization:
         p = tmp_path / "m.txt"
         save_model(p, self.make_model())
         data = bytearray(p.read_bytes())
-        data[200] = 0xFF
+        data[data.index(b"sigmoid")] = 0xFF
         p.write_bytes(bytes(data))
         with pytest.raises(DataError, match=r"m.txt: not UTF-8"):
             load_model(p)
@@ -466,23 +462,30 @@ class TestSerialization:
         model = self.make_model()
         p = tmp_path / "m.txt"
         save_model(p, model)
-        lines = p.read_text().splitlines()
-        p.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-        with pytest.raises(DataError):
+        data = p.read_bytes()
+        for cut in (len(data) // 2, len(data) - 1, data.index(b"hidden_count")):
+            p.write_bytes(data[:cut])
+            with pytest.raises(DataError, match="m.txt"):
+                load_model(p)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("elmstream-model 1\nactivation sigmoid\ninput_dim 1\n")
+        with pytest.raises(DataError, match=r"m.txt: not an elmstream-model v2 file"):
             load_model(p)
 
     @pytest.mark.parametrize(
         "corrupt",
         [
-            _one_bias,
-            lambda lines: _replace_field(lines, "threshold", "nan"),
-            _narrow_normalizer,
-            _nan_in_gram_inv,
-            lambda lines: _replace_field(lines, "samples_seen", -7),
-            lambda lines: _replace_field(lines, "blocks_seen", 0),
-            lambda lines: _replace_field(lines, "input_dim", "x"),
-            lambda lines: _replace_field(lines, "weights", "-1 3"),
-            _triple_gram_inv_entry,
+            lambda h, v: (h, np.delete(v, _BIASES)),  # one bias short
+            _replace_field("threshold", "nan"),
+            lambda h, v: (h, v[:-1]),  # normalizer offset one short
+            _replace_float(_GRAM_INV, lambda x: np.nan),
+            _replace_field("samples_seen", -7),
+            _replace_field("blocks_seen", 0),
+            _replace_field("input_dim", "x"),
+            lambda h, v: (h, np.insert(v, _BIASES, 0.5)),  # weights one float long
+            _replace_float(_GRAM_INV + 1, lambda x: 3.0 * x),
         ],
         ids=["broadcast_bias", "nan_threshold", "normalizer_width", "nan_gram_inv",
              "negative_samples_seen", "zero_blocks_seen", "non_integer_input_dim",
@@ -493,9 +496,9 @@ class TestSerialization:
         norm = Normalizer(scale=np.ones(5), offset=np.zeros(5))
         path = tmp_path / "m.txt"
         save_model(path, model, norm)
-        lines = path.read_text().splitlines()
-        corrupt(lines)
-        path.write_text("\n".join(lines) + "\n")
+        header, end, payload = path.read_bytes().partition(b"\nend\n")
+        header, floats = corrupt(header.decode(), np.frombuffer(payload, "<f8").copy())
+        path.write_bytes(header.encode() + end + floats.astype("<f8").tobytes())
         with pytest.raises(DataError) as excinfo:
             load_model(path)
         assert str(path) in str(excinfo.value)

@@ -1,8 +1,12 @@
-"""Property-based tests of the model file codec.
+"""Property-based tests of the file codecs: the model file and the sparse
+dataset format.
 
 A saved model must load back bit for bit, and a corrupted file must either
 raise DataError or load a model whose arrays match the header and are
 finite: never another exception, never a silently inconsistent model.
+Likewise a sparse file written by the test-side writer must load back
+exactly, and a corrupted one must raise DataError or load a dataset of the
+declared widths with finite features and 0/1 labels.
 Examples are derandomized, so every run checks the same cases.
 """
 
@@ -12,7 +16,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from elmstream.data import DataError, Normalizer  # noqa: E402
+from conftest import save_sparse  # noqa: E402
+from elmstream.data import DataError, LabeledDataset, Normalizer, load_sparse  # noqa: E402
 from elmstream.model import (  # noqa: E402
     ACTIVATIONS,
     HiddenLayer,
@@ -133,14 +138,18 @@ def corruption(draw, size):
     return lambda b: b[: at + span] + b[at : at + span] + b[at + span :]
 
 
+def corrupted(data, raw):
+    """``raw`` after one to three drawn corruptions."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        if raw:
+            raw = data.draw(corruption(len(raw)))(raw)
+    return raw
+
+
 @settings(FUZZ, max_examples=400)
 @given(data=st.data())
 def test_corrupted_file_raises_data_error_or_loads_consistently(reference, path, data):
-    corrupted = reference
-    for _ in range(data.draw(st.integers(1, 3))):
-        if corrupted:
-            corrupted = data.draw(corruption(len(corrupted)))(corrupted)
-    path.write_bytes(corrupted)
+    path.write_bytes(corrupted(data, reference))
     try:
         model, normalizer = load_model(path)
     except DataError:
@@ -157,3 +166,64 @@ def test_corrupted_file_raises_data_error_or_loads_consistently(reference, path,
     assert all(np.isfinite(a).all() for a in arrays_loaded)
     assert np.isfinite(model.threshold)
     assert model.samples_seen >= 1 and model.blocks_seen >= 1
+
+
+@st.composite
+def sparse_datasets(draw):
+    rows = draw(st.integers(1, 5))
+    features = draw(arrays((rows, draw(st.integers(1, 4)))))
+    size = rows * draw(st.integers(1, 3))
+    bits = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    labels = np.array(bits, dtype=np.int8).reshape(rows, -1)
+    # A row with no label and no nonzero feature has no sparse encoding.
+    labels[~labels.any(axis=1) & ~features.any(axis=1), 0] = 1
+    return LabeledDataset(features=features, labels=labels)
+
+
+@pytest.fixture(scope="module")
+def sparse_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec") / "data.sparse"
+
+
+@settings(FUZZ, max_examples=100)
+@given(ds=sparse_datasets())
+def test_sparse_round_trip_is_exact(sparse_path, ds):
+    save_sparse(sparse_path, ds)
+    loaded = load_sparse(sparse_path, ds.n_features, ds.n_labels)
+    assert np.array_equal(loaded.features, ds.features)
+    assert np.array_equal(loaded.labels, ds.labels)
+    assert loaded.labels.dtype == np.int8
+
+
+SPARSE_WIDTHS = (5, 3)  # features, labels of the reference sparse file
+
+
+@pytest.fixture(scope="module")
+def sparse_reference(tmp_path_factory):
+    """Bytes of a small, valid sparse file, one of its rows without labels."""
+    rng = np.random.default_rng(8)
+    features = rng.normal(size=(6, SPARSE_WIDTHS[0]))
+    features[rng.uniform(size=features.shape) < 0.4] = 0.0
+    labels = (rng.uniform(size=(6, SPARSE_WIDTHS[1])) < 0.5).astype(np.int8)
+    labels[0] = 0
+    features[0, 0] = 1.5
+    path = tmp_path_factory.mktemp("codec") / "reference.sparse"
+    save_sparse(path, LabeledDataset(features=features, labels=labels))
+    load_sparse(path, *SPARSE_WIDTHS)
+    return path.read_bytes()
+
+
+@settings(FUZZ, max_examples=400)
+@given(data=st.data())
+def test_corrupted_sparse_file_raises_data_error_or_loads_consistently(
+    sparse_reference, sparse_path, data
+):
+    sparse_path.write_bytes(corrupted(data, sparse_reference))
+    try:
+        ds = load_sparse(sparse_path, *SPARSE_WIDTHS)
+    except DataError:
+        return
+    assert ds.n_samples >= 1
+    assert (ds.n_features, ds.n_labels) == SPARSE_WIDTHS
+    assert np.isfinite(ds.features).all()
+    assert np.isin(ds.labels, (0, 1)).all()
