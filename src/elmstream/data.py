@@ -4,7 +4,9 @@ Two on-disk formats are supported:
 
 * Dense CSV: UTF-8, comma-separated, optional single header line (skipped;
   rows must match its width). Each data row holds D real feature fields
-  followed by M label fields that must be literally ``0`` or ``1``.
+  followed by M label fields that must be literally ``0`` or ``1``. Blank
+  lines are skipped, whitespace around a field is ignored, and LF, CRLF
+  and lone CR all end a line. An error in a row names its ``path:line``.
 * Sparse: one sample per line, ``<label-idx-list> <idx>:<val> ...`` with
   1-based indices, the label list comma-separated. Unlisted features and
   labels are zero. ``#`` starts a comment; blank lines are skipped. A line
@@ -105,10 +107,64 @@ def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset
 
     With ``has_header`` the first non-blank line is a header: it is
     skipped, and its field count is the width every data row must have.
+
+    The file is parsed in bulk by one ``np.loadtxt`` call. It is read line
+    by line only when the bulk parse declines: to load the few spellings
+    it does not take (``1_0``, non-ASCII digits, padded labels) or to name
+    the ``path:line`` of an error.
     """
     if label_count < 1:
         raise DataError(f"label_count must be >= 1, got {label_count}")
     path = str(path)
+    ds = _csv_in_bulk(path, label_count, has_header)
+    return ds if ds is not None else _csv_by_line(path, label_count, has_header)
+
+
+def _csv_in_bulk(path: str, label_count: int, has_header: bool) -> LabeledDataset | None:
+    """The dataset of a CSV whose every row is plainly valid, else None.
+
+    Declines, never raises DataError: text that is not UTF-8, no data
+    rows, a header wider or narrower than the first row, a label field
+    that is not literally ``,0`` or ``,1``, a field ``np.loadtxt`` cannot
+    parse, a ragged row or a non-finite value all leave the verdict to
+    ``_csv_by_line``. Every field ``np.loadtxt`` accepts, ``float`` reads
+    to the same value once stripped.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    # open() has already turned CRLF and lone CR into LF.
+    lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
+    if has_header:
+        if len(lines) < 2 or lines[0].count(",") != lines[1].count(","):
+            return None
+        del lines[0]
+    # A row ends in label_count pairs ",0" or ",1". The file's length
+    # bounds the comma string, whatever label_count is asked for.
+    if not lines or 2 * label_count > len(text):
+        return None
+    commas = "," * label_count
+    start = -2 * label_count
+    for ln in lines:
+        if ln[start::2] != commas or ln[start + 1 :: 2].strip("01"):
+            return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return LabeledDataset(
+        features=np.ascontiguousarray(values[:, :-label_count]),
+        labels=values[:, -label_count:].astype(np.int8),
+    )
+
+
+def _csv_by_line(path: str, label_count: int, has_header: bool) -> LabeledDataset:
+    """Reference reader of ``load_csv``: validates line by line and raises
+    DataError naming ``path:line`` at the first fault."""
     expected_fields = None
     feature_rows: list[list[float]] = []
     label_rows: list[list[int]] = []

@@ -28,6 +28,9 @@ PIVOT_RTOL = 1e-12
 # Relative asymmetry tolerated by cholesky_spd before rejecting the input.
 SYMMETRY_RTOL = 1e-10
 
+# Rows per block of the symmetry check.
+_SYMMETRY_BLOCK = 128
+
 
 class ShapeError(ValueError):
     """Operand dimensions do not conform."""
@@ -57,9 +60,22 @@ def ensure_finite(a: np.ndarray, what: str = "result") -> np.ndarray:
 
 
 def _asymmetric(a: np.ndarray) -> bool:
-    """True when max |a - a.T| exceeds SYMMETRY_RTOL times max |a|."""
+    """True when max |a - a.T| exceeds SYMMETRY_RTOL times max |a|.
+
+    ``a`` is square. The upper triangle is compared with the lower one in
+    row blocks, so no H x H temporary is built. A non-finite scale fails
+    the first test or makes the tolerance infinite: such input is never
+    called asymmetric.
+    """
     scale = float(np.max(np.abs(a))) if a.size else 0.0
-    return scale > 0.0 and float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale
+    if not scale > 0.0:
+        return False
+    tol = SYMMETRY_RTOL * scale
+    for i in range(0, a.shape[0], _SYMMETRY_BLOCK):
+        d = a[i : i + _SYMMETRY_BLOCK, i:] - a[i:, i : i + _SYMMETRY_BLOCK].T
+        if np.abs(d, out=d).max() > tol:
+            return True
+    return False
 
 
 def cholesky_spd(a) -> np.ndarray:

@@ -6,6 +6,7 @@ from elmstream.data import (
     DataError,
     LabeledDataset,
     StreamPlan,
+    _csv_in_bulk,
     fit_normalizer,
     kfold,
     load_csv,
@@ -80,6 +81,66 @@ class TestLoadCsv:
     def test_yeast_shaped_dims(self, yeast_excerpt):
         assert yeast_excerpt.n_features == 103
         assert yeast_excerpt.n_labels == 14
+
+    @pytest.mark.parametrize(
+        "text, has_header",
+        [
+            ("1.5,2.0,1,0\r\n3.0,-4.0,0,1\r\n", False),
+            ("1.5,2.0,1,0\r3.0,-4.0,0,1", False),
+            ("\n1.5,2.0,1,0\n\n  \n3.0,-4.0,0,1\n\n", False),
+            (" 1.5 , 2.0\t,1,0\n3.0,　-4.0,0,1\n", False),
+            ("1.5,2.0, 1 ,0\n3.0,-4.0,0,1\x0b\n", False),
+            ("f1,f2,a,b\n\n1.5,2.0,1,0\n3.0,-4.0,0,1\n", True),
+        ],
+        ids=["crlf", "lone_cr", "blank_lines", "padded_features", "padded_labels",
+             "header_then_blank"],
+    )
+    def test_layouts_load_the_same_arrays(self, tmp_path, text, has_header):
+        p = tmp_path / "layout.csv"
+        p.write_bytes(text.encode("utf-8"))
+        ds = load_csv(p, label_count=2, has_header=has_header)
+        assert np.array_equal(ds.features, [[1.5, 2.0], [3.0, -4.0]])
+        assert np.array_equal(ds.labels, [[1, 0], [0, 1]])
+        assert ds.labels.dtype == np.int8
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        p = tmp_path / "header.csv"
+        p.write_text("f1,f2,a,b\n\n")
+        with pytest.raises(DataError, match=r"header.csv: no data rows"):
+            load_csv(p, label_count=2, has_header=True)
+
+    def test_header_width_differs_names_first_data_line(self, tmp_path):
+        p = tmp_path / "narrow.csv"
+        p.write_text("f1,f2,a\n\n1.0,2.0,1,0\n")
+        with pytest.raises(
+            DataError, match=r"narrow.csv:3: ragged row with 4 fields, expected 3"
+        ):
+            load_csv(p, label_count=2, has_header=True)
+
+    def test_written_files_parse_in_bulk(self, tmp_path, small_learnable):
+        # The per-line reader is for errors and rare spellings only.
+        p = tmp_path / "plain.csv"
+        write_csv(p, small_learnable)
+        ds = _csv_in_bulk(str(p), 3, has_header=False)
+        assert np.array_equal(ds.features, small_learnable.features)
+        assert np.array_equal(ds.labels, small_learnable.labels)
+        p.write_text("1_0,2.5,1\n")
+        assert _csv_in_bulk(str(p), 1, has_header=False) is None
+
+    def test_label_count_beyond_the_row_width(self, tmp_path):
+        p = tmp_path / "wide.csv"
+        p.write_text("1.0,2.0,1,0\n")
+        with pytest.raises(DataError, match=r"wide.csv:1: row has 4 fields, need more than 4$"):
+            load_csv(p, label_count=4)
+        with pytest.raises(DataError, match=r"need more than 1000000000000$"):
+            load_csv(p, label_count=10**12)
+
+    def test_underscore_digits_load_as_python_floats(self, tmp_path):
+        p = tmp_path / "digits.csv"
+        p.write_text("1_0,2.5,1\n3.0,4.0,0\n")
+        ds = load_csv(p, label_count=1)
+        assert np.array_equal(ds.features, [[10.0, 2.5], [3.0, 4.0]])
+        assert np.array_equal(ds.labels, [[1], [0]])
 
 
 class TestLoadSparse:

@@ -6,7 +6,9 @@ raise DataError or load a model whose arrays match the header and are
 finite: never another exception, never a silently inconsistent model.
 Likewise a sparse file written by the test-side writer must load back
 exactly, and a corrupted one must raise DataError or load a dataset of the
-declared widths with finite features and 0/1 labels.
+declared widths with finite features and 0/1 labels. A dense CSV text,
+well-formed or not, must give ``load_csv`` and its per-line reference
+reader the same arrays or the same DataError.
 Examples are derandomized, so every run checks the same cases.
 """
 
@@ -17,7 +19,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import save_sparse  # noqa: E402
-from elmstream.data import DataError, LabeledDataset, Normalizer, load_sparse  # noqa: E402
+from elmstream.data import (  # noqa: E402
+    DataError,
+    LabeledDataset,
+    Normalizer,
+    _csv_by_line,
+    load_csv,
+    load_sparse,
+)
 from elmstream.model import (  # noqa: E402
     ACTIVATIONS,
     HiddenLayer,
@@ -227,3 +236,93 @@ def test_corrupted_sparse_file_raises_data_error_or_loads_consistently(
     assert (ds.n_features, ds.n_labels) == SPARSE_WIDTHS
     assert np.isfinite(ds.features).all()
     assert np.isin(ds.labels, (0, 1)).all()
+
+
+# Dense CSV: load_csv parses in bulk and falls back to the per-line reader,
+# data._csv_by_line. Whatever the text, the two must agree: the same arrays
+# bit for bit, or the same DataError message.
+
+FLOAT_STYLES = ["{!r}"] * 3 + [
+    "{:.6g}",
+    "{:e}",
+    " {!r} ",
+    "\t{:.6g}\x0b",
+    "\x1c{:e}\x85",
+    "　{!r}\xa0",
+]
+# Stand-ins for one field: faults, and spellings only float() reads.
+ODD_FIELDS = ["nan", "inf", "-inf", "1e999", "1_0", "١", "", "x"]
+ODD_FIELDS += ["0.0", " 1", "1\t", "2", "-0"]
+# Line ends, some with blank or whitespace-only lines after them.
+LINE_ENDS = ["\n"] * 6 + ["\r\n", "\r", "\n\n", "\r\n \t\r\n", "\n　\n"]
+
+float_style = st.sampled_from(FLOAT_STYLES)
+line_end = st.sampled_from(LINE_ENDS)
+row_faults = st.lists(
+    st.tuples(
+        st.sampled_from(["feature", "feature", "label", "short", "long", "trailing_comma"]),
+        st.integers(0, 59),
+        st.sampled_from(ODD_FIELDS),
+    ),
+    max_size=2,
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, label_count, has_header): well-formed CSV text in varied
+    layouts and float spellings, with up to two faults or odd fields."""
+    m = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5))
+    rows = []
+    for _ in range(n):
+        style = draw(float_style)
+        bits = format(draw(st.integers(0, 2**m - 1)), f"0{m}b")
+        rows.append([style.format(draw(finite)) for _ in range(d)] + list(bits))
+    for kind, at, odd in draw(row_faults) if rows else ():
+        row = rows[at % n]
+        if kind == "feature":
+            row[at % d] = odd
+        elif kind == "label":
+            row[-1 - at % m] = odd
+        elif kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.insert(0, "0.5")
+        else:
+            row.append("")
+    lines = [",".join(row) for row in rows]
+    has_header = draw(st.booleans())
+    if has_header:
+        width = d + m + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        lines.insert(0, ",".join(f"c{j}" for j in range(width)))
+    text = "".join(line + draw(line_end) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text, m, has_header
+
+
+def csv_outcome(loader, path, m, has_header):
+    try:
+        ds = loader(path, m, has_header)
+    except DataError as exc:
+        return "DataError", str(exc)
+    assert ds.features.dtype == np.float64 and ds.features.flags.c_contiguous
+    assert ds.labels.dtype == np.int8 and ds.labels.flags.c_contiguous
+    return (ds.features.shape, ds.features.tobytes(), ds.labels.shape, ds.labels.tobytes())
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec") / "data.csv"
+
+
+@settings(FUZZ, max_examples=200)
+@given(drawn=csv_texts())
+def test_csv_load_matches_the_per_line_reader(csv_path, drawn):
+    text, m, has_header = drawn
+    csv_path.write_bytes(text.encode("utf-8"))
+    assert csv_outcome(load_csv, csv_path, m, has_header) == csv_outcome(
+        _csv_by_line, csv_path, m, has_header
+    )

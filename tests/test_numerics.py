@@ -3,8 +3,11 @@ import pytest
 
 from elmstream.model import OselmModel, init_hidden, update
 from elmstream.numerics import (
+    _SYMMETRY_BLOCK,
+    SYMMETRY_RTOL,
     ShapeError,
     SingularMatrixError,
+    _asymmetric,
     cholesky_spd,
 )
 
@@ -73,3 +76,39 @@ class TestSolveSpd:
         cholesky_spd(np.diag([1.0, 1e-7]))
         with pytest.raises(SingularMatrixError, match="pivot"):
             cholesky_spd(np.diag([1e6, 1e-7]))
+
+
+class TestSymmetryCheck:
+    """The symmetry check compares the triangles in blocks of rows. An
+    asymmetry in the last block must be judged as one in the first, and
+    every decision must match the dense max |a - a.T| check."""
+
+    N = 2 * _SYMMETRY_BLOCK + 7
+
+    def spd_with_gap(self, gap_rtol):
+        rng = np.random.default_rng(17)
+        a = random_spd(rng, self.N, shift=float(self.N))
+        scale = float(np.max(np.abs(a)))
+        a[self.N - 1, self.N - 3] += gap_rtol * SYMMETRY_RTOL * scale
+        return a
+
+    def test_gap_just_below_tolerance_accepted(self):
+        cholesky_spd(self.spd_with_gap(0.99))
+
+    def test_gap_just_above_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            cholesky_spd(self.spd_with_gap(1.01))
+
+    @pytest.mark.parametrize("n", [1, 5, _SYMMETRY_BLOCK, N])
+    def test_same_decision_as_the_dense_check(self, n):
+        rng = np.random.default_rng(n)
+        for value in (1e-9, 1e-11, np.inf, -np.inf, np.nan, 1e308):
+            g = rng.normal(size=(n, n))
+            a = g + g.T
+            a[n - 1, 0] += value
+            for b in (a, a.T, 1e-300 * a, np.zeros((n, n))):
+                with np.errstate(invalid="ignore"):  # inf - inf on the non-finite inputs
+                    scale = float(np.max(np.abs(b)))
+                    gap = float(np.max(np.abs(b - b.T)))
+                    dense = scale > 0.0 and gap > SYMMETRY_RTOL * scale
+                    assert _asymmetric(np.ascontiguousarray(b)) == dense
