@@ -258,14 +258,16 @@ def _write_kv(path: str, lines: list[str]) -> None:
 
 @dataclass
 class TrainOutcome:
-    """A trained model and its timings: ``train_time`` from one timer around
-    the stream loop, ``block_times`` from one timer per block inside it."""
+    """A trained model and its timings, one timer per block."""
 
     model: OselmModel
     normalizer: Normalizer
-    train_time: float
     block_rows: list[int]
     block_times: list[float]
+
+    @property
+    def train_time(self) -> float:
+        return sum(self.block_times)
 
     @property
     def blocks(self) -> int:
@@ -298,9 +300,10 @@ def _train_streaming(
 
     The normalizer defaults to one fit on the initial block (streaming
     contract); cross-validation passes one fit on the whole training fold.
-    Preprocessing happens before the timer so the reported time covers
-    model work only. Block 0 is the initial solve plus calibration; each
-    later block is one update, plus recalibration with --recalibrate.
+    Each block is prepared just before its timer starts, so the reported
+    time covers model work only. Block 0 is the initial solve plus
+    calibration; each later block is one update, plus recalibration with
+    --recalibrate.
     """
     _require(cfg, "hidden", "init_block", "block")
     plan = StreamPlan(cfg.init_block, cfg.block, cfg.shuffle_seed)
@@ -308,24 +311,18 @@ def _train_streaming(
     if norm is None:
         norm = fit_normalizer(blocks[0])
     layer = init_hidden(ds.n_features, cfg.hidden, cfg.activation, layer_seed)
-    prepared = [
-        (norm.transform(b.features), to_bipolar(b.labels), b.labels) for b in blocks
-    ]
     block_times = []
-    start = time.perf_counter()
-    for i, (xb, yb, lab) in enumerate(prepared):
+    for i, block in enumerate(blocks):
+        xb, yb = norm.transform(block.features), to_bipolar(block.labels)
         block_start = time.perf_counter()
         if i == 0:
             model = init_phase(layer, xb, yb, cfg.ridge)
         else:
             update(model, xb, yb)
         if i == 0 or cfg.recalibrate:
-            model.threshold = calibrate_threshold(predict_raw(model, xb), lab).threshold
+            model.threshold = calibrate_threshold(predict_raw(model, xb), block.labels).threshold
         block_times.append(time.perf_counter() - block_start)
-    train_time = time.perf_counter() - start
-    return TrainOutcome(
-        model, norm, train_time, [b.n_samples for b in blocks], block_times
-    )
+    return TrainOutcome(model, norm, [b.n_samples for b in blocks], block_times)
 
 
 def _evaluate(

@@ -18,6 +18,7 @@ space-separated 0-based test indices.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,17 +90,22 @@ def _finite_float(text: str, path: str, lineno: int, what: str) -> float:
     return value
 
 
-def _text_lines(path: str):
-    """Yield (line number, line) of a UTF-8 text file.
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file, with CRLF and lone CR turned into LF.
 
-    Bytes that are not UTF-8 raise DataError naming the file. The decoder
-    works ahead of the lines handed out, so the error names no line.
+    The file is decoded whole, so bytes that are not UTF-8 raise DataError
+    naming the file wherever they sit and whatever the file's size.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            yield from enumerate(fh, start=1)
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _text_lines(path: str):
+    """(line number, line) pairs of ``_read_text(path)``, split at LF alone."""
+    return enumerate(io.StringIO(_read_text(path)), start=1)
 
 
 def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset:
@@ -123,19 +129,15 @@ def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset
 def _csv_in_bulk(path: str, label_count: int, has_header: bool) -> LabeledDataset | None:
     """The dataset of a CSV whose every row is plainly valid, else None.
 
-    Declines, never raises DataError: text that is not UTF-8, no data
-    rows, a header wider or narrower than the first row, a label field
-    that is not literally ``,0`` or ``,1``, a field ``np.loadtxt`` cannot
-    parse, a ragged row or a non-finite value all leave the verdict to
-    ``_csv_by_line``. Every field ``np.loadtxt`` accepts, ``float`` reads
-    to the same value once stripped.
+    Text that is not UTF-8 raises the DataError ``_csv_by_line`` would.
+    Every other fault declines: no data rows, a header wider or narrower
+    than the first row, a label field that is not literally ``,0`` or
+    ``,1``, a field ``np.loadtxt`` cannot parse, a ragged row or a
+    non-finite value all leave the verdict to ``_csv_by_line``. Every
+    field ``np.loadtxt`` accepts, ``float`` reads to the same value once
+    stripped.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return None
-    # open() has already turned CRLF and lone CR into LF.
+    text = _read_text(path)
     lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
     if has_header:
         if len(lines) < 2 or lines[0].count(",") != lines[1].count(","):
@@ -173,21 +175,15 @@ def _csv_by_line(path: str, label_count: int, has_header: bool) -> LabeledDatase
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
-        if expected_fields is None and has_header:
-            if len(fields) <= label_count:
-                raise DataError(
-                    f"{path}:{lineno}: header has {len(fields)} fields, "
-                    f"need more than {label_count}"
-                )
-            expected_fields = len(fields)
-            continue
         if expected_fields is None:
             if len(fields) <= label_count:
                 raise DataError(
-                    f"{path}:{lineno}: row has {len(fields)} fields, "
-                    f"need more than {label_count}"
+                    f"{path}:{lineno}: {'header' if has_header else 'row'} has "
+                    f"{len(fields)} fields, need more than {label_count}"
                 )
             expected_fields = len(fields)
+            if has_header:
+                continue
         elif len(fields) != expected_fields:
             raise DataError(
                 f"{path}:{lineno}: ragged row with {len(fields)} fields, "
@@ -313,6 +309,13 @@ def fit_normalizer(ds: LabeledDataset) -> Normalizer:
     return Normalizer(scale=scale, offset=offset)
 
 
+def _train_test(test_idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train_idx, test_idx): train is every row of range(n) not in test."""
+    mask = np.ones(n, dtype=bool)
+    mask[test_idx] = False
+    return np.flatnonzero(mask), test_idx
+
+
 def kfold(ds: LabeledDataset, k: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded random k-fold partition as (train_idx, test_idx) pairs.
 
@@ -322,13 +325,7 @@ def kfold(ds: LabeledDataset, k: int, seed: int = 0) -> list[tuple[np.ndarray, n
     if not 2 <= k <= n:
         raise DataError(f"k must be in 2..{n}, got {k}")
     perm = np.random.default_rng(seed).permutation(n)
-    folds = []
-    for part in np.array_split(perm, k):
-        test_idx = np.sort(part)
-        mask = np.ones(n, dtype=bool)
-        mask[test_idx] = False
-        folds.append((np.flatnonzero(mask), test_idx))
-    return folds
+    return [_train_test(np.sort(part), n) for part in np.array_split(perm, k)]
 
 
 @dataclass(frozen=True)
@@ -348,6 +345,10 @@ def stream_blocks(ds: LabeledDataset, plan: StreamPlan) -> list[LabeledDataset]:
     dataset the result is that single block. Concatenating the blocks in
     order reproduces the dataset, seeded-shuffled when ``shuffle_seed``
     is set.
+
+    The blocks are row views, not copies, of ``ds``'s arrays or, with
+    ``shuffle_seed``, of one shuffled copy of them: writing to a block
+    writes to that array.
     """
     n = ds.n_samples
     n0, b = plan.init_block_size, plan.block_size
@@ -357,14 +358,11 @@ def stream_blocks(ds: LabeledDataset, plan: StreamPlan) -> list[LabeledDataset]:
         raise DataError(
             f"infeasible plan: init block {n0} plus block {b} exceeds {n} rows"
         )
-    if plan.shuffle_seed is None:
-        order = np.arange(n)
-    else:
-        order = np.random.default_rng(plan.shuffle_seed).permutation(n)
-    blocks = [ds.subset(order[:n0])]
-    for start in range(n0, n, b):
-        blocks.append(ds.subset(order[start : start + b]))
-    return blocks
+    if plan.shuffle_seed is not None:
+        ds = ds.subset(np.random.default_rng(plan.shuffle_seed).permutation(n))
+    x, y = ds.features, ds.labels
+    bounds = [0, *range(n0, n, b), n]
+    return [LabeledDataset(x[a:z], y[a:z]) for a, z in zip(bounds, bounds[1:])]
 
 
 def load_fold_file(path, n_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -384,18 +382,17 @@ def load_fold_file(path, n_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
             raise DataError(
                 f"{path}:{lineno}: fold index out of range 0..{n_samples - 1}"
             )
+        idx.sort()
+        repeated = idx[1:][np.diff(idx) == 0]
+        if repeated.size:
+            raise DataError(f"{path}:{lineno}: index {repeated[0]} repeated within the fold")
         if seen[idx].any():
             raise DataError(f"{path}:{lineno}: index appears in more than one fold")
         seen[idx] = True
-        folds.append(np.sort(idx))
+        folds.append(idx)
     if len(folds) < 2:
         raise DataError(f"{path}: need at least two folds")
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise DataError(f"{path}: index {missing} appears in no fold")
-    out = []
-    for test_idx in folds:
-        mask = np.ones(n_samples, dtype=bool)
-        mask[test_idx] = False
-        out.append((np.flatnonzero(mask), test_idx))
-    return out
+    return [_train_test(test_idx, n_samples) for test_idx in folds]

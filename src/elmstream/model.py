@@ -187,7 +187,7 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
     )
 
 
-def update(model: OselmModel, x, y) -> OselmModel:
+def update(model: OselmModel, x, y) -> np.ndarray:
     """Recursive least-squares update with one sample or a block.
 
     With M the inverse Gram matrix and H the B x hidden_count hidden
@@ -212,9 +212,12 @@ def update(model: OselmModel, x, y) -> OselmModel:
     using M_new h = M h / S. Both downdates subtract an exactly
     symmetric product from M, so M_new is as symmetric as M.
 
-    The model is updated in place and returned. It is left unchanged
-    when the update raises: S that is not positive definite raises
-    NumericalError, as do non-finite results.
+    The model is updated in place, and the raw outputs H beta it had for
+    the new rows are returned: bit for bit what ``predict_raw`` gave just
+    before the call, so ``decode(update(model, x, y), threshold)`` is a
+    test-then-train step with one hidden projection. The model is left
+    unchanged when the update raises: S that is not positive definite
+    raises NumericalError, as do non-finite results.
     """
     if model.samples_seen < 1:
         raise ValueError("model has not been initialized")
@@ -229,6 +232,7 @@ def update(model: OselmModel, x, y) -> OselmModel:
             f"targets have {y.shape[1]} labels, model expects {model.label_count}"
         )
     h = hidden_output(model.hidden, x)
+    raw = h @ model.beta
     m = model.gram_inv
     if x.shape[0] == 1:
         hv = h[0]
@@ -245,7 +249,7 @@ def update(model: OselmModel, x, y) -> OselmModel:
         # the downdate is exactly symmetric; np.outer's broadcast loop took
         # twice as long and its time swung with the machine's load.
         downdate = np.dot(g[:, None], g[None, :])
-        residual = y[0] - hv @ model.beta
+        residual = y[0] - raw[0]
         beta_new = model.beta + np.outer(mh / denom, residual)
     else:
         hm = h @ m  # B x hidden_count, equal to (M H')' as M is symmetric
@@ -254,7 +258,7 @@ def update(model: OselmModel, x, y) -> OselmModel:
         l_inv = np.linalg.inv(cholesky_spd(s))
         v = l_inv @ hm
         downdate = v.T @ v  # numpy computes A'A with syrk: exactly symmetric
-        residual = y - h @ model.beta
+        residual = y - raw
         beta_new = model.beta + v.T @ (l_inv @ residual)
     # Written over the downdate's fresh buffer: one H x H allocation, and
     # the model's own arrays stay untouched until every check has passed.
@@ -265,7 +269,7 @@ def update(model: OselmModel, x, y) -> OselmModel:
     model.beta = beta_new
     model.samples_seen += x.shape[0]
     model.blocks_seen += 1
-    return model
+    return raw
 
 
 def predict_raw(model: OselmModel, x) -> np.ndarray:

@@ -226,9 +226,13 @@ class TestBenchCommand:
             outcome.train_time / outcome.blocks, rel=1e-12
         )
 
+    def test_train_time_is_the_sum_of_block_times(self, tmp_path):
+        outcome = run_train(self.bench_cfg(tmp_path))
+        assert outcome.train_time == sum(outcome.block_times)
+
     def test_avg_close_to_mean_of_block_timers(self, tmp_path):
         outcome = run_train(self.bench_cfg(tmp_path))
-        # enclosing timer vs per-block timers: equal up to loop overhead
+        # train_time sums the per-block timers: equal up to rounding
         assert outcome.avg_block_time == pytest.approx(
             float(np.mean(outcome.block_times)), abs=2e-3
         )

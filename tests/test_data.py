@@ -376,6 +376,21 @@ class TestStreamBlocks:
         with pytest.raises(DataError):
             stream_blocks(ds, StreamPlan(0, 5))
 
+    def test_blocks_are_views_of_the_dataset(self):
+        ds = synthetic_stream(57, 3, 2, seed=14)
+        for blk in stream_blocks(ds, StreamPlan(13, 7)):
+            assert np.shares_memory(blk.features, ds.features)
+            assert np.shares_memory(blk.labels, ds.labels)
+
+    def test_shuffled_blocks_are_views_of_one_copy(self):
+        ds = synthetic_stream(57, 3, 2, seed=14)
+        blocks = stream_blocks(ds, StreamPlan(13, 7, shuffle_seed=5))
+        for name in ("features", "labels"):
+            copy = getattr(blocks[0], name).base
+            assert copy is not None
+            assert not np.shares_memory(copy, getattr(ds, name))
+            assert all(getattr(b, name).base is copy for b in blocks)
+
     def test_fifty_one_block_configuration(self):
         # A 1500-row training split cut as init=100 plus blocks of 28
         # yields 51 processed blocks in total.
@@ -399,6 +414,12 @@ class TestFoldFile:
         with pytest.raises(DataError, match="more than one fold"):
             load_fold_file(p, 3)
 
+    def test_index_repeated_within_a_fold_names_the_line(self, tmp_path):
+        p = tmp_path / "folds.txt"
+        p.write_text("0 0 1\n2 3\n")
+        with pytest.raises(DataError, match=r"folds.txt:1: index 0 repeated"):
+            load_fold_file(p, 4)
+
     def test_missing_index_rejected(self, tmp_path):
         p = tmp_path / "folds.txt"
         p.write_text("0\n1\n")
@@ -416,6 +437,29 @@ class TestFoldFile:
         p.write_text("0 1\n2 5\n")
         with pytest.raises(DataError, match="out of range"):
             load_fold_file(p, 4)
+
+
+@pytest.mark.parametrize(
+    "load, first, row",
+    [
+        (lambda p: load_csv(p, label_count=1), b"x,2.0,1\n", b"1.0,2.0,1\n"),
+        (lambda p: load_sparse(p, 2, 1), b"1 x:0.5\n", b"1 1:0.5\n"),
+        (lambda p: load_fold_file(p, 4), b"0 x\n", b"1 2\n"),
+    ],
+    ids=["csv", "sparse", "folds"],
+)
+def test_non_utf8_verdict_does_not_depend_on_file_size(tmp_path, load, first, row):
+    # Line 1 is bad and the last byte is not UTF-8. The file is decoded
+    # whole before its first line is read, so the byte decides at any size,
+    # also beyond the text reader's 8 KB chunks.
+    p = tmp_path / "u.txt"
+    verdicts = set()
+    for rows in (1, 5000):
+        p.write_bytes(first + row * rows + b"\xff")
+        with pytest.raises(DataError, match=r"u.txt: not UTF-8") as exc:
+            load(p)
+        verdicts.add(str(exc.value))
+    assert len(verdicts) == 1
 
 
 def test_write_csv_round_trip(tmp_path):

@@ -290,6 +290,18 @@ class TestUpdate:
         update(model, x[30:31], y[30:31])
         assert np.array_equal(model.gram_inv, m - np.outer(g, g))
 
+    @pytest.mark.parametrize("rows", [1, 17])
+    def test_returns_the_raw_outputs_predicted_before_learning(self, rows):
+        layer, x, y = stream_fixture(seed=46)
+        model = init_phase(layer, x[:30], y[:30])
+        for start in (30, 30 + rows):
+            xb, yb = x[start : start + rows], y[start : start + rows]
+            before = predict_raw(model, xb)
+            raw = update(model, xb, yb)
+            assert raw.shape == (rows, 3)
+            assert raw.tobytes() == before.tobytes()
+        assert model.samples_seen == 30 + 2 * rows
+
     @staticmethod
     def corrupted_model():
         layer = init_hidden(2, 2, "sigmoid", seed=39)

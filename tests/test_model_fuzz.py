@@ -37,40 +37,47 @@ from elmstream.model import (  # noqa: E402
 
 FUZZ = settings(derandomize=True, deadline=None)
 
+# Every strategy is built once, here: a strategy built inside a draw is
+# rebuilt and revalidated on every example.
 finite = st.floats(allow_nan=False, allow_infinity=False)
+coin = st.booleans()
+activations = st.sampled_from(sorted(ACTIVATIONS))
+one_to_3 = st.integers(1, 3)
+one_to_4 = st.integers(1, 4)
+one_to_5 = st.integers(1, 5)
+sample_counts = st.integers(1, 10**12)
+block_counts = st.integers(1, 10**6)
 
 
-def arrays(shape):
-    size = int(np.prod(shape))
-    return st.lists(finite, min_size=size, max_size=size).map(
-        lambda v: np.array(v, dtype=float).reshape(shape)
-    )
+def array(draw, shape):
+    """A float64 array of ``shape`` whose entries are drawn from ``finite``."""
+    return np.array([draw(finite) for _ in range(int(np.prod(shape)))]).reshape(shape)
 
 
 @st.composite
 def models(draw):
-    dim = draw(st.integers(1, 3))
-    hidden = draw(st.integers(1, 4))
-    labels = draw(st.integers(1, 3))
-    gram_inv = draw(arrays((hidden, hidden)))
+    dim = draw(one_to_3)
+    hidden = draw(one_to_4)
+    labels = draw(one_to_3)
+    gram_inv = array(draw, (hidden, hidden))
     lower = np.tril_indices(hidden, -1)
     gram_inv[lower] = gram_inv.T[lower]
     layer = HiddenLayer(
-        weights=draw(arrays((hidden, dim))),
-        biases=draw(arrays((hidden,))),
-        activation=draw(st.sampled_from(sorted(ACTIVATIONS))),
+        weights=array(draw, (hidden, dim)),
+        biases=array(draw, (hidden,)),
+        activation=draw(activations),
     )
     model = OselmModel(
         hidden=layer,
         gram_inv=gram_inv,
-        beta=draw(arrays((hidden, labels))),
+        beta=array(draw, (hidden, labels)),
         threshold=draw(finite),
-        samples_seen=draw(st.integers(1, 10**12)),
-        blocks_seen=draw(st.integers(1, 10**6)),
+        samples_seen=draw(sample_counts),
+        blocks_seen=draw(block_counts),
     )
-    normalizer = draw(
-        st.none() | st.builds(Normalizer, scale=arrays((dim,)), offset=arrays((dim,)))
-    )
+    normalizer = None
+    if draw(coin):
+        normalizer = Normalizer(scale=array(draw, (dim,)), offset=array(draw, (dim,)))
     return model, normalizer
 
 
@@ -129,29 +136,34 @@ def reference(tmp_path_factory):
     return path.read_bytes()
 
 
-@st.composite
-def corruption(draw, size):
-    kind = draw(st.sampled_from(["flip", "replace", "truncate", "delete", "duplicate"]))
-    at = draw(st.integers(0, size - 1))
+corruption_kinds = st.sampled_from(["flip", "replace", "truncate", "delete", "duplicate"])
+offsets = st.integers(0, 2**16 - 1)  # taken modulo the file's length
+bit_numbers = st.integers(0, 7)
+byte_values = st.integers(0, 255)
+spans = st.integers(1, 16)
+
+
+def corrupt(data, b):
+    """``b`` after one drawn corruption."""
+    kind = data.draw(corruption_kinds)
+    at = data.draw(offsets) % len(b)
     if kind == "flip":
-        bit = draw(st.integers(0, 7))
-        return lambda b: b[:at] + bytes([b[at] ^ (1 << bit)]) + b[at + 1 :]
+        return b[:at] + bytes([b[at] ^ (1 << data.draw(bit_numbers))]) + b[at + 1 :]
     if kind == "replace":
-        value = draw(st.integers(0, 255))
-        return lambda b: b[:at] + bytes([value]) + b[at + 1 :]
+        return b[:at] + bytes([data.draw(byte_values)]) + b[at + 1 :]
     if kind == "truncate":
-        return lambda b: b[:at]
-    span = draw(st.integers(1, 16))
+        return b[:at]
+    span = data.draw(spans)
     if kind == "delete":
-        return lambda b: b[:at] + b[at + span :]
-    return lambda b: b[: at + span] + b[at : at + span] + b[at + span :]
+        return b[:at] + b[at + span :]
+    return b[: at + span] + b[at : at + span] + b[at + span :]
 
 
 def corrupted(data, raw):
     """``raw`` after one to three drawn corruptions."""
-    for _ in range(data.draw(st.integers(1, 3))):
+    for _ in range(data.draw(one_to_3)):
         if raw:
-            raw = data.draw(corruption(len(raw)))(raw)
+            raw = corrupt(data, raw)
     return raw
 
 
@@ -179,10 +191,10 @@ def test_corrupted_file_raises_data_error_or_loads_consistently(reference, path,
 
 @st.composite
 def sparse_datasets(draw):
-    rows = draw(st.integers(1, 5))
-    features = draw(arrays((rows, draw(st.integers(1, 4)))))
-    size = rows * draw(st.integers(1, 3))
-    bits = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    rows = draw(one_to_5)
+    features = array(draw, (rows, draw(one_to_4)))
+    size = rows * draw(one_to_3)
+    bits = [draw(coin) for _ in range(size)]
     labels = np.array(bits, dtype=np.int8).reshape(rows, -1)
     # A row with no label and no nonzero feature has no sparse encoding.
     labels[~labels.any(axis=1) & ~features.any(axis=1), 0] = 1
@@ -266,20 +278,22 @@ row_faults = st.lists(
     ),
     max_size=2,
 )
+row_counts = st.integers(0, 5)
+header_width_changes = st.sampled_from([0, 0, 0, 0, -1, 1])
 
 
 @st.composite
 def csv_texts(draw):
     """(text, label_count, has_header): well-formed CSV text in varied
     layouts and float spellings, with up to two faults or odd fields."""
-    m = draw(st.integers(1, 3))
-    d = draw(st.integers(1, 4))
-    n = draw(st.integers(0, 5))
+    m = draw(one_to_3)
+    d = draw(one_to_4)
+    n = draw(row_counts)
     rows = []
     for _ in range(n):
         style = draw(float_style)
-        bits = format(draw(st.integers(0, 2**m - 1)), f"0{m}b")
-        rows.append([style.format(draw(finite)) for _ in range(d)] + list(bits))
+        bits = ["1" if draw(coin) else "0" for _ in range(m)]
+        rows.append([style.format(draw(finite)) for _ in range(d)] + bits)
     for kind, at, odd in draw(row_faults) if rows else ():
         row = rows[at % n]
         if kind == "feature":
@@ -293,12 +307,12 @@ def csv_texts(draw):
         else:
             row.append("")
     lines = [",".join(row) for row in rows]
-    has_header = draw(st.booleans())
+    has_header = draw(coin)
     if has_header:
-        width = d + m + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+        width = d + m + draw(header_width_changes)
         lines.insert(0, ",".join(f"c{j}" for j in range(width)))
     text = "".join(line + draw(line_end) for line in lines)
-    if draw(st.booleans()):
+    if draw(coin):
         text = text.rstrip("\r\n")
     return text, m, has_header
 

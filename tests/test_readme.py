@@ -20,6 +20,8 @@ def test_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
     write_csv(tmp_path / "test.csv", ds.subset(np.arange(210, 270)))
     monkeypatch.chdir(tmp_path)
     exec(compile(code, str(README), "exec"), {"__name__": "__main__"})
-    line = capsys.readouterr().out.strip()
-    assert line.startswith("hamming loss:")
-    assert 0.0 <= float(line.split(":")[1]) < 0.5
+    lines = capsys.readouterr().out.strip().split("\n")
+    names = [line.split(":")[0] for line in lines]
+    assert names == ["prequential hamming loss", "hamming loss"]
+    for line in lines:
+        assert 0.0 <= float(line.split(":")[1]) < 0.5
