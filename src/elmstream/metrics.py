@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .labels import _as_label_matrix
+
 __all__ = [
     "MetricsReport",
     "hamming_loss",
@@ -26,16 +28,11 @@ __all__ = [
 
 
 def _pair(pred, truth):
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
+    pred = _as_label_matrix(pred, "pred")
+    truth = _as_label_matrix(truth, "truth")
     if pred.shape != truth.shape:
         raise ValueError(f"pred {pred.shape} and truth {truth.shape} differ in shape")
-    if pred.ndim != 2 or pred.size == 0:
-        raise ValueError("label matrices must be non-empty and 2-D")
-    for name, a in (("pred", pred), ("truth", truth)):
-        if not ((a == 0) | (a == 1)).all():
-            raise ValueError(f"{name} entries must all be 0 or 1")
-    return pred.astype(np.int64, copy=False), truth.astype(np.int64, copy=False)
+    return pred, truth
 
 
 def hamming_loss(pred, truth) -> float:
@@ -70,12 +67,7 @@ def example_prf(pred, truth) -> tuple[float, float, float]:
 
 def label_cardinality(y) -> float:
     """Mean number of relevant labels per sample."""
-    y = np.asarray(y)
-    if y.ndim != 2 or y.size == 0:
-        raise ValueError("label matrix must be non-empty and 2-D")
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("label entries must all be 0 or 1")
-    return float(y.astype(np.int64).sum(axis=1).mean())
+    return float(_as_label_matrix(y).sum(axis=1).mean())
 
 
 def label_density(y) -> float:

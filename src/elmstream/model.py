@@ -16,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, Normalizer, _finite_float
-from .numerics import (
-    NumericalError,
-    SYMMETRY_RTOL,
-    ShapeError,
-    _asymmetric,
-    as_matrix,
-    cholesky_spd,
-    ensure_finite,
-)
+from .numerics import NumericalError, ShapeError, as_matrix, cholesky_spd, ensure_finite
 
 __all__ = [
     "ACTIVATIONS",
@@ -157,6 +149,8 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
     """
     x0 = as_matrix(x0, "initial features")
     y0 = _check_bipolar(y0, "initial targets")
+    if x0.shape[0] < 1:
+        raise ShapeError("initial block needs at least one sample")
     if x0.shape[0] != y0.shape[0]:
         raise ShapeError(
             f"initial block has {x0.shape[0]} feature rows but {y0.shape[0]} target rows"
@@ -377,8 +371,8 @@ def load_model(path) -> tuple[OselmModel, Normalizer | None]:
         part.reshape(shape).astype(float)
         for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)
     )
-    if _asymmetric(gram_inv):
-        raise DataError(f"{path}: gram_inv is not symmetric to {SYMMETRY_RTOL:g} relative")
+    if not np.array_equal(gram_inv, gram_inv.T):
+        raise DataError(f"{path}: gram_inv is not exactly symmetric")
     weights.setflags(write=False)
     biases.setflags(write=False)
     layer = HiddenLayer(weights=weights, biases=biases, activation=fields["activation"])

@@ -5,7 +5,8 @@ functions validate shapes on entry and guarantee finite entries on exit,
 so numerical breakdown surfaces here instead of in callers. The
 learner's one batch solve, the ridge-regularized normal equations of
 ``model.init_phase``, is certified positive definite by ``cholesky_spd``
-before it is inverted.
+before it is inverted. Every symmetric matrix the learner builds is
+symmetric by construction, so symmetry is checked exactly.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ __all__ = [
 # Pivot tolerance for the SPD factorization, relative to the largest
 # diagonal entry of the coefficient matrix.
 PIVOT_RTOL = 1e-12
-
-# Relative asymmetry tolerated by cholesky_spd before rejecting the input.
-SYMMETRY_RTOL = 1e-10
-
-# Rows per block of the symmetry check.
-_SYMMETRY_BLOCK = 128
 
 
 class ShapeError(ValueError):
@@ -59,43 +54,27 @@ def ensure_finite(a: np.ndarray, what: str = "result") -> np.ndarray:
     return a
 
 
-def _asymmetric(a: np.ndarray) -> bool:
-    """True when max |a - a.T| exceeds SYMMETRY_RTOL times max |a|.
-
-    ``a`` is square. The upper triangle is compared with the lower one in
-    row blocks, so no H x H temporary is built. A non-finite scale fails
-    the first test or makes the tolerance infinite: such input is never
-    called asymmetric.
-    """
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if not scale > 0.0:
-        return False
-    tol = SYMMETRY_RTOL * scale
-    for i in range(0, a.shape[0], _SYMMETRY_BLOCK):
-        d = a[i : i + _SYMMETRY_BLOCK, i:] - a[i:, i : i + _SYMMETRY_BLOCK].T
-        if np.abs(d, out=d).max() > tol:
-            return True
-    return False
-
-
 def cholesky_spd(a) -> np.ndarray:
     """Lower Cholesky factor L, with L @ L.T == a, of a certified SPD matrix.
 
-    ``a`` must be square and symmetric to within 1e-10 relative. The
-    squared diagonal of L holds the pivots of the factorization; each
-    must exceed ``PIVOT_RTOL`` times the largest diagonal entry of ``a``.
+    ``a`` must be square, finite and exactly symmetric; every caller
+    builds it so. The squared diagonal of L holds the pivots of the
+    factorization; each must exceed ``PIVOT_RTOL`` times the largest
+    diagonal entry of ``a``.
 
     Raises:
         ShapeError: non-square ``a``.
-        ValueError: ``a`` is measurably asymmetric.
+        NumericalError: ``a`` has a non-finite entry.
+        ValueError: ``a`` is not exactly symmetric.
         SingularMatrixError: factorization meets a non-positive pivot.
     """
     a = as_matrix(a, "coefficient matrix")
     n = a.shape[0]
     if a.shape[1] != n:
         raise ShapeError(f"coefficient matrix must be square, got {a.shape[0]}x{a.shape[1]}")
-    if _asymmetric(a):
-        raise ValueError("coefficient matrix is not symmetric to 1e-10 relative")
+    ensure_finite(a, "coefficient matrix")
+    if not np.array_equal(a, a.T):
+        raise ValueError("coefficient matrix is not exactly symmetric")
     try:
         lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:

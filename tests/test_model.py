@@ -185,6 +185,13 @@ class TestInitPhase:
         with pytest.raises(ShapeError):
             init_phase(layer, x0[:-1], y0)
 
+    def test_rejects_empty_block_with_ridge(self, square_init):
+        # The Gram matrix would be ridge * I: solvable, but the model would
+        # have seen no sample, and update and load_model refuse such a model.
+        layer, x0, y0 = square_init
+        with pytest.raises(ShapeError, match="initial block needs at least one sample"):
+            init_phase(layer, x0[:0], y0[:0], ridge=1.0)
+
     def test_rejects_negative_ridge(self, square_init):
         layer, x0, y0 = square_init
         for ridge in (-1.0, np.nan, np.inf):
@@ -351,6 +358,44 @@ class TestUpdate:
             update(model, x0[:1], y0[:1, :2])
 
 
+class TestIllConditionedStream:
+    """A stream whose hidden output H has cond(H'H) of about 4e11 (sine
+    activation, 400 neurons, 5 features). There beta itself is
+    ill-determined: the stream's beta is 1.1e-4 from lstsq's, with
+    entries up to 1e3. The fit is not, so the stream is judged in output
+    space against np.linalg.lstsq, which solves the least-squares problem
+    on H itself.
+
+    Measured (init block of 800 rows, 40 single rows, then blocks of 50):
+    relative RSS gap 9.6e-15, max raw-output gap 2.8e-7 with outputs up to
+    1.5. The bounds leave a margin of 1e4 and of 35 over those values. A
+    rank-one weight step without its 1/S scale gives an RSS gap of 3.6,
+    and a block step that skips L^-1 one of 2.8e8.
+    """
+
+    RSS_GAP_BOUND = 1e-10
+    RAW_GAP_BOUND = 1e-5
+
+    def test_output_space_matches_lstsq(self):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-1.0, 1.0, (8000, 5))
+        y = to_bipolar(rng.integers(0, 2, (8000, 3)))
+        layer = init_hidden(5, 400, "sine", seed=4)
+        model = init_phase(layer, x[:800], y[:800])
+        for i in range(800, 840):
+            update(model, x[i : i + 1], y[i : i + 1])
+        for s in range(840, 8000, 50):
+            update(model, x[s : s + 50], y[s : s + 50])
+        h = hidden_output(layer, x)
+        assert np.linalg.cond(h.T @ h) > 1e11
+        reference, *_ = np.linalg.lstsq(h, y, rcond=None)
+        out, out_ref = h @ model.beta, h @ reference
+        rss, rss_ref = np.sum((y - out) ** 2), np.sum((y - out_ref) ** 2)
+        assert abs(rss - rss_ref) / rss_ref <= self.RSS_GAP_BOUND
+        assert np.max(np.abs(out - out_ref)) <= self.RAW_GAP_BOUND
+        assert np.array_equal(model.gram_inv, model.gram_inv.T)
+
+
 class TestPredictRaw:
     def test_zero_beta_gives_zeros(self, square_init):
         layer, x0, y0 = square_init
@@ -498,10 +543,11 @@ class TestSerialization:
             _replace_field("input_dim", "x"),
             lambda h, v: (h, np.insert(v, _BIASES, 0.5)),  # weights one float long
             _replace_float(_GRAM_INV + 1, lambda x: 3.0 * x),
+            _replace_float(_GRAM_INV + 1, lambda x: np.nextafter(x, np.inf)),  # [0, 1]
         ],
         ids=["broadcast_bias", "nan_threshold", "normalizer_width", "nan_gram_inv",
              "negative_samples_seen", "zero_blocks_seen", "non_integer_input_dim",
-             "negative_weights_rows", "asymmetric_gram_inv"],
+             "negative_weights_rows", "asymmetric_gram_inv", "one_ulp_asymmetric_gram_inv"],
     )
     def test_inconsistent_or_nonfinite_content_rejected(self, tmp_path, corrupt):
         model = self.make_model()

@@ -3,11 +3,9 @@ import pytest
 
 from elmstream.model import OselmModel, init_hidden, update
 from elmstream.numerics import (
-    _SYMMETRY_BLOCK,
-    SYMMETRY_RTOL,
+    NumericalError,
     ShapeError,
     SingularMatrixError,
-    _asymmetric,
     cholesky_spd,
 )
 
@@ -53,9 +51,10 @@ class TestSolveSpd:
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.5, 1.0]])
-        cholesky_spd(a + np.array([[0.0, 0.0], [1e-11, 0.0]]))  # within 1e-10
-        with pytest.raises(ValueError, match="symmetric"):
-            cholesky_spd(a + np.array([[0.0, 0.0], [1e-9, 0.0]]))
+        cholesky_spd(a)
+        for gap in (1e-11, 1e-9):
+            with pytest.raises(ValueError, match="symmetric"):
+                cholesky_spd(a + np.array([[0.0, 0.0], [gap, 0.0]]))
 
     def test_indefinite_raises(self):
         # M = -10 I makes S = I + H M H' indefinite for this block.
@@ -79,36 +78,51 @@ class TestSolveSpd:
 
 
 class TestSymmetryCheck:
-    """The symmetry check compares the triangles in blocks of rows. An
-    asymmetry in the last block must be judged as one in the first, and
-    every decision must match the dense max |a - a.T| check."""
+    """Every symmetric matrix the learner factors is symmetric by
+    construction, so cholesky_spd accepts a matrix only when it equals its
+    transpose bit for bit."""
 
-    N = 2 * _SYMMETRY_BLOCK + 7
+    N = 263
 
-    def spd_with_gap(self, gap_rtol):
-        rng = np.random.default_rng(17)
-        a = random_spd(rng, self.N, shift=float(self.N))
-        scale = float(np.max(np.abs(a)))
-        a[self.N - 1, self.N - 3] += gap_rtol * SYMMETRY_RTOL * scale
-        return a
+    def spd(self):
+        return random_spd(np.random.default_rng(17), self.N, shift=float(self.N))
 
-    def test_gap_just_below_tolerance_accepted(self):
-        cholesky_spd(self.spd_with_gap(0.99))
-
-    def test_gap_just_above_tolerance_rejected(self):
+    @pytest.mark.parametrize(
+        "row, col", [(0, 1), (N - 1, N - 3)], ids=["first_row", "last_row"]
+    )
+    def test_one_ulp_gap_rejected(self, row, col):
+        a = self.spd()
+        a[row, col] = np.nextafter(a[row, col], np.inf)
         with pytest.raises(ValueError, match="symmetric"):
-            cholesky_spd(self.spd_with_gap(1.01))
+            cholesky_spd(a)
 
-    @pytest.mark.parametrize("n", [1, 5, _SYMMETRY_BLOCK, N])
+    def test_equal_to_transpose_accepted(self):
+        a = self.spd()
+        assert np.array_equal(a, a.T)
+        assert cholesky_spd(a).shape == a.shape
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2)], ids=["diagonal", "off_diagonal"])
+    def test_non_finite_raises_numerical_error(self, value, where):
+        # NaN != NaN: without the finiteness check first, a NaN matrix
+        # would be rejected as asymmetric instead.
+        a = self.spd()
+        a[where] = a[where[::-1]] = value
+        with pytest.raises(NumericalError, match="non-finite"):
+            cholesky_spd(a)
+
+    @pytest.mark.parametrize("n", [1, 5, 128, N])
     def test_same_decision_as_the_dense_check(self, n):
+        # Accepted exactly when no entry differs from its mirror, by an
+        # elementwise comparison independent of cholesky_spd's own.
         rng = np.random.default_rng(n)
-        for value in (1e-9, 1e-11, np.inf, -np.inf, np.nan, 1e308):
-            g = rng.normal(size=(n, n))
-            a = g + g.T
+        for value in (0.0, 1e-300, 1e-11, 1e308):
+            a = random_spd(rng, n, shift=float(n))
             a[n - 1, 0] += value
-            for b in (a, a.T, 1e-300 * a, np.zeros((n, n))):
-                with np.errstate(invalid="ignore"):  # inf - inf on the non-finite inputs
-                    scale = float(np.max(np.abs(b)))
-                    gap = float(np.max(np.abs(b - b.T)))
-                    dense = scale > 0.0 and gap > SYMMETRY_RTOL * scale
-                    assert _asymmetric(np.ascontiguousarray(b)) == dense
+            for b in (a, a.T):
+                b = np.ascontiguousarray(b)
+                if any(b[i, j] != b[j, i] for i in range(n) for j in range(i)):
+                    with pytest.raises(ValueError, match="symmetric"):
+                        cholesky_spd(b)
+                else:
+                    cholesky_spd(b)
