@@ -35,24 +35,22 @@ def _pair(pred, truth):
     return pred, truth
 
 
-def hamming_loss(pred, truth) -> float:
-    """Fraction of label slots where prediction and truth disagree."""
-    pred, truth = _pair(pred, truth)
+# The private bodies take a pair that _pair has already checked, so that
+# compute_report checks its pair once.
+
+
+def _hamming(pred, truth) -> float:
     return float(np.mean(pred != truth))
 
 
-def example_accuracy(pred, truth) -> float:
-    """Mean per-sample Jaccard index |Y&Z| / |Y|Z|; 1 when both sets empty."""
-    pred, truth = _pair(pred, truth)
+def _accuracy(pred, truth) -> float:
     inter = (pred & truth).sum(axis=1)
     union = (pred | truth).sum(axis=1)
     terms = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
     return float(terms.mean())
 
 
-def example_prf(pred, truth) -> tuple[float, float, float]:
-    """Mean per-sample precision, recall, and F1 over label sets."""
-    pred, truth = _pair(pred, truth)
+def _prf(pred, truth) -> tuple[float, float, float]:
     inter = (pred & truth).sum(axis=1)
     n_pred = pred.sum(axis=1)
     n_true = truth.sum(axis=1)
@@ -63,6 +61,21 @@ def example_prf(pred, truth) -> tuple[float, float, float]:
         n_pred + n_true > 0, 2 * inter / np.maximum(n_pred + n_true, 1), 1.0
     )
     return float(precision.mean()), float(recall.mean()), float(f1.mean())
+
+
+def hamming_loss(pred, truth) -> float:
+    """Fraction of label slots where prediction and truth disagree."""
+    return _hamming(*_pair(pred, truth))
+
+
+def example_accuracy(pred, truth) -> float:
+    """Mean per-sample Jaccard index |Y&Z| / |Y|Z|; 1 when both sets empty."""
+    return _accuracy(*_pair(pred, truth))
+
+
+def example_prf(pred, truth) -> tuple[float, float, float]:
+    """Mean per-sample precision, recall, and F1 over label sets."""
+    return _prf(*_pair(pred, truth))
 
 
 def label_cardinality(y) -> float:
@@ -93,10 +106,10 @@ class MetricsReport:
 def compute_report(pred, truth, train_time: float = 0.0, test_time: float = 0.0) -> MetricsReport:
     """Evaluate predictions against truth and bundle the results."""
     p, t = _pair(pred, truth)
-    precision, recall, f1 = example_prf(p, t)
+    precision, recall, f1 = _prf(p, t)
     report = MetricsReport(
-        hamming_loss=hamming_loss(p, t),
-        accuracy=example_accuracy(p, t),
+        hamming_loss=_hamming(p, t),
+        accuracy=_accuracy(p, t),
         precision=precision,
         recall=recall,
         f1=f1,

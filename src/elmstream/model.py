@@ -114,17 +114,57 @@ def hidden_output(layer: HiddenLayer, x) -> np.ndarray:
     return ACTIVATIONS[layer.activation](z)
 
 
-@dataclass
+# Rows of the buffer that holds the pending factor G: this many, or 4 B for
+# a block of B rows that folds. An update whose rows do not fit folds.
+_PENDING_ROWS = 32
+
+
+def _fold(base: np.ndarray, pending: np.ndarray) -> np.ndarray:
+    """M0 - G'G in G'G's fresh buffer; numpy computes G'G with syrk, so the
+    result is exactly symmetric when M0 is."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
+        m = pending.T @ pending
+        np.subtract(base, m, out=m)
+    return ensure_finite(m, "inverse Gram matrix")
+
+
 class OselmModel:
     """Trained state: frozen hidden layer, running inverse Gram matrix,
-    output weights, and the calibrated decode threshold."""
+    output weights, and the calibrated decode threshold.
 
-    hidden: HiddenLayer
-    gram_inv: np.ndarray  # hidden_count x hidden_count
-    beta: np.ndarray  # hidden_count x label_count
-    threshold: float = 0.0
-    samples_seen: int = 0
-    blocks_seen: int = 0
+    The inverse Gram matrix M is held as M0 - G'G with G the downdate rows
+    ``update`` has not folded into M0 yet. Reading ``gram_inv`` gives the
+    folded M (a fresh array while rows are pending) without changing the
+    state; assigning it sets M0 and drops the pending rows.
+    """
+
+    def __init__(
+        self,
+        hidden: HiddenLayer,
+        gram_inv: np.ndarray,  # hidden_count x hidden_count
+        beta: np.ndarray,  # hidden_count x label_count
+        threshold: float = 0.0,
+        samples_seen: int = 0,
+        blocks_seen: int = 0,
+    ):
+        self.hidden = hidden
+        self.gram_inv = gram_inv
+        self.beta = beta
+        self.threshold = threshold
+        self.samples_seen = samples_seen
+        self.blocks_seen = blocks_seen
+
+    @property
+    def gram_inv(self) -> np.ndarray:
+        if self._pending == 0:
+            return self._base
+        return _fold(self._base, self._downdates[: self._pending])
+
+    @gram_inv.setter
+    def gram_inv(self, m: np.ndarray) -> None:
+        self._base = m  # M0
+        self._downdates = np.empty((_PENDING_ROWS, len(m)))  # G is its first rows
+        self._pending = 0
 
     @property
     def label_count(self) -> int:
@@ -188,80 +228,92 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     output of the new rows, the update is the Woodbury identity
 
         M_new = M - M H' S^-1 H M,    S = I_B + H M H'
-        beta_new = beta + M_new H' (Y - H beta),
+        beta_new = beta + M_new H' (Y - H beta).
 
-    computed in factor form so that M_new is symmetric by construction
-    and the weight step never reads M_new. For a block, S = L L' is
-    factored and V = L^-1 H M, which gives
+    S = L L' is factored and V = L^-1 H M, which gives
 
         M_new = M - V'V
         beta_new = beta + V' L^-1 (Y - H beta),
 
-    using M_new H' = M H' S^-1. A single sample has S = 1 + h'M h, so
-    with g = M h / sqrt(S)
+    using M_new H' = M H' S^-1, so the weight step never reads M_new. A
+    single sample has the scalar S = 1 + h'M h and V = g' with
+    g = M h / sqrt(S).
 
-        M_new = M - g g'
-        beta_new = beta + (M h / S) (y' - h' beta),
+    M_new is not formed. The model holds M = M0 - G'G, and V's rows are
+    appended to the pending factor G, so the step needs only
 
-    using M_new h = M h / S. Both downdates subtract an exactly
-    symmetric product from M, so M_new is as symmetric as M.
+        H M = H M0 - (H G') G,
+
+    one pass over M0 plus O(B H K) for K pending rows. When V's rows do
+    not fit in G's buffer (32 rows, or 4 B after a wider block folds), G
+    and V are folded in, M0 <- M0 - [G; V]'[G; V], with one syrk: exactly
+    symmetric, so M stays exactly symmetric. Folds are triggered by row
+    counts alone, so the model's state, and its saved bytes, depend only
+    on the sequence of blocks.
 
     The model is updated in place, and the raw outputs H beta it had for
     the new rows are returned: bit for bit what ``predict_raw`` gave just
     before the call, so ``decode(update(model, x, y), threshold)`` is a
     test-then-train step with one hidden projection. The model is left
     unchanged when the update raises: S that is not positive definite
-    raises NumericalError, as do non-finite results.
+    raises NumericalError, as do non-finite V, weights or folded M0. Rows
+    left pending are checked when they are folded in, by a later update
+    or by a read of ``gram_inv`` such as ``save_model``'s.
     """
     if model.samples_seen < 1:
         raise ValueError("model has not been initialized")
     x = as_matrix(x, "features")
     y = _check_bipolar(y, "targets")
-    if x.shape[0] < 1:
+    rows = x.shape[0]
+    if rows < 1:
         raise ShapeError("update needs at least one sample")
-    if x.shape[0] != y.shape[0]:
-        raise ShapeError(f"{x.shape[0]} feature rows but {y.shape[0]} target rows")
+    if rows != y.shape[0]:
+        raise ShapeError(f"{rows} feature rows but {y.shape[0]} target rows")
     if y.shape[1] != model.label_count:
         raise ShapeError(
             f"targets have {y.shape[1]} labels, model expects {model.label_count}"
         )
     h = hidden_output(model.hidden, x)
     raw = h @ model.beta
-    m = model.gram_inv
-    if x.shape[0] == 1:
-        hv = h[0]
-        mh = m @ hv
-        denom = 1.0 + hv @ mh
+    base, buffer, pending = model._base, model._downdates, model._pending
+    hm = h @ base  # B x hidden_count, equal to (M0 H')' as M0 is symmetric
+    if pending:
+        g = buffer[:pending]
+        hm -= (h @ g.T) @ g
+    residual = y - raw
+    if rows == 1:
+        denom = 1.0 + float(hm[0] @ h[0])
         if denom <= 0.0:
             raise NumericalError(
                 f"update denominator {denom:.3e} <= 0: inverse Gram matrix "
                 "lost positive-definiteness"
             )
-        g = mh / np.sqrt(denom)
-        # g g' through BLAS (gemm with one inner term): each entry is the
-        # single rounded product g_i g_j, exactly as np.outer gives it, so
-        # the downdate is exactly symmetric; np.outer's broadcast loop took
-        # twice as long and its time swung with the machine's load.
-        downdate = np.dot(g[:, None], g[None, :])
-        residual = y[0] - raw[0]
-        beta_new = model.beta + np.outer(mh / denom, residual)
+        root = np.sqrt(denom)
+        v = hm / root
+        step = residual / root
     else:
-        hm = h @ m  # B x hidden_count, equal to (M H')' as M is symmetric
-        s = np.eye(x.shape[0]) + hm @ h.T
+        s = np.eye(rows) + hm @ h.T
         s = (s + s.T) / 2.0
         l_inv = np.linalg.inv(cholesky_spd(s))
         v = l_inv @ hm
-        downdate = v.T @ v  # numpy computes A'A with syrk: exactly symmetric
-        residual = y - raw
-        beta_new = model.beta + v.T @ (l_inv @ residual)
-    # Written over the downdate's fresh buffer: one H x H allocation, and
-    # the model's own arrays stay untouched until every check has passed.
-    m_new = np.subtract(m, downdate, out=downdate)
-    ensure_finite(m_new, "inverse Gram matrix")
+        step = l_inv @ residual
+    ensure_finite(v, "inverse Gram matrix")
+    beta_new = model.beta + v.T @ step
     ensure_finite(beta_new, "output weights")
-    model.gram_inv = m_new
+    # The model's state is replaced only after the fold's check. Rows
+    # written past the pending count are not part of G until then.
+    if pending + rows <= len(buffer):
+        buffer[pending : pending + rows] = v
+        pending += rows
+    else:
+        base = _fold(base, np.concatenate((buffer[:pending], v)))
+        pending = 0
+        capacity = max(_PENDING_ROWS, 4 * rows)
+        if len(buffer) != capacity:
+            buffer = np.empty((capacity, len(base)))
+    model._base, model._downdates, model._pending = base, buffer, pending
     model.beta = beta_new
-    model.samples_seen += x.shape[0]
+    model.samples_seen += rows
     model.blocks_seen += 1
     return raw
 

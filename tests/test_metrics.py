@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from elmstream import metrics
 from elmstream.metrics import (
     compute_report,
     example_accuracy,
@@ -184,3 +185,16 @@ class TestReport:
         for name in ("hamming_loss", "accuracy", "precision", "recall", "f1",
                      "empty_prediction_rate"):
             assert 0.0 <= getattr(report, name) <= 1.0
+
+    def test_checks_its_pair_once_and_agrees_with_the_public_functions(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        p = rng.integers(0, 2, size=(11, 5))
+        t = rng.integers(0, 2, size=(11, 5))
+        calls = []
+        checked = metrics._pair
+        monkeypatch.setattr(metrics, "_pair", lambda *pair: calls.append(1) or checked(*pair))
+        report = compute_report(p, t)
+        assert len(calls) == 1
+        precision, recall, f1 = example_prf(p, t)
+        assert (report.hamming_loss, report.accuracy) == (hamming_loss(p, t), example_accuracy(p, t))
+        assert (report.precision, report.recall, report.f1) == (precision, recall, f1)

@@ -5,6 +5,7 @@ from conftest import batch_beta, synthetic_stream
 from elmstream.data import DataError, Normalizer, StreamPlan, stream_blocks
 from elmstream.labels import to_bipolar
 from elmstream.model import (
+    _PENDING_ROWS,
     HiddenLayer,
     OselmModel,
     hidden_output,
@@ -264,16 +265,19 @@ class TestUpdate:
         assert np.max(np.abs(forward.beta - permuted.beta)) <= 1e-6
 
     def test_exactly_symmetric_after_single_and_block_updates(self):
-        # Sizes at which OpenBLAS's general gemm for V'V is not exactly
-        # symmetric, so an update that loses the syrk path shows here.
-        layer, x, y = stream_fixture(seed=36, hidden=50)
-        model = init_phase(layer, x[:60], y[:60])
-        for i in range(60, 100):
+        # Sizes at which OpenBLAS's general gemm for G'G is not exactly
+        # symmetric (300 columns, 12 to 100 rows), so a fold or a read of
+        # gram_inv that loses the syrk path shows here. The 40 single rows
+        # fold once and leave 7 rows pending; the 17-row blocks fold twice,
+        # and the first of those folds widens the buffer to 68 rows.
+        layer, x, y = stream_fixture(seed=36, n=560, hidden=300)
+        model = init_phase(layer, x[:400], y[:400])
+        for i in range(400, 440):
             update(model, x[i : i + 1], y[i : i + 1])
-        assert np.array_equal(model.gram_inv, model.gram_inv.T)
-        for s in range(100, 200, 17):
+            assert np.array_equal(model.gram_inv, model.gram_inv.T)
+        for s in range(440, 560, 17):
             update(model, x[s : s + 17], y[s : s + 17])
-        assert np.array_equal(model.gram_inv, model.gram_inv.T)
+            assert np.array_equal(model.gram_inv, model.gram_inv.T)
 
     def test_block_beta_matches_textbook_formula(self):
         layer, x, y = stream_fixture(seed=44)
@@ -286,14 +290,14 @@ class TestUpdate:
         assert np.max(np.abs(model.beta - expected)) <= 1e-10
 
     def test_single_sample_downdate_is_the_rounded_outer_product(self):
-        # The rank-one product goes through BLAS; each entry must still be
-        # the one rounded product g_i g_j that np.outer gives.
+        # One pending row g folds as M0 - g g' through syrk; each entry must
+        # still be the one rounded product g_i g_j that np.outer gives.
         layer, x, y = stream_fixture(seed=45)
         model = init_phase(layer, x[:30], y[:30])
         m = model.gram_inv.copy()
-        hv = hidden_output(layer, x[30:31])[0]
-        mh = m @ hv
-        g = mh / np.sqrt(1.0 + hv @ mh)
+        h = hidden_output(layer, x[30:31])
+        hm = (h @ m)[0]
+        g = hm / np.sqrt(1.0 + hm @ h[0])
         update(model, x[30:31], y[30:31])
         assert np.array_equal(model.gram_inv, m - np.outer(g, g))
 
@@ -358,19 +362,110 @@ class TestUpdate:
             update(model, x0[:1], y0[:1, :2])
 
 
+def stepwise(m, beta, h, y):
+    """M and beta after each row of h in turn, by the textbook rank-one
+    update with M itself downdated at every row."""
+    for hv, yv in zip(h, y):
+        mh = m @ hv
+        denom = 1.0 + hv @ mh
+        beta = beta + np.outer(mh / denom, yv - hv @ beta)
+        m = m - np.outer(mh, mh) / denom
+    return m, beta
+
+
+class TestDeferredDowndates:
+    """update keeps M as M0 - G'G and folds the pending rows G into M0
+    when an update's rows do not fit in G's buffer."""
+
+    @pytest.mark.parametrize("rows", [_PENDING_ROWS - 1, _PENDING_ROWS, _PENDING_ROWS + 1])
+    def test_matches_step_by_step_around_a_fold(self, rows):
+        layer, x, y = stream_fixture(seed=50)
+        model = init_phase(layer, x[:30], y[:30])
+        m_ref, beta_ref = stepwise(
+            model.gram_inv, model.beta, hidden_output(layer, x[30 : 30 + rows]), y[30 : 30 + rows]
+        )
+        for i in range(30, 30 + rows):
+            update(model, x[i : i + 1], y[i : i + 1])
+        # A full buffer holds its rows; one row more folds them all in.
+        assert model._pending == (rows if rows <= _PENDING_ROWS else 0)
+        m = model.gram_inv
+        assert np.max(np.abs(m - m_ref)) <= 1e-12 * np.max(np.abs(m_ref))
+        assert np.array_equal(m, m.T)
+        assert np.max(np.abs(model.beta - beta_ref)) <= 1e-10
+
+    def test_mixed_block_sizes(self):
+        # The 40-row block does not fit in the 32-row buffer: it folds and
+        # widens the buffer to 160 rows. The 200-row block is wider than
+        # that, and folds and widens it again.
+        sizes = [1, 1, 3, 40, 1, 17, 2, 200, 5, 1]
+        layer, x, y = stream_fixture(seed=51, n=30 + sum(sizes))
+        model = init_phase(layer, x[:30], y[:30])
+        m_ref, beta_ref = stepwise(model.gram_inv, model.beta, hidden_output(layer, x[30:]), y[30:])
+        start = 30
+        for b in sizes:
+            update(model, x[start : start + b], y[start : start + b])
+            start += b
+            assert np.array_equal(model.gram_inv, model.gram_inv.T)
+        assert (len(model._downdates), model._pending) == (800, 6)
+        assert (model.samples_seen, model.blocks_seen) == (len(x), 1 + len(sizes))
+        assert np.max(np.abs(model.gram_inv - m_ref)) <= 1e-12 * np.max(np.abs(m_ref))
+        assert np.max(np.abs(model.beta - beta_ref)) <= 1e-10
+        assert np.max(np.abs(model.beta - batch_beta(hidden_output(layer, x), y))) <= 1e-8
+
+    def test_save_with_rows_pending_writes_the_folded_model(self, tmp_path):
+        layer, x, y = stream_fixture(seed=52)
+        saved, folded, untouched = (init_phase(layer, x[:30], y[:30]) for _ in range(3))
+        for model in (saved, folded, untouched):
+            for i in range(30, 40):
+                update(model, x[i : i + 1], y[i : i + 1])
+        assert saved._pending == 10
+        folded.gram_inv = folded.gram_inv  # fold the pending rows into M0
+        save_model(tmp_path / "saved.elm", saved)
+        save_model(tmp_path / "folded.elm", folded)
+        assert (tmp_path / "saved.elm").read_bytes() == (tmp_path / "folded.elm").read_bytes()
+        loaded, _ = load_model(tmp_path / "saved.elm")
+        assert np.array_equal(loaded.gram_inv, loaded.gram_inv.T)
+        # The loaded model goes on exactly as the folded one, and saving
+        # left the saved model's own state, pending rows and all, as it was.
+        for i in range(40, 80):
+            for model in (saved, folded, untouched, loaded):
+                update(model, x[i : i + 1], y[i : i + 1])
+        for a, b in ((loaded, folded), (saved, untouched)):
+            assert a.beta.tobytes() == b.beta.tobytes()
+            assert a.gram_inv.tobytes() == b.gram_inv.tobytes()
+
+    def test_overflowing_fold_leaves_the_model_unchanged(self):
+        # hardlim with unit weights gives h = (0, 0) for x = -1, a zero
+        # downdate row, and h = (1, 1) for x = 1. Against the corrupted,
+        # indefinite M0 below, h = (1, 1) has a positive denominator and a
+        # finite row g, but g_1^2 overflows: the fold of the full buffer
+        # and that row raises.
+        layer = HiddenLayer(weights=np.ones((2, 1)), biases=np.zeros(2), activation="hardlim")
+        m0 = np.diag([-1.5e308, 1.6e308])
+        model = OselmModel(hidden=layer, gram_inv=m0, beta=np.zeros((2, 1)),
+                           samples_seen=4, blocks_seen=1)
+        for _ in range(_PENDING_ROWS):
+            update(model, [[-1.0]], [[1.0]])
+        with pytest.raises(NumericalError, match="inverse Gram matrix contains non-finite"):
+            update(model, [[1.0]], [[1.0]])
+        assert np.array_equal(model.gram_inv, m0)
+        assert np.array_equal(model.beta, np.zeros((2, 1)))
+        assert (model.samples_seen, model.blocks_seen) == (4 + _PENDING_ROWS, 1 + _PENDING_ROWS)
+
+
 class TestIllConditionedStream:
     """A stream whose hidden output H has cond(H'H) of about 4e11 (sine
     activation, 400 neurons, 5 features). There beta itself is
-    ill-determined: the stream's beta is 1.1e-4 from lstsq's, with
+    ill-determined: the stream's beta is 1.2e-4 from lstsq's, with
     entries up to 1e3. The fit is not, so the stream is judged in output
     space against np.linalg.lstsq, which solves the least-squares problem
     on H itself.
 
     Measured (init block of 800 rows, 40 single rows, then blocks of 50):
-    relative RSS gap 9.6e-15, max raw-output gap 2.8e-7 with outputs up to
-    1.5. The bounds leave a margin of 1e4 and of 35 over those values. A
-    rank-one weight step without its 1/S scale gives an RSS gap of 3.6,
-    and a block step that skips L^-1 one of 2.8e8.
+    relative RSS gap 1.2e-14, max raw-output gap 4.0e-7 with outputs up to
+    1.5. The bounds leave a margin of 8e3 and of 25 over those values. A
+    rank-one weight step scaled by 1/sqrt(S) instead of 1/S gives an RSS
+    gap of 1.2e-2, and a block step that skips one L^-1 one of 1.7.
     """
 
     RSS_GAP_BOUND = 1e-10
@@ -402,8 +497,9 @@ class TestLongStream:
     downdate accumulates in M over the whole stream, and the result is
     judged in output space against np.linalg.lstsq.
 
-    Measured with the per-row downdate M - g g': relative RSS gap 1.2e-16,
-    max raw-output gap 6.2e-10 with outputs up to 0.35.
+    Measured: relative RSS gap 1.2e-16, and max raw-output gap 6.2e-10
+    when every row downdated M itself and 1.2e-10 with deferred
+    downdates, with outputs up to 0.35.
     """
 
     RSS_GAP_BOUND = 1e-12
