@@ -114,18 +114,43 @@ def hidden_output(layer: HiddenLayer, x) -> np.ndarray:
     return ACTIVATIONS[layer.activation](z)
 
 
-# Rows of the buffer that holds the pending factor G: this many, or 4 B for
-# a block of B rows that folds. An update whose rows do not fit folds.
+# The buffer that holds the pending factor G has _capacity(B, H) rows after
+# a fold by a block of B rows. Each pending row costs every later step
+# 2 B H flops in (H G') G, while each fold spares the steps since the last
+# one their passes over the H x H matrix. Per update on one OpenBLAS
+# thread, at H = 300 and 1000, deferral gained for blocks of up to about
+# H / 8 rows with up to H / 4 rows pending, and a buffer of 4 B rows at
+# B = H lost 30-40%. A wider block so gets no buffer: each of its updates
+# folds at once, the direct downdate.
 _PENDING_ROWS = 32
 
 
-def _fold(base: np.ndarray, pending: np.ndarray) -> np.ndarray:
-    """M0 - G'G in G'G's fresh buffer; numpy computes G'G with syrk, so the
-    result is exactly symmetric when M0 is."""
+def _capacity(rows: int, hidden_count: int) -> int:
+    capacity = min(max(_PENDING_ROWS, 4 * rows), hidden_count // 4)
+    return capacity if 2 * rows <= capacity else 0
+
+
+# Pending rows are kept only while the fold is sure to be finite: with
+# |M0| <= m and the rows' squared norms summing to s, every entry of the
+# fold is at most m + s, which is held below half the largest float.
+_FOLD_LIMIT = np.finfo(float).max / 2
+
+
+def _headroom(m: np.ndarray) -> float:
+    """_FOLD_LIMIT - max|m|: NaN or -inf when m is not finite."""
+    return _FOLD_LIMIT - max(m.max(), -m.min())  # no |m| temporary
+
+
+def _fold(base: np.ndarray, pending: np.ndarray) -> tuple[np.ndarray, float]:
+    """M0 - G'G in G'G's fresh buffer, and its headroom. numpy computes G'G
+    with syrk, so the result is exactly symmetric when M0 is."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
         m = pending.T @ pending
         np.subtract(base, m, out=m)
-    return ensure_finite(m, "inverse Gram matrix")
+    room = _headroom(m)
+    if not np.isfinite(room):
+        raise NumericalError("inverse Gram matrix contains non-finite entries")
+    return m, room
 
 
 class OselmModel:
@@ -135,7 +160,9 @@ class OselmModel:
     The inverse Gram matrix M is held as M0 - G'G with G the downdate rows
     ``update`` has not folded into M0 yet. Reading ``gram_inv`` gives the
     folded M (a fresh array while rows are pending) without changing the
-    state; assigning it sets M0 and drops the pending rows.
+    state; assigning it sets M0 and drops the pending rows. ``copy.copy``
+    gives a model with its own buffer for G, so the copy and the original
+    can be updated apart.
     """
 
     def __init__(
@@ -158,13 +185,20 @@ class OselmModel:
     def gram_inv(self) -> np.ndarray:
         if self._pending == 0:
             return self._base
-        return _fold(self._base, self._downdates[: self._pending])
+        return _fold(self._base, self._downdates[: self._pending])[0]
 
     @gram_inv.setter
     def gram_inv(self, m: np.ndarray) -> None:
         self._base = m  # M0
-        self._downdates = np.empty((_PENDING_ROWS, len(m)))  # G is its first rows
+        self._downdates = np.empty((_capacity(1, len(m)), len(m)))  # G is its first rows
         self._pending = 0
+        self._room = _headroom(m)  # left for the pending rows' squared norms
+
+    def __copy__(self) -> OselmModel:
+        twin = object.__new__(OselmModel)
+        twin.__dict__.update(self.__dict__)
+        twin._downdates = self._downdates.copy()  # update writes into it
+        return twin
 
     @property
     def label_count(self) -> int:
@@ -244,21 +278,27 @@ def update(model: OselmModel, x, y) -> np.ndarray:
 
         H M = H M0 - (H G') G,
 
-    one pass over M0 plus O(B H K) for K pending rows. When V's rows do
-    not fit in G's buffer (32 rows, or 4 B after a wider block folds), G
-    and V are folded in, M0 <- M0 - [G; V]'[G; V], with one syrk: exactly
-    symmetric, so M stays exactly symmetric. Folds are triggered by row
-    counts alone, so the model's state, and its saved bytes, depend only
-    on the sequence of blocks.
+    one pass over M0 plus O(B H K) for K pending rows. V's rows are
+    appended while they fit in G's buffer, fill at most half of it, and
+    keep the fold finite (max|M0| plus the pending rows' squared norms
+    stays below half the largest float). Otherwise G and V are folded in,
+    M0 <- M0 - [G; V]'[G; V], with one syrk: exactly symmetric, so M stays
+    exactly symmetric. The buffer then holds 32 rows, or 4 B for a block
+    of B rows, but at most H / 4; a block of more than about H / 8 rows
+    gets none and folds at every update, as a direct downdate. Folds
+    follow from the stream alone, so the model's state, and its saved
+    bytes, are reproducible.
 
     The model is updated in place, and the raw outputs H beta it had for
     the new rows are returned: bit for bit what ``predict_raw`` gave just
     before the call, so ``decode(update(model, x, y), threshold)`` is a
     test-then-train step with one hidden projection. The model is left
     unchanged when the update raises: S that is not positive definite
-    raises NumericalError, as do non-finite V, weights or folded M0. Rows
-    left pending are checked when they are folded in, by a later update
-    or by a read of ``gram_inv`` such as ``save_model``'s.
+    raises NumericalError, as do non-finite V, weights or folded M0. A
+    row whose fold could overflow is folded by the update that brings
+    it, so the pending rows always fold finitely: a read of ``gram_inv``,
+    such as ``save_model``'s, does not raise, and the update that made M
+    overflow is the one that raises.
     """
     if model.samples_seen < 1:
         raise ValueError("model has not been initialized")
@@ -275,7 +315,7 @@ def update(model: OselmModel, x, y) -> np.ndarray:
         )
     h = hidden_output(model.hidden, x)
     raw = h @ model.beta
-    base, buffer, pending = model._base, model._downdates, model._pending
+    base, buffer, pending, room = model._base, model._downdates, model._pending, model._room
     hm = h @ base  # B x hidden_count, equal to (M0 H')' as M0 is symmetric
     if pending:
         g = buffer[:pending]
@@ -300,18 +340,19 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     ensure_finite(v, "inverse Gram matrix")
     beta_new = model.beta + v.T @ step
     ensure_finite(beta_new, "output weights")
-    # The model's state is replaced only after the fold's check. Rows
-    # written past the pending count are not part of G until then.
-    if pending + rows <= len(buffer):
+    norms = float(np.vdot(v, v))  # the sum of V's squared row norms
+    # The model's state is replaced only after the fold's check.
+    if pending + rows <= len(buffer) and 2 * rows <= len(buffer) and norms <= room:
         buffer[pending : pending + rows] = v
         pending += rows
+        room -= norms
     else:
-        base = _fold(base, np.concatenate((buffer[:pending], v)))
+        base, room = _fold(base, np.concatenate((buffer[:pending], v)))
         pending = 0
-        capacity = max(_PENDING_ROWS, 4 * rows)
+        capacity = _capacity(rows, len(base))
         if len(buffer) != capacity:
             buffer = np.empty((capacity, len(base)))
-    model._base, model._downdates, model._pending = base, buffer, pending
+    model._base, model._downdates, model._pending, model._room = base, buffer, pending, room
     model.beta = beta_new
     model.samples_seen += rows
     model.blocks_seen += 1

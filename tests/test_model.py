@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from elmstream.data import DataError, Normalizer, StreamPlan, stream_blocks
 from elmstream.labels import to_bipolar
 from elmstream.model import (
     _PENDING_ROWS,
+    _capacity,
     HiddenLayer,
     OselmModel,
     hidden_output,
@@ -375,18 +378,38 @@ def stepwise(m, beta, h, y):
 
 class TestDeferredDowndates:
     """update keeps M as M0 - G'G and folds the pending rows G into M0
-    when an update's rows do not fit in G's buffer."""
+    when an update's rows do not fit in G's buffer, would fill more than
+    half of it, or could make the fold overflow."""
+
+    @pytest.mark.parametrize(
+        "hidden, rows, capacity",
+        [(300, 1, 32), (300, 30, 75), (300, 37, 75), (300, 38, 0), (1000, 50, 200),
+         (1000, 125, 250), (1000, 126, 0), (1000, 1000, 0), (20, 1, 5), (7, 1, 0)],
+    )
+    def test_buffer_capacity(self, hidden, rows, capacity):
+        assert _capacity(rows, hidden) == capacity
+
+    def test_buffer_is_at_most_a_quarter_of_the_hidden_layer(self):
+        # Each pending row costs every later step 2 B H flops; a block of
+        # more than H / 8 rows gets no buffer at all.
+        for hidden in range(1, 1200, 7):
+            for rows in range(1, hidden + 2):
+                capacity = _capacity(rows, hidden)
+                assert capacity <= hidden // 4
+                assert capacity == 0 or 2 * rows <= capacity
+                assert (capacity == 0) == (2 * rows > hidden // 4)
 
     @pytest.mark.parametrize("rows", [_PENDING_ROWS - 1, _PENDING_ROWS, _PENDING_ROWS + 1])
     def test_matches_step_by_step_around_a_fold(self, rows):
-        layer, x, y = stream_fixture(seed=50)
-        model = init_phase(layer, x[:30], y[:30])
+        layer, x, y = stream_fixture(seed=50, hidden=140)  # a buffer of _PENDING_ROWS rows
+        model = init_phase(layer, x[:30], y[:30], ridge=1.0)
         m_ref, beta_ref = stepwise(
             model.gram_inv, model.beta, hidden_output(layer, x[30 : 30 + rows]), y[30 : 30 + rows]
         )
         for i in range(30, 30 + rows):
             update(model, x[i : i + 1], y[i : i + 1])
         # A full buffer holds its rows; one row more folds them all in.
+        assert len(model._downdates) == _PENDING_ROWS
         assert model._pending == (rows if rows <= _PENDING_ROWS else 0)
         m = model.gram_inv
         assert np.max(np.abs(m - m_ref)) <= 1e-12 * np.max(np.abs(m_ref))
@@ -394,31 +417,33 @@ class TestDeferredDowndates:
         assert np.max(np.abs(model.beta - beta_ref)) <= 1e-10
 
     def test_mixed_block_sizes(self):
-        # The 40-row block does not fit in the 32-row buffer: it folds and
-        # widens the buffer to 160 rows. The 200-row block is wider than
-        # that, and folds and widens it again.
-        sizes = [1, 1, 3, 40, 1, 17, 2, 200, 5, 1]
-        layer, x, y = stream_fixture(seed=51, n=30 + sum(sizes))
-        model = init_phase(layer, x[:30], y[:30])
+        # With H = 160 the buffer starts at 32 rows. The 20-row block would
+        # fill more than half of it: it folds and widens the buffer to 40
+        # rows. The 30-row block is wider than H / 8 and folds with no
+        # buffer left; the 5-row block then folds and gets 32 rows again.
+        sizes = [1, 1, 3, 20, 1, 17, 2, 30, 5, 1]
+        after = [(32, 1), (32, 2), (32, 5), (40, 0), (40, 1), (40, 18), (40, 20), (0, 0),
+                 (32, 0), (32, 1)]
+        layer, x, y = stream_fixture(seed=51, n=30 + sum(sizes), hidden=160)
+        model = init_phase(layer, x[:30], y[:30], ridge=1.0)
         m_ref, beta_ref = stepwise(model.gram_inv, model.beta, hidden_output(layer, x[30:]), y[30:])
         start = 30
-        for b in sizes:
+        for b, state in zip(sizes, after):
             update(model, x[start : start + b], y[start : start + b])
             start += b
+            assert (len(model._downdates), model._pending) == state
             assert np.array_equal(model.gram_inv, model.gram_inv.T)
-        assert (len(model._downdates), model._pending) == (800, 6)
         assert (model.samples_seen, model.blocks_seen) == (len(x), 1 + len(sizes))
         assert np.max(np.abs(model.gram_inv - m_ref)) <= 1e-12 * np.max(np.abs(m_ref))
         assert np.max(np.abs(model.beta - beta_ref)) <= 1e-10
-        assert np.max(np.abs(model.beta - batch_beta(hidden_output(layer, x), y))) <= 1e-8
 
     def test_save_with_rows_pending_writes_the_folded_model(self, tmp_path):
         layer, x, y = stream_fixture(seed=52)
         saved, folded, untouched = (init_phase(layer, x[:30], y[:30]) for _ in range(3))
         for model in (saved, folded, untouched):
-            for i in range(30, 40):
+            for i in range(30, 34):
                 update(model, x[i : i + 1], y[i : i + 1])
-        assert saved._pending == 10
+        assert saved._pending == 4
         folded.gram_inv = folded.gram_inv  # fold the pending rows into M0
         save_model(tmp_path / "saved.elm", saved)
         save_model(tmp_path / "folded.elm", folded)
@@ -434,23 +459,62 @@ class TestDeferredDowndates:
             assert a.beta.tobytes() == b.beta.tobytes()
             assert a.gram_inv.tobytes() == b.gram_inv.tobytes()
 
-    def test_overflowing_fold_leaves_the_model_unchanged(self):
-        # hardlim with unit weights gives h = (0, 0) for x = -1, a zero
-        # downdate row, and h = (1, 1) for x = 1. Against the corrupted,
-        # indefinite M0 below, h = (1, 1) has a positive denominator and a
-        # finite row g, but g_1^2 overflows: the fold of the full buffer
-        # and that row raises.
-        layer = HiddenLayer(weights=np.ones((2, 1)), biases=np.zeros(2), activation="hardlim")
-        m0 = np.diag([-1.5e308, 1.6e308])
-        model = OselmModel(hidden=layer, gram_inv=m0, beta=np.zeros((2, 1)),
+    def test_overflowing_row_raises_at_once_and_the_model_stays_usable(self, tmp_path):
+        # hardlim with unit weights gives h = 0 for x = -1, a zero downdate
+        # row, and h = (1, ..., 1) for x = 1. Against the corrupted,
+        # indefinite M0 below, h = (1, ..., 1) has a positive denominator
+        # and a finite row g, but g_1^2 overflows. That row fits in the
+        # buffer, yet the update that brings it folds at once and raises.
+        layer = HiddenLayer(weights=np.ones((8, 1)), biases=np.zeros(8), activation="hardlim")
+        m0 = np.diag([-8e307, 8.5e307, 0, 0, 0, 0, 0, 0])
+        model = OselmModel(hidden=layer, gram_inv=m0, beta=np.zeros((8, 1)),
                            samples_seen=4, blocks_seen=1)
-        for _ in range(_PENDING_ROWS):
-            update(model, [[-1.0]], [[1.0]])
+        update(model, [[-1.0]], [[1.0]])
+        assert (len(model._downdates), model._pending) == (2, 1)
         with pytest.raises(NumericalError, match="inverse Gram matrix contains non-finite"):
             update(model, [[1.0]], [[1.0]])
+        assert model._pending == 1
         assert np.array_equal(model.gram_inv, m0)
-        assert np.array_equal(model.beta, np.zeros((2, 1)))
-        assert (model.samples_seen, model.blocks_seen) == (4 + _PENDING_ROWS, 1 + _PENDING_ROWS)
+        assert np.array_equal(model.beta, np.zeros((8, 1)))
+        assert (model.samples_seen, model.blocks_seen) == (5, 2)
+        # The pending row still folds: the model saves, loads and learns.
+        save_model(tmp_path / "model.elm", model)
+        loaded, _ = load_model(tmp_path / "model.elm")
+        assert np.array_equal(loaded.gram_inv, m0)
+        update(model, [[-1.0]], [[1.0]])
+        assert (model._pending, model.samples_seen) == (2, 6)
+
+    def test_pending_rows_spend_the_fold_headroom(self):
+        # Headroom for either of the first two rows but not for both: the
+        # first is kept, the second folds though the buffer has room.
+        layer, x, y = stream_fixture(seed=54)
+        model = init_phase(layer, x[:30], y[:30])
+        norms = []
+        m = model.gram_inv
+        for i in (30, 31):
+            h = hidden_output(layer, x[i : i + 1])[0]
+            norms.append((h @ m @ m @ h) / (1.0 + h @ m @ h))  # |g|^2
+            m, _ = stepwise(m, model.beta, h[None], y[i : i + 1])
+        assert min(norms) > 0.1 * max(norms)
+        model._room = 1.01 * max(norms)
+        update(model, x[30:31], y[30:31])
+        assert model._pending == 1
+        update(model, x[31:32], y[31:32])
+        assert model._pending == 0
+        assert np.max(np.abs(model.gram_inv - m)) <= 1e-12 * np.max(np.abs(m))
+
+    def test_copies_are_updated_apart(self):
+        layer, x, y = stream_fixture(seed=53)
+        model = init_phase(layer, x[:30], y[:30])
+        update(model, x[30:31], y[30:31])
+        twin = copy.copy(model)
+        expected = [copy.deepcopy(model) for _ in range(2)]
+        for m, i in zip((model, twin, *expected), (31, 32, 31, 32)):
+            update(m, x[i : i + 1], y[i : i + 1])
+        assert model._pending == twin._pending == 2  # the same buffer rows
+        for m, reference in zip((model, twin), expected):
+            assert m.gram_inv.tobytes() == reference.gram_inv.tobytes()
+            assert m.beta.tobytes() == reference.beta.tobytes()
 
 
 class TestIllConditionedStream:
