@@ -4,8 +4,12 @@ Matrices are 2-D float64 numpy arrays in row-major (C) order. Public
 functions validate shapes on entry and guarantee finite entries on exit,
 so numerical breakdown surfaces here instead of in callers. The
 learner's one batch solve, the ridge-regularized normal equations of
-``model.init_phase``, is certified positive definite by ``cholesky_spd``
-before it is inverted. Every symmetric matrix the learner builds is
+``model.init_phase``, is certified positive definite by ``cholesky_spd``,
+and the factor it certifies is the one inverted: ``invert_lower``
+inverts it in place, and the inverse is L^-T L^-1. The Woodbury matrix
+of a block update takes the same two steps. ``invert_lower`` alone
+leaves the finiteness check to its callers, which make it on what they
+form from the inverse. Every symmetric matrix the learner builds is
 symmetric by construction, so symmetry is checked exactly.
 """
 
@@ -20,11 +24,16 @@ __all__ = [
     "as_matrix",
     "ensure_finite",
     "cholesky_spd",
+    "invert_lower",
 ]
 
 # Pivot tolerance for the SPD factorization, relative to the largest
 # diagonal entry of the coefficient matrix.
 PIVOT_RTOL = 1e-12
+
+# invert_lower hands blocks of at most this many rows to LAPACK's general
+# inverse; larger ones it splits in halves.
+_INVERT_BASE_ROWS = 64
 
 
 class ShapeError(ValueError):
@@ -91,4 +100,28 @@ def cholesky_spd(a) -> np.ndarray:
                 f"pivot {pivots[j]:.3e} at column {j} is at or below tolerance "
                 f"{tol:.3e}; matrix is singular or indefinite"
             )
+    return lower
+
+
+def invert_lower(lower: np.ndarray) -> np.ndarray:
+    """Invert a lower triangular matrix in place and return it.
+
+    ``lower`` is a writable float64 matrix, lower triangular with a
+    non-zero diagonal, such as the factor ``cholesky_spd`` returns. With
+    L = [[A, 0], [B, C]] the inverse is [[A^-1, 0], [-C^-1 B A^-1, C^-1]]:
+    the two diagonal blocks are inverted in place, recursively, and the
+    off-diagonal block with two gemms. The result is exactly lower
+    triangular. Finiteness is left to the caller, which checks what it
+    forms from the inverse.
+    """
+    n = lower.shape[0]
+    if n <= _INVERT_BASE_ROWS:
+        # LU pivoting can leave rounding above the diagonal: tril drops it.
+        lower[...] = np.tril(np.linalg.inv(lower))
+        return lower
+    half = n // 2
+    a_inv = invert_lower(lower[:half, :half])
+    c_inv = invert_lower(lower[half:, half:])
+    b = lower[half:, :half]
+    b[...] = -(c_inv @ (b @ a_inv))
     return lower

@@ -202,14 +202,28 @@ class TestInitPhase:
             with pytest.raises(ValueError, match="ridge must be a finite number >= 0"):
                 init_phase(layer, x0, y0, ridge=ridge)
 
-    @pytest.mark.parametrize("ridge", [0.0, 0.5])
-    def test_gram_inv_exactly_symmetric(self, ridge):
+    @staticmethod
+    def check_gram_inv(ridge, features, hidden, rows):
+        """M is exactly symmetric and equals inv(H'H + ridge I) to 1e-10."""
         rng = np.random.default_rng(21)
-        layer = init_hidden(5, 8, "sigmoid", seed=22)
-        x0 = rng.uniform(-1, 1, (20, 5))
-        y0 = to_bipolar(rng.integers(0, 2, (20, 4)))
+        layer = init_hidden(features, hidden, "sigmoid", seed=22)
+        x0 = rng.uniform(-1, 1, (rows, features))
+        y0 = to_bipolar(rng.integers(0, 2, (rows, 4)))
         model = init_phase(layer, x0, y0, ridge=ridge)
         assert np.array_equal(model.gram_inv, model.gram_inv.T)
+        h0 = hidden_output(layer, x0)
+        expected = np.linalg.inv(h0.T @ h0 + ridge * np.eye(hidden))
+        error = np.max(np.abs(model.gram_inv - expected))
+        assert error <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_gram_inv_exactly_symmetric(self, ridge):
+        self.check_gram_inv(ridge, features=5, hidden=8, rows=20)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_gram_inv_past_the_inverse_base_case(self, ridge):
+        # H = 150 is past invert_lower's 64-row base case, so its recursion runs.
+        self.check_gram_inv(ridge, features=50, hidden=150, rows=400)
 
 
 def stream_fixture(seed=31, n=200, d=10, m=3, hidden=20):
@@ -240,6 +254,14 @@ class TestUpdate:
         for s in range(30, 200, 17):
             update(blocked, x[s : s + 17], y[s : s + 17])
         assert np.max(np.abs(blocked.beta - chained.beta)) <= 1e-8
+
+    def test_block_past_the_inverse_base_case_matches_batch(self):
+        # B = 130 rows take invert_lower's recursion on the Woodbury factor.
+        layer, x, y = stream_fixture(seed=41, n=630, d=60, hidden=400)
+        model = init_phase(layer, x[:500], y[:500])
+        update(model, x[500:], y[500:])
+        beta_batch = batch_beta(hidden_output(layer, x), y)
+        assert np.max(np.abs(model.beta - beta_batch)) <= 1e-8
 
     def test_duplicate_interpolated_sample_is_noop_for_beta(self, square_init):
         layer, x0, y0 = square_init

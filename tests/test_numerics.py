@@ -7,6 +7,7 @@ from elmstream.numerics import (
     ShapeError,
     SingularMatrixError,
     cholesky_spd,
+    invert_lower,
 )
 
 
@@ -42,6 +43,28 @@ class TestCholeskySpd:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
             cholesky_spd(np.ones((2, 3)))
+
+
+def graded_factor(n, seed):
+    """Cholesky factor of an SPD matrix with eigenvalues from 1 down to 1e-4.
+    LU pivots on such a factor, so a general inverse of it leaves rounding
+    above the diagonal."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    b = q * np.sqrt(np.logspace(0, -4, n))
+    return cholesky_spd(b @ b.T)
+
+
+class TestInvertLower:
+    # Sizes around the 64-row base case and splits into odd halves.
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 300])
+    def test_inverts_in_place_and_stays_lower(self, n):
+        lower = graded_factor(n, seed=n)
+        factor = lower.copy()
+        inverse = invert_lower(lower)
+        assert inverse is lower
+        assert np.array_equal(inverse, np.tril(inverse))
+        assert np.max(np.abs(factor @ inverse - np.eye(n))) <= 1e-10
 
 
 class TestSolveSpd:
