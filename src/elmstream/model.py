@@ -170,6 +170,13 @@ class OselmModel:
     state; assigning it sets M0 and drops the pending rows. ``copy.copy``
     gives a model with its own buffer for G, so the copy and the original
     can be updated apart.
+
+    ``predict_raw`` on a single row keeps one record of its projection:
+    the hidden layer object, a private copy of the row's bytes and the
+    row's hidden output. The next ``update`` takes the record and drops it,
+    and reuses that hidden output when it learns the same single row
+    through the same layer. The record is never saved, and ``copy.copy``
+    shares it: it is keyed by the layer and the row, not by the state.
     """
 
     def __init__(
@@ -187,6 +194,7 @@ class OselmModel:
         self.threshold = threshold
         self.samples_seen = samples_seen
         self.blocks_seen = blocks_seen
+        self._projected = None  # (layer, row bytes, hidden output) of predict_raw's last row
 
     @property
     def gram_inv(self) -> np.ndarray:
@@ -300,7 +308,12 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     The model is updated in place, and the raw outputs H beta it had for
     the new rows are returned: bit for bit what ``predict_raw`` gave just
     before the call, so ``decode(update(model, x, y), threshold)`` is a
-    test-then-train step with one hidden projection. The model is left
+    test-then-train step with one hidden projection. ``predict_raw`` then
+    ``update`` on the same single row projects it once too: the update
+    reuses the hidden output ``predict_raw`` recorded when it gets one row
+    whose bytes equal the recorded row's and the model's ``hidden`` is the
+    layer that projected it. Any other update projects its rows itself.
+    Every update drops the record, also one that raises. The model is left
     unchanged when the update raises: S that is not positive definite
     raises NumericalError, as do non-finite V, weights or folded M0. A
     row whose fold could overflow is folded by the update that brings
@@ -308,6 +321,7 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     such as ``save_model``'s, does not raise, and the update that made M
     overflow is the one that raises.
     """
+    projected, model._projected = model._projected, None
     if model.samples_seen < 1:
         raise ValueError("model has not been initialized")
     x = as_matrix(x, "features")
@@ -321,7 +335,15 @@ def update(model: OselmModel, x, y) -> np.ndarray:
         raise ShapeError(
             f"targets have {y.shape[1]} labels, model expects {model.label_count}"
         )
-    h = hidden_output(model.hidden, x)
+    if (
+        rows == 1
+        and projected is not None
+        and projected[0] is model.hidden
+        and projected[1] == x.tobytes()
+    ):
+        h = projected[2]
+    else:
+        h = hidden_output(model.hidden, x)
     raw = h @ model.beta
     base, buffer, pending, room = model._base, model._downdates, model._pending, model._room
     hm = h @ base  # B x hidden_count, equal to (M0 H')' as M0 is symmetric
@@ -346,7 +368,10 @@ def update(model: OselmModel, x, y) -> np.ndarray:
         v = l_inv @ hm
         step = l_inv @ residual
     ensure_finite(v, "inverse Gram matrix")
-    beta_new = model.beta + v.T @ step
+    # For one row V'step is an outer product, each entry one rounded
+    # product: np.dot hands it to BLAS with matmul's bits, where matmul's
+    # own loop for this layout took 10-15 us against 2 us at H = 300.
+    beta_new = model.beta + (np.dot(v.T, step) if rows == 1 else v.T @ step)
     ensure_finite(beta_new, "output weights")
     norms = float(np.vdot(v, v))  # the sum of V's squared row norms
     # The model's state is replaced only after the fold's check.
@@ -368,8 +393,20 @@ def update(model: OselmModel, x, y) -> np.ndarray:
 
 
 def predict_raw(model: OselmModel, x) -> np.ndarray:
-    """Raw (unthresholded) output values: hidden activations times beta."""
-    return ensure_finite(hidden_output(model.hidden, x) @ model.beta, "raw outputs")
+    """Raw (unthresholded) output values: hidden activations times beta.
+
+    On a single row the model keeps the layer, a private copy of the row's
+    bytes and its hidden output, for the ``update`` that learns the row
+    next: that update then does not project it again. A row changed in
+    place in between no longer matches its copy and is projected again.
+    A row whose projection is not finite raises before it is recorded, so
+    a record never holds NaN. Predicting more rows than one drops the
+    record, ``update`` always drops it, and ``save_model`` never writes it.
+    """
+    x = as_matrix(x, "input")
+    h = hidden_output(model.hidden, x)
+    model._projected = (model.hidden, x.tobytes(), h) if len(x) == 1 else None
+    return ensure_finite(h @ model.beta, "raw outputs")
 
 
 # ---------------------------------------------------------------------------

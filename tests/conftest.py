@@ -46,6 +46,21 @@ def small_learnable():
     return synthetic_stream(n=240, d=8, m=3, seed=11)
 
 
+@pytest.fixture
+def projections(monkeypatch):
+    """The row count of every hidden_output call that elmstream.model makes."""
+    from elmstream.model import hidden_output
+
+    rows = []
+
+    def counted(layer, x):
+        rows.append(np.shape(x)[0])
+        return hidden_output(layer, x)
+
+    monkeypatch.setattr("elmstream.model.hidden_output", counted)
+    return rows
+
+
 def batch_beta(h, y, ridge=0.0):
     """Batch oracle: output weights solving (H'H + ridge I) beta = H'Y,
     computed with numpy alone, independently of the library's solve."""

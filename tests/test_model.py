@@ -354,16 +354,20 @@ class TestUpdate:
         assert np.array_equal(model.gram_inv, -10.0 * np.eye(2))
         assert np.array_equal(model.beta, np.zeros((2, 1)))
         assert (model.samples_seen, model.blocks_seen) == (4, 1)
+        assert model._projected is None  # the raising update dropped the record
 
     def test_breakdown_detected(self):
         model = self.corrupted_model()
+        x = np.array([[0.5, 0.5]])
+        predict_raw(model, x)  # the update below reuses this projection
         with pytest.raises(NumericalError, match="positive-definite"):
-            update(model, np.array([[0.5, 0.5]]), np.array([[1.0]]))
+            update(model, x, np.array([[1.0]]))
         self.assert_unchanged(model)
 
     def test_block_breakdown_detected(self):
         model = self.corrupted_model()
         x = np.array([[0.5, 0.5], [-0.5, 1.0], [1.0, 0.0]])
+        predict_raw(model, x[:1])
         with pytest.raises(NumericalError):
             update(model, x, np.ones((3, 1)))
         self.assert_unchanged(model)
@@ -537,6 +541,99 @@ class TestDeferredDowndates:
         for m, reference in zip((model, twin), expected):
             assert m.gram_inv.tobytes() == reference.gram_inv.tobytes()
             assert m.beta.tobytes() == reference.beta.tobytes()
+
+
+class TestProjectionReuse:
+    """predict_raw on one row keeps its hidden output for the update that
+    learns the same row next, so test-then-train projects each row once."""
+
+    def test_predict_then_update_matches_update_alone_bit_for_bit(self, projections):
+        # H = 140 gives a buffer of 32 rows: the 45 rows fold once.
+        layer, x, y = stream_fixture(seed=60, hidden=140)
+        served, reference = (init_phase(layer, x[:30], y[:30], ridge=1.0) for _ in range(2))
+        projections.clear()
+        for i in range(30, 75):
+            xi, yi = x[i : i + 1], y[i : i + 1]
+            predicted = predict_raw(served, xi)
+            raw = update(served, xi, yi)
+            assert served._projected is None
+            assert raw.tobytes() == predicted.tobytes()
+            assert raw.tobytes() == update(reference, xi, yi).tobytes()
+        assert served.beta.tobytes() == reference.beta.tobytes()
+        assert served.gram_inv.tobytes() == reference.gram_inv.tobytes()
+        assert served._pending == reference._pending == 45 - 33
+        # One projection per row for the served model, one for the reference.
+        assert projections == [1] * 90
+
+    def test_row_changed_in_place_is_projected_again(self, projections):
+        layer, x, y = stream_fixture(seed=61)
+        served, reference = (init_phase(layer, x[:30], y[:30]) for _ in range(2))
+        row = x[30:31].copy()
+        predict_raw(served, row)
+        row[0, 3] += 0.25
+        projections.clear()
+        update(served, row, y[30:31])
+        assert projections == [1]
+        update(reference, row, y[30:31])
+        assert served.beta.tobytes() == reference.beta.tobytes()
+
+    def test_swapped_hidden_layer_is_projected_again(self, projections):
+        layer, x, y = stream_fixture(seed=62)
+        served, reference = (init_phase(layer, x[:30], y[:30]) for _ in range(2))
+        predict_raw(served, x[30:31])
+        other = init_hidden(10, 20, "sigmoid", seed=63)
+        served.hidden = reference.hidden = other
+        projections.clear()
+        update(served, x[30:31], y[30:31])
+        assert projections == [1]
+        update(reference, x[30:31], y[30:31])
+        assert served.beta.tobytes() == reference.beta.tobytes()
+
+    def test_another_row_is_projected_and_drops_the_record(self, projections):
+        layer, x, y = stream_fixture(seed=64)
+        model = init_phase(layer, x[:30], y[:30])
+        predict_raw(model, x[30:31])
+        projections.clear()
+        update(model, x[31:32], y[31:32])
+        update(model, x[30:31], y[30:31])  # its record went with the update before
+        assert projections == [1, 1]
+
+    def test_same_bytes_in_another_shape_are_not_reused(self):
+        # Two rows of 5 features hold the recorded row's 80 bytes exactly.
+        layer, x, y = stream_fixture(seed=68)
+        model = init_phase(layer, x[:30], y[:30])
+        predict_raw(model, x[30:31])
+        with pytest.raises(ShapeError, match="5 features"):
+            update(model, x[30:31].reshape(2, 5), y[30:32])
+
+    def test_block_is_projected_twice(self, projections):
+        layer, x, y = stream_fixture(seed=65)
+        model = init_phase(layer, x[:30], y[:30])
+        projections.clear()
+        predict_raw(model, x[30:32])
+        assert model._projected is None
+        update(model, x[30:32], y[30:32])
+        assert projections == [2, 2]
+
+    def test_rejected_update_drops_the_record(self, projections):
+        layer, x, y = stream_fixture(seed=66)
+        model = init_phase(layer, x[:30], y[:30])
+        predict_raw(model, x[30:31])
+        with pytest.raises(ShapeError):
+            update(model, x[30:31], y[30:31, :2])
+        assert model._projected is None
+        projections.clear()
+        update(model, x[30:31], y[30:31])
+        assert projections == [1]
+
+    def test_record_is_not_saved(self, tmp_path):
+        layer, x, y = stream_fixture(seed=67)
+        model = init_phase(layer, x[:30], y[:30])
+        save_model(tmp_path / "before.elm", model)
+        predict_raw(model, x[30:31])
+        save_model(tmp_path / "after.elm", model)
+        assert (tmp_path / "before.elm").read_bytes() == (tmp_path / "after.elm").read_bytes()
+        assert load_model(tmp_path / "after.elm")[0]._projected is None
 
 
 class TestIllConditionedStream:

@@ -1,5 +1,5 @@
-"""Property-based tests of the file codecs: the model file and the sparse
-dataset format.
+"""Property-based tests of the file codecs (the model file and the sparse
+dataset format) and of the model's test-then-train path.
 
 A saved model must load back bit for bit, and a corrupted file must either
 raise DataError or load a model whose arrays match the header and are
@@ -8,9 +8,13 @@ Likewise a sparse file written by the test-side writer must load back
 exactly, and a corrupted one must raise DataError or load a dataset of the
 declared widths with finite features and 0/1 labels. A dense CSV text,
 well-formed or not, must give ``load_csv`` and its per-line reference
-reader the same arrays or the same DataError.
+reader the same arrays or the same DataError. And no interleaving of
+``predict_raw`` with ``update``, in-place edits of the row and model copies
+changes a bit of what ``update`` learns.
 Examples are derandomized, so every run checks the same cases.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -27,12 +31,17 @@ from elmstream.data import (  # noqa: E402
     load_csv,
     load_sparse,
 )
+from elmstream.labels import to_bipolar  # noqa: E402
 from elmstream.model import (  # noqa: E402
     ACTIVATIONS,
     HiddenLayer,
     OselmModel,
+    init_hidden,
+    init_phase,
     load_model,
+    predict_raw,
     save_model,
+    update,
 )
 
 FUZZ = settings(derandomize=True, deadline=None)
@@ -340,3 +349,47 @@ def test_csv_load_matches_the_per_line_reader(csv_path, drawn):
     assert csv_outcome(load_csv, csv_path, m, has_header) == csv_outcome(
         _csv_by_line, csv_path, m, has_header
     )
+
+
+# Steps of a served stream: predict the current row on model pair i, change
+# the row in place, take stream row k as the current row, learn the current
+# row or stream row k on pair i, or copy pair i.
+serving_steps = st.lists(
+    st.tuples(
+        st.sampled_from(("predict", "edit", "row", "learn", "learn_other", "copy")),
+        st.integers(0, 63),
+    ),
+    max_size=40,
+)
+
+
+@settings(FUZZ, max_examples=200)
+@given(steps=serving_steps)
+def test_predict_raw_never_changes_what_update_learns(steps):
+    # H = 12 gives a buffer of 3 pending rows, so folds come often.
+    rng = np.random.default_rng(70)
+    x = rng.uniform(-1, 1, (40, 4))
+    y = to_bipolar(rng.integers(0, 2, (40, 2)))
+    model = init_phase(init_hidden(4, 12, "sigmoid", seed=71), x[:30], y[:30], ridge=1.0)
+    # Each pair is a served model and a reference that never sees predict_raw.
+    pairs = [(model, copy.copy(model))]
+    row, label = x[30:31].copy(), y[30:31]
+    for step, k in steps:
+        served, reference = pairs[k % len(pairs)]
+        i = 30 + k % 10
+        if step == "predict":
+            predict_raw(served, row)
+        elif step == "edit":
+            row[0, k % 4] += 0.5
+        elif step == "row":
+            row, label = x[i : i + 1].copy(), y[i : i + 1]
+        elif step == "learn":
+            assert update(served, row, label).tobytes() == update(reference, row, label).tobytes()
+        elif step == "learn_other":
+            update(served, x[i : i + 1], y[i : i + 1])
+            update(reference, x[i : i + 1], y[i : i + 1])
+        else:
+            pairs.append((copy.copy(served), copy.copy(reference)))
+    for served, reference in pairs:
+        assert served.beta.tobytes() == reference.beta.tobytes()
+        assert served.gram_inv.tobytes() == reference.gram_inv.tobytes()

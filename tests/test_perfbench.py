@@ -23,3 +23,16 @@ def test_smoke_pass_serves_every_arrival_within_the_gate(name):
     assert result.failed == 0
     assert len(result.latencies) > 0
     assert w.gate(norm, learner) <= workloads.GATE_TOL
+
+
+@pytest.mark.parametrize("name, per_arrival", [("prequential_b1", 1), ("block_h1000", 2)])
+def test_smoke_pass_projects_each_single_row_arrival_once(name, per_arrival, projections):
+    # The set-up projects the initial block twice (init_phase, then the
+    # threshold calibration) and each test-set scoring once. A single-row
+    # arrival's update reuses predict_raw's projection; a block is
+    # projected by predict_raw and again by update.
+    w = workloads.StreamWorkload(workloads.SPECS[name]["smoke"], seed=11)
+    result, _, _ = w.one_pass()
+    assert result.failed == 0
+    arrivals = len(result.latencies)
+    assert len(projections) == per_arrival * arrivals + 2 + workloads.EVAL_REPS
