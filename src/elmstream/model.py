@@ -132,6 +132,16 @@ def hidden_output(layer: HiddenLayer, x) -> np.ndarray:
 _PENDING_ROWS = 32
 
 
+# predict_raw keeps the hidden output of an arrival of at most _RECORD_ROWS
+# rows for the update that learns it next: 0.5 MB at H = 1000. Arrivals of 1
+# to 50 rows fit; calibrations and test-set scorings of 600 to 1500 rows do
+# not. Kept too, the init block's calibration (12 MB at H = 1000) and a
+# 1196-row scoring (9.6 MB) stayed alive until the next update and raised a
+# block_h1000 run's peak RSS from 154.9 MB to 177 MB; records of at most 64
+# rows read 154.4-155.0 MB.
+_RECORD_ROWS = 64
+
+
 def _capacity(rows: int, hidden_count: int) -> int:
     capacity = min(max(_PENDING_ROWS, 4 * rows), hidden_count // 4)
     return capacity if 2 * rows <= capacity else 0
@@ -171,12 +181,13 @@ class OselmModel:
     gives a model with its own buffer for G, so the copy and the original
     can be updated apart.
 
-    ``predict_raw`` on a single row keeps one record of its projection:
-    the hidden layer object, a private copy of the row's bytes and the
-    row's hidden output. The next ``update`` takes the record and drops it,
-    and reuses that hidden output when it learns the same single row
-    through the same layer. The record is never saved, and ``copy.copy``
-    shares it: it is keyed by the layer and the row, not by the state.
+    ``predict_raw`` on an arrival of 1 to 64 rows keeps one record of its
+    projection: the hidden layer object, the rows' shape, a private copy of
+    their bytes and their hidden output. The next ``update`` takes the
+    record and drops it, and reuses that hidden output when it learns the
+    same rows, in the same shape, through the same layer. The record is
+    never saved, and ``copy.copy`` shares it: it is keyed by the layer and
+    the rows, not by the state.
     """
 
     def __init__(
@@ -194,7 +205,7 @@ class OselmModel:
         self.threshold = threshold
         self.samples_seen = samples_seen
         self.blocks_seen = blocks_seen
-        self._projected = None  # (layer, row bytes, hidden output) of predict_raw's last row
+        self._projected = None  # (layer, shape, bytes, hidden output) of predict_raw's rows
 
     @property
     def gram_inv(self) -> np.ndarray:
@@ -309,17 +320,18 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     the new rows are returned: bit for bit what ``predict_raw`` gave just
     before the call, so ``decode(update(model, x, y), threshold)`` is a
     test-then-train step with one hidden projection. ``predict_raw`` then
-    ``update`` on the same single row projects it once too: the update
-    reuses the hidden output ``predict_raw`` recorded when it gets one row
-    whose bytes equal the recorded row's and the model's ``hidden`` is the
-    layer that projected it. Any other update projects its rows itself.
-    Every update drops the record, also one that raises. The model is left
-    unchanged when the update raises: S that is not positive definite
-    raises NumericalError, as do non-finite V, weights or folded M0. A
-    row whose fold could overflow is folded by the update that brings
-    it, so the pending rows always fold finitely: a read of ``gram_inv``,
-    such as ``save_model``'s, does not raise, and the update that made M
-    overflow is the one that raises.
+    ``update`` on the same rows projects them once too: the update reuses
+    the hidden output ``predict_raw`` recorded when it gets rows of the
+    recorded shape whose bytes equal the recorded rows' and the model's
+    ``hidden`` is the layer that projected them. Any other update projects
+    its rows itself. Every update drops the record, also one that raises,
+    and lets go of it before the Woodbury step allocates its arrays. The
+    model is left unchanged when the update raises: S that is not
+    positive definite raises NumericalError, as do non-finite V, weights
+    or folded M0. A row whose fold could overflow is folded by the update
+    that brings it, so the pending rows always fold finitely: a read of
+    ``gram_inv``, such as ``save_model``'s, does not raise, and the update
+    that made M overflow is the one that raises.
     """
     projected, model._projected = model._projected, None
     if model.samples_seen < 1:
@@ -335,15 +347,22 @@ def update(model: OselmModel, x, y) -> np.ndarray:
         raise ShapeError(
             f"targets have {y.shape[1]} labels, model expects {model.label_count}"
         )
+    # The layer is compared by identity: == would compare its arrays. The
+    # shape is compared because another shape can hold the same bytes, and
+    # the reused h skips hidden_output's feature-count check.
     if (
-        rows == 1
-        and projected is not None
+        projected is not None
         and projected[0] is model.hidden
-        and projected[1] == x.tobytes()
+        and projected[1] == x.shape
+        and projected[2] == x.tobytes()
     ):
-        h = projected[2]
+        h = projected[3]
     else:
         h = hidden_output(model.hidden, x)
+    # Held until the update returned, the record moved a block_h1000 run's
+    # peak RSS between glibc's modes of about 154.9 and 170 MB, with the
+    # allocation order.
+    del projected
     raw = h @ model.beta
     base, buffer, pending, room = model._base, model._downdates, model._pending, model._room
     hm = h @ base  # B x hidden_count, equal to (M0 H')' as M0 is symmetric
@@ -395,17 +414,22 @@ def update(model: OselmModel, x, y) -> np.ndarray:
 def predict_raw(model: OselmModel, x) -> np.ndarray:
     """Raw (unthresholded) output values: hidden activations times beta.
 
-    On a single row the model keeps the layer, a private copy of the row's
-    bytes and its hidden output, for the ``update`` that learns the row
-    next: that update then does not project it again. A row changed in
-    place in between no longer matches its copy and is projected again.
-    A row whose projection is not finite raises before it is recorded, so
-    a record never holds NaN. Predicting more rows than one drops the
-    record, ``update`` always drops it, and ``save_model`` never writes it.
+    On 1 to ``_RECORD_ROWS`` (64) rows the model keeps the layer, the
+    rows' shape, a private copy of their bytes and their hidden output, for
+    the ``update`` that learns the rows next: that update then does not
+    project them again. Rows changed in place in between no longer match
+    their copy and are projected again. Rows whose projection is not
+    finite raise before they are recorded, so a record never holds NaN.
+    Every other call drops the record: one that raises, and one on no rows
+    or on more than 64, such as a calibration or a test-set scoring, whose
+    hidden output would stay alive until the next update. ``update``
+    always drops the record, and ``save_model`` never writes it.
     """
+    model._projected = None
     x = as_matrix(x, "input")
     h = hidden_output(model.hidden, x)
-    model._projected = (model.hidden, x.tobytes(), h) if len(x) == 1 else None
+    if 1 <= len(x) <= _RECORD_ROWS:
+        model._projected = (model.hidden, x.shape, x.tobytes(), h)
     return ensure_finite(h @ model.beta, "raw outputs")
 
 

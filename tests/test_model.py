@@ -544,8 +544,9 @@ class TestDeferredDowndates:
 
 
 class TestProjectionReuse:
-    """predict_raw on one row keeps its hidden output for the update that
-    learns the same row next, so test-then-train projects each row once."""
+    """predict_raw on an arrival of up to 64 rows keeps its hidden output for
+    the update that learns the same rows next, so test-then-train projects
+    each arrival once."""
 
     def test_predict_then_update_matches_update_alone_bit_for_bit(self, projections):
         # H = 140 gives a buffer of 32 rows: the 45 rows fold once.
@@ -599,21 +600,65 @@ class TestProjectionReuse:
         assert projections == [1, 1]
 
     def test_same_bytes_in_another_shape_are_not_reused(self):
-        # Two rows of 5 features hold the recorded row's 80 bytes exactly.
+        # Each presented shape holds the recorded rows' bytes exactly.
         layer, x, y = stream_fixture(seed=68)
         model = init_phase(layer, x[:30], y[:30])
-        predict_raw(model, x[30:31])
-        with pytest.raises(ShapeError, match="5 features"):
-            update(model, x[30:31].reshape(2, 5), y[30:32])
+        for rows, shape in ((1, (2, 5)), (2, (4, 5)), (2, (1, 20))):
+            predict_raw(model, x[30 : 30 + rows])
+            with pytest.raises(ShapeError, match=f"has {shape[1]} features"):
+                update(model, x[30 : 30 + rows].reshape(shape), y[30 : 30 + shape[0]])
 
-    def test_block_is_projected_twice(self, projections):
-        layer, x, y = stream_fixture(seed=65)
+    @pytest.mark.parametrize("size, count", [(2, 20), (50, 2), (64, 2)])
+    def test_block_is_projected_once(self, size, count, projections):
+        # At H = 140, blocks of 2 fill the 32-row buffer and fold at the
+        # 17th block; blocks of 50 or 64 get no buffer and fold every time.
+        layer, x, y = stream_fixture(seed=65, hidden=140)
+        served, reference = (init_phase(layer, x[:30], y[:30], ridge=1.0) for _ in range(2))
+        projections.clear()
+        for s in range(30, 30 + size * count, size):
+            xb, yb = x[s : s + size], y[s : s + size]
+            predicted = predict_raw(served, xb)
+            raw = update(served, xb, yb)
+            assert served._projected is None
+            assert raw.tobytes() == predicted.tobytes()
+            assert raw.tobytes() == update(reference, xb, yb).tobytes()
+        assert served.beta.tobytes() == reference.beta.tobytes()
+        assert served.gram_inv.tobytes() == reference.gram_inv.tobytes()
+        assert served._pending == reference._pending < size * count
+        # One projection per block for the served model, one for the reference.
+        assert projections == [size] * (2 * count)
+
+    def test_block_over_the_bound_is_projected_twice(self, projections):
+        layer, x, y = stream_fixture(seed=69)
         model = init_phase(layer, x[:30], y[:30])
         projections.clear()
-        predict_raw(model, x[30:32])
+        predict_raw(model, x[30:95])
         assert model._projected is None
-        update(model, x[30:32], y[30:32])
-        assert projections == [2, 2]
+        update(model, x[30:95], y[30:95])
+        assert projections == [65, 65]
+
+    def test_block_changed_in_place_is_projected_again(self, projections):
+        layer, x, y = stream_fixture(seed=72)
+        served, reference = (init_phase(layer, x[:30], y[:30]) for _ in range(2))
+        block = x[30:40].copy()
+        predict_raw(served, block)
+        block[7, 2] += 0.25
+        projections.clear()
+        update(served, block, y[30:40])
+        assert projections == [10]
+        update(reference, block, y[30:40])
+        assert served.beta.tobytes() == reference.beta.tobytes()
+
+    def test_prediction_on_no_rows_or_rejected_drops_the_record(self):
+        layer, x, y = stream_fixture(seed=73)
+        model = init_phase(layer, x[:30], y[:30])
+        predict_raw(model, x[30:31])
+        assert predict_raw(model, x[30:30]).shape == (0, 3)
+        assert model._projected is None
+        predict_raw(model, x[30:31])
+        with pytest.raises(ShapeError):
+            predict_raw(model, x[30:31, :5])
+        assert model._projected is None
 
     def test_rejected_update_drops_the_record(self, projections):
         layer, x, y = stream_fixture(seed=66)

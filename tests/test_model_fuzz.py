@@ -9,8 +9,8 @@ exactly, and a corrupted one must raise DataError or load a dataset of the
 declared widths with finite features and 0/1 labels. A dense CSV text,
 well-formed or not, must give ``load_csv`` and its per-line reference
 reader the same arrays or the same DataError. And no interleaving of
-``predict_raw`` with ``update``, in-place edits of the row and model copies
-changes a bit of what ``update`` learns.
+``predict_raw`` with ``update``, in-place edits of the arrival, its bytes
+in another shape and model copies changes a bit of what ``update`` learns.
 Examples are derandomized, so every run checks the same cases.
 """
 
@@ -33,6 +33,7 @@ from elmstream.data import (  # noqa: E402
 )
 from elmstream.labels import to_bipolar  # noqa: E402
 from elmstream.model import (  # noqa: E402
+    _RECORD_ROWS,
     ACTIVATIONS,
     HiddenLayer,
     OselmModel,
@@ -43,6 +44,7 @@ from elmstream.model import (  # noqa: E402
     save_model,
     update,
 )
+from elmstream.numerics import ShapeError  # noqa: E402
 
 FUZZ = settings(derandomize=True, deadline=None)
 
@@ -351,16 +353,25 @@ def test_csv_load_matches_the_per_line_reader(csv_path, drawn):
     )
 
 
-# Steps of a served stream: predict the current row on model pair i, change
-# the row in place, take stream row k as the current row, learn the current
-# row or stream row k on pair i, or copy pair i.
+# Steps of a served stream: predict the current arrival on model pair i,
+# change it in place, take 1-3 stream rows or one more than a record holds
+# as the current arrival, present its bytes in another shape, learn the
+# current arrival or stream row k on pair i, or copy pair i.
 serving_steps = st.lists(
     st.tuples(
-        st.sampled_from(("predict", "edit", "row", "learn", "learn_other", "copy")),
+        st.sampled_from(("predict", "edit", "rows", "reshape", "learn", "learn_other", "copy")),
         st.integers(0, 63),
     ),
     max_size=40,
 )
+
+
+def learned(model, x, y):
+    """update's raw output bytes, or the text of the ShapeError it raised."""
+    try:
+        return update(model, x, y).tobytes()
+    except ShapeError as exc:
+        return str(exc)
 
 
 @settings(FUZZ, max_examples=200)
@@ -368,23 +379,31 @@ serving_steps = st.lists(
 def test_predict_raw_never_changes_what_update_learns(steps):
     # H = 12 gives a buffer of 3 pending rows, so folds come often.
     rng = np.random.default_rng(70)
-    x = rng.uniform(-1, 1, (40, 4))
-    y = to_bipolar(rng.integers(0, 2, (40, 2)))
+    x = rng.uniform(-1, 1, (200, 4))
+    y = to_bipolar(rng.integers(0, 2, (200, 2)))
     model = init_phase(init_hidden(4, 12, "sigmoid", seed=71), x[:30], y[:30], ridge=1.0)
     # Each pair is a served model and a reference that never sees predict_raw.
     pairs = [(model, copy.copy(model))]
-    row, label = x[30:31].copy(), y[30:31]
+    arrival, label = x[30:31].copy(), y[30:31]
     for step, k in steps:
         served, reference = pairs[k % len(pairs)]
         i = 30 + k % 10
         if step == "predict":
-            predict_raw(served, row)
+            try:
+                predict_raw(served, arrival)
+            except ShapeError:  # a reshaped arrival
+                pass
         elif step == "edit":
-            row[0, k % 4] += 0.5
-        elif step == "row":
-            row, label = x[i : i + 1].copy(), y[i : i + 1]
+            arrival[k % len(arrival), k % arrival.shape[1]] += 0.5
+        elif step == "rows":
+            rows = (1, 2, 3, _RECORD_ROWS + 1)[k % 4]
+            arrival, label = x[i : i + rows].copy(), y[i : i + rows]
+        elif step == "reshape":
+            # Two features a row or one row, with as many label rows.
+            arrival = arrival.reshape((-1, 2) if k % 2 else (1, -1))
+            label = y[i : i + len(arrival)]
         elif step == "learn":
-            assert update(served, row, label).tobytes() == update(reference, row, label).tobytes()
+            assert learned(served, arrival, label) == learned(reference, arrival, label)
         elif step == "learn_other":
             update(served, x[i : i + 1], y[i : i + 1])
             update(reference, x[i : i + 1], y[i : i + 1])

@@ -6,6 +6,7 @@ here catches a change that breaks that API, or the stream/batch gate the
 benchmark checks, before a benchmark run does.
 """
 
+import dataclasses
 import pathlib
 import sys
 
@@ -25,14 +26,19 @@ def test_smoke_pass_serves_every_arrival_within_the_gate(name):
     assert w.gate(norm, learner) <= workloads.GATE_TOL
 
 
-@pytest.mark.parametrize("name, per_arrival", [("prequential_b1", 1), ("block_h1000", 2)])
-def test_smoke_pass_projects_each_single_row_arrival_once(name, per_arrival, projections):
+@pytest.mark.parametrize("name", ["prequential_b1", "block_h1000"])
+def test_smoke_pass_projects_each_arrival_once(name, projections):
     # The set-up projects the initial block twice (init_phase, then the
-    # threshold calibration) and each test-set scoring once. A single-row
-    # arrival's update reuses predict_raw's projection; a block is
-    # projected by predict_raw and again by update.
-    w = workloads.StreamWorkload(workloads.SPECS[name]["smoke"], seed=11)
-    result, _, _ = w.one_pass()
+    # threshold calibration) and each test-set scoring once. Each arrival's
+    # update, a single row or a block, reuses predict_raw's projection.
+    # The test set has its full size: the smoke size's 50 rows would be
+    # recorded, the full workload's 917 or 1196 are not.
+    sizes = workloads.SPECS[name]
+    spec = dataclasses.replace(sizes["smoke"], test_rows=sizes["full"].test_rows)
+    w = workloads.StreamWorkload(spec, seed=11)
+    result, _, learner = w.one_pass()
     assert result.failed == 0
     arrivals = len(result.latencies)
-    assert len(projections) == per_arrival * arrivals + 2 + workloads.EVAL_REPS
+    assert len(projections) == arrivals + 2 + workloads.EVAL_REPS
+    # The scorings drop the record, so none is alive when the gate runs.
+    assert learner._projected is None
