@@ -286,7 +286,9 @@ class Normalizer:
             raise DataError(
                 f"normalizer fitted on {self.scale.size} features, input has {x.shape[-1]}"
             )
-        return x * self.scale + self.offset
+        out = x * self.scale
+        out += self.offset
+        return out
 
 
 def fit_normalizer(ds: LabeledDataset) -> Normalizer:

@@ -8,9 +8,13 @@ how many labels a sample gets and which ones.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import all_finite
 
 __all__ = [
     "ThresholdCalibration",
@@ -40,18 +44,40 @@ class ThresholdCalibration:
     training_hamming: float
 
 
+# to_bipolar maps label l to _BIPOLAR[l]. Labels held in one byte are
+# looked up as uint8, so take()'s bounds check is their 0/1 check: int8 -1
+# reads as 255. Labels of any other dtype are checked and cast first.
+_BIPOLAR = np.array([-1.0, 1.0])
+_BYTE_LABELS = (np.dtype(np.int8), np.dtype(np.uint8), np.dtype(np.bool_))
+
+
 def to_bipolar(y) -> np.ndarray:
     """Map binary labels to bipolar targets: 0 -> -1, 1 -> +1."""
-    y = _as_label_matrix(y)
-    return 2.0 * y - 1.0
+    y = np.asarray(y)
+    if y.dtype not in _BYTE_LABELS or y.ndim != 2 or y.size == 0:
+        y = _as_label_matrix(y)
+    try:
+        return _BIPOLAR.take(y.view(np.uint8))
+    except IndexError:
+        raise ValueError("labels entries must all be 0 or 1") from None
 
 
 def decode(raw, threshold: float) -> np.ndarray:
-    """Predict label j for sample i iff raw[i, j] > threshold (strict)."""
+    """Predict label j for sample i iff raw[i, j] > threshold (strict).
+
+    ``threshold`` is one real number, the same for every label; +inf
+    predicts no label and -inf every one.
+    """
+    if not isinstance(threshold, numbers.Real):
+        raise ValueError(
+            f"threshold must be a real scalar, got {type(threshold).__name__}"
+        )
+    if math.isnan(threshold):
+        raise ValueError("threshold is NaN")
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 2:
         raise ValueError(f"raw outputs must be 2-D, got ndim={raw.ndim}")
-    if not np.isfinite(raw).all():
+    if not all_finite(raw):
         raise ValueError("raw outputs contain non-finite values")
     return (raw > threshold).astype(np.int8)
 

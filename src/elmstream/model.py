@@ -371,28 +371,32 @@ def update(model: OselmModel, x, y) -> np.ndarray:
         hm -= (h @ g.T) @ g
     residual = y - raw
     if rows == 1:
-        denom = 1.0 + float(hm[0] @ h[0])
+        denom = 1.0 + np.vdot(hm, h)
         if denom <= 0.0:
             raise NumericalError(
                 f"update denominator {denom:.3e} <= 0: inverse Gram matrix "
                 "lost positive-definiteness"
             )
-        root = np.sqrt(denom)
-        v = hm / root
-        step = residual / root
+        root = math.sqrt(denom)
+        hm /= root
+        v = hm
+        residual /= root
+        step = residual
     else:
         s = np.eye(rows) + hm @ h.T
         s = (s + s.T) / 2.0
         l_inv = invert_lower(cholesky_spd(s))
         v = l_inv @ hm
         step = l_inv @ residual
-    ensure_finite(v, "inverse Gram matrix")
+    norms = float(np.vdot(v, v))  # the sum of V's squared row norms
+    if not math.isfinite(norms):  # finite rows can overflow it: check exactly
+        ensure_finite(v, "inverse Gram matrix")
     # For one row V'step is an outer product, each entry one rounded
     # product: np.dot hands it to BLAS with matmul's bits, where matmul's
     # own loop for this layout took 10-15 us against 2 us at H = 300.
-    beta_new = model.beta + (np.dot(v.T, step) if rows == 1 else v.T @ step)
+    beta_new = np.dot(v.T, step) if rows == 1 else v.T @ step
+    beta_new += model.beta
     ensure_finite(beta_new, "output weights")
-    norms = float(np.vdot(v, v))  # the sum of V's squared row norms
     # The model's state is replaced only after the fold's check.
     if pending + rows <= len(buffer) and 2 * rows <= len(buffer) and norms <= room:
         buffer[pending : pending + rows] = v

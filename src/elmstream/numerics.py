@@ -15,6 +15,8 @@ symmetric by construction, so symmetry is checked exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "NumericalError",
     "SingularMatrixError",
     "as_matrix",
+    "all_finite",
     "ensure_finite",
     "cholesky_spd",
     "invert_lower",
@@ -56,9 +59,20 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite.
+
+    A sum of squares is finite only if every entry is, and the dot that
+    forms it raises no overflow warning, so one dot proves the common case
+    with no mask allocated. The exact test runs only when the sum is not
+    finite, which finite entries whose squares overflow also give.
+    """
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def ensure_finite(a: np.ndarray, what: str = "result") -> np.ndarray:
     """Raise NumericalError unless every entry of ``a`` is finite."""
-    if not np.isfinite(a).all():
+    if not all_finite(a):
         raise NumericalError(f"{what} contains non-finite entries")
     return a
 

@@ -42,6 +42,46 @@ class TestBipolar:
         with pytest.raises(ValueError):
             to_bipolar([[0, 2]])
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.bool_])
+    def test_byte_labels_match_the_affine_map_bit_for_bit(self, dtype):
+        y = np.random.default_rng(5).integers(0, 2, size=(30, 14)).astype(dtype)
+        for labels in (y, y[:, ::3], y.T):
+            out = to_bipolar(labels)
+            expected = 2.0 * labels - 1.0
+            assert out.dtype == np.float64 and out.shape == labels.shape
+            assert out.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "bad", [np.int8(-1), np.int8(2), np.int8(-128), np.uint8(255)], ids=repr
+    )
+    def test_byte_labels_out_of_range_rejected(self, bad):
+        y = np.zeros((3, 4), dtype=bad.dtype)
+        y[1, 2] = bad
+        with pytest.raises(ValueError, match="^labels entries must all be 0 or 1$"):
+            to_bipolar(y)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (np.array([0, 1], dtype=np.int8), "labels must be 2-D, got ndim=1"),
+            (np.zeros((0, 3), dtype=np.int8), "labels must have at least one row and one column"),
+            ([[]], "labels must have at least one row and one column"),
+            (np.array([[0.0, 0.5]]), "labels entries must all be 0 or 1"),
+            (np.array([[0, 2]], dtype=np.int64), "labels entries must all be 0 or 1"),
+        ],
+        ids=["1-D", "empty_int8", "empty_list", "float_half", "int64_two"],
+    )
+    def test_other_inputs_keep_their_messages(self, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            to_bipolar(labels)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_other_dtypes_are_checked_then_mapped(self, dtype):
+        y = np.array([[0, 1, 1], [1, 0, 0]], dtype=dtype)
+        out = to_bipolar(y)
+        assert out.dtype == np.float64
+        assert out.tobytes() == (2.0 * y.astype(np.int8) - 1.0).tobytes()
+
 
 class TestDecode:
     def test_basic(self):
@@ -72,6 +112,30 @@ class TestDecode:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             decode(np.array([[np.nan]]), 0.0)
+
+    def test_infinite_thresholds_give_all_or_no_labels(self):
+        raw = np.array([[1e300, -1e300, 0.0]])
+        assert np.array_equal(decode(raw, -np.inf), [[1, 1, 1]])
+        assert np.array_equal(decode(raw, np.inf), [[0, 0, 0]])
+
+    def test_numpy_and_integer_scalars_accepted(self):
+        raw = np.array([[0.5, -0.2, 1.0]])
+        for t in (np.float64(0.5), np.float32(0.5), 0, np.int64(0)):
+            assert np.array_equal(decode(raw, t), (raw > t).astype(np.int8))
+
+    def test_nan_threshold_rejected(self):
+        # raw > NaN is false everywhere: every label set would come back empty.
+        with pytest.raises(ValueError, match="^threshold is NaN$"):
+            decode(np.array([[0.5]]), np.nan)
+
+    @pytest.mark.parametrize(
+        "threshold", [np.array([0.0, -0.5]), np.array([0.0]), np.array(0.0), [0.0], "0.5", None],
+        ids=["per_label", "length_one", "zero_d", "list", "str", "none"],
+    )
+    def test_non_scalar_threshold_rejected(self, threshold):
+        # An array would broadcast: each label decoded against its own threshold.
+        with pytest.raises(ValueError, match="^threshold must be a real scalar"):
+            decode(np.array([[0.5, -0.2]]), threshold)
 
 
 class TestCalibrateThreshold:

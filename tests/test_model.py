@@ -543,6 +543,77 @@ class TestDeferredDowndates:
             assert m.beta.tobytes() == reference.beta.tobytes()
 
 
+def reference_single_row_step(state, h, y):
+    """(M0, pending rows, beta) after one row, by update's single-row
+    formulas with fresh arrays at every step; rows fold when the buffer
+    of _capacity(1, H) rows is full."""
+    base, rows, beta = state
+    hm = h @ base
+    if rows:
+        g = np.array(rows)
+        hm -= (h @ g.T) @ g
+    residual = y - h @ beta
+    root = np.sqrt(1.0 + float(hm[0] @ h[0]))
+    v = hm / root
+    step = residual / root
+    beta = beta + np.dot(v.T, step)
+    rows = rows + [v[0]]
+    if len(rows) <= _capacity(1, len(base)):
+        return base, rows, beta
+    g = np.array(rows)
+    return base - g.T @ g, [], beta
+
+
+class TestSingleRowStep:
+    """The single-row step is bit for bit the formulas it trims: each
+    arrival's beta and folded M equal a reference step's, through folds."""
+
+    @staticmethod
+    def state_bytes(model):
+        return model.beta.tobytes(), model.gram_inv.tobytes()
+
+    @staticmethod
+    def reference_bytes(state):
+        base, rows, beta = state
+        if rows:
+            g = np.array(rows)
+            base = base - g.T @ g
+        return beta.tobytes(), base.tobytes()
+
+    def test_stream_matches_the_reference_step_bit_for_bit(self):
+        # H = 20 gives a buffer of 5 rows: 200 rows fold 33 times.
+        layer, x, y = stream_fixture(seed=70, n=230, hidden=20)
+        model = init_phase(layer, x[:30], y[:30])
+        state = (model.gram_inv.copy(), [], model.beta.copy())
+        folds = 0
+        for i in range(30, 230):
+            xi, yi = x[i : i + 1], y[i : i + 1]
+            if i % 2:
+                predict_raw(model, xi)  # the update reuses this projection
+            update(model, xi, yi)
+            state = reference_single_row_step(state, hidden_output(layer, xi), yi)
+            folds += not state[1]
+            assert model._pending == len(state[1])
+            assert self.state_bytes(model) == self.reference_bytes(state)
+        assert folds == 33
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["features", "targets"])
+    def test_non_finite_row_leaves_the_model_unchanged(self, value, where):
+        layer, x, y = stream_fixture(seed=71, hidden=20)
+        model = init_phase(layer, x[:30], y[:30])
+        for i in range(30, 33):
+            update(model, x[i : i + 1], y[i : i + 1])
+        before = self.state_bytes(model), model._pending, model._room
+        xi, yi = x[33:34].copy(), y[33:34].copy()
+        (xi if where == "features" else yi)[0, 1] = value
+        error = NumericalError if where == "features" else ValueError
+        with pytest.raises(error):
+            update(model, xi, yi)
+        assert (self.state_bytes(model), model._pending, model._room) == before
+        assert (model.samples_seen, model.blocks_seen) == (33, 4)
+
+
 class TestProjectionReuse:
     """predict_raw on an arrival of up to 64 rows keeps its hidden output for
     the update that learns the same rows next, so test-then-train projects

@@ -1,12 +1,17 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+from elmstream.labels import decode
 from elmstream.model import OselmModel, init_hidden, update
 from elmstream.numerics import (
     NumericalError,
     ShapeError,
     SingularMatrixError,
     cholesky_spd,
+    ensure_finite,
     invert_lower,
 )
 
@@ -14,6 +19,37 @@ from elmstream.numerics import (
 def random_spd(rng, n, shift=1.0):
     g = rng.normal(size=(n, n))
     return g.T @ g + shift * np.eye(n)
+
+
+# ensure_finite and decode prove a finite array with one dot, a sum of
+# squares, and test each entry only when that sum is not finite.
+FINITE_CHECKS = [
+    pytest.param(ensure_finite, NumericalError, "result contains non-finite entries",
+                 id="ensure_finite"),
+    pytest.param(lambda a: decode(a, 0.0), ValueError, "raw outputs contain non-finite values",
+                 id="decode"),
+]
+
+
+@pytest.mark.parametrize("check, error, message", FINITE_CHECKS)
+class TestFinitenessProof:
+    def test_squares_that_overflow_are_accepted_without_a_warning(self, check, error, message):
+        a = np.array([[1e200, -1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check(a)
+            check(a.T)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (25, 500), (49, 999)],
+                             ids=["first", "middle", "last"])
+    def test_non_finite_entry_rejected(self, check, error, message, value, where):
+        a = np.random.default_rng(3).normal(size=(50, 1000))
+        check(a)
+        a[where] = value
+        for view in (a, a.T):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                check(view)
 
 
 class TestCholeskySpd:
