@@ -44,7 +44,7 @@ from .model import (
     save_model,
     update,
 )
-from .numerics import NumericalError, ShapeError
+from .numerics import NumericalError
 
 __all__ = ["RunConfig", "main", "run_train", "run_eval", "run_cv"]
 
@@ -93,10 +93,15 @@ _FIELD_TYPES = {
     if name != "command"
 }
 
+_FORMATS = ("csv", "sparse")
+
 # Bounds a value must meet whatever the data: (keys, test, requirement).
+# Flags and config-file values both pass through this one table.
 # Limits that depend on the data, such as an init block longer than the
 # file, are data errors raised where the data is read.
 _BOUNDS = [
+    (("format",), lambda v: v in _FORMATS, " or ".join(_FORMATS)),
+    (("activation",), lambda v: v in ACTIVATIONS, f"one of {sorted(ACTIVATIONS)}"),
     (("labels", "features", "hidden", "init_block", "block"), lambda v: v >= 1, ">= 1"),
     (("folds",), lambda v: v >= 2, ">= 2"),
     (("seed", "shuffle_seed"), lambda v: v >= 0, ">= 0"),
@@ -117,7 +122,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key-value config file; flags override it")
     p.add_argument("--data", help="dataset path")
-    p.add_argument("--format", choices=("csv", "sparse"), help="dataset format")
+    p.add_argument("--format", metavar="|".join(_FORMATS), help="dataset format")
     p.add_argument("--header", action="store_true", default=None,
                    help="CSV file starts with a header line")
     p.add_argument("--labels", type=int, metavar="M", help="number of labels")
@@ -129,7 +134,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_training(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", type=int, metavar="N", help="hidden neuron count (required)")
-    p.add_argument("--activation", choices=sorted(ACTIVATIONS), help="hidden activation")
+    p.add_argument("--activation", metavar="|".join(sorted(ACTIVATIONS)),
+                   help="hidden activation")
     p.add_argument("--ridge", type=float, help="ridge term for the initial solve (default 0)")
     p.add_argument("--init-block", dest="init_block", type=int, metavar="N0",
                    help="rows in the initialization block")
@@ -215,12 +221,6 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
         if (value := getattr(ns, name, None)) is not None
     }
     cfg = RunConfig(command=ns.command, **{**file_values, **flag_values})
-    if cfg.format not in ("csv", "sparse"):
-        raise UsageError(f"--format must be csv or sparse, got {cfg.format!r}")
-    if cfg.activation not in ACTIVATIONS:
-        raise UsageError(
-            f"--activation must be one of {sorted(ACTIVATIONS)}, got {cfg.activation!r}"
-        )
     for names, ok, requirement in _BOUNDS:
         for name in names:
             value = getattr(cfg, name)
@@ -331,14 +331,12 @@ def _evaluate(
     ds: LabeledDataset,
     train_time: float = 0.0,
 ) -> MetricsReport:
-    if ds.n_features != model.hidden.input_dim:
-        raise DataError(
-            f"dataset has {ds.n_features} features, model expects {model.hidden.input_dim}"
-        )
-    if ds.n_labels != model.label_count:
-        raise DataError(
-            f"dataset has {ds.n_labels} labels, model expects {model.label_count}"
-        )
+    for name, have, want in (
+        ("features", ds.n_features, model.hidden.input_dim),
+        ("labels", ds.n_labels, model.label_count),
+    ):
+        if have != want:
+            raise DataError(f"dataset has {have} {name}, model expects {want}")
     x = norm.transform(ds.features) if norm is not None else ds.features
     start = time.perf_counter()
     pred = decode(predict_raw(model, x), model.threshold)
@@ -413,7 +411,7 @@ def cmd_cv(cfg: RunConfig) -> int:
     if cfg.out:
         lines = [f"folds\t{len(outcome.reports)}"]
         for i, report in enumerate(outcome.reports):
-            lines += [f"fold{i}_{n}\t{getattr(report, n):.6f}" for n in _METRIC_FIELDS]
+            lines += [f"fold{i}_{line}" for line in report_kv_lines(report)]
         for name in _METRIC_FIELDS:
             lines.append(f"{name}_mean\t{outcome.mean(name):.6f}")
             lines.append(f"{name}_std\t{outcome.std(name):.6f}")
@@ -465,7 +463,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, ShapeError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

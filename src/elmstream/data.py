@@ -210,6 +210,21 @@ def _csv_by_line(path: str, label_count: int, has_header: bool) -> LabeledDatase
     )
 
 
+def _index(text: str, count: int, seen: set, what: str, path: str, lineno: int) -> int:
+    """The 0-based position of the 1-based ``what`` index ``text``, which
+    must lie in 1..count and not be in ``seen``; it is added to ``seen``."""
+    try:
+        idx = int(text)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: bad {what} index {text!r}") from None
+    if not 1 <= idx <= count:
+        raise DataError(f"{path}:{lineno}: {what} index {idx} out of range 1..{count}")
+    if idx in seen:
+        raise DataError(f"{path}:{lineno}: duplicate {what} index {idx}")
+    seen.add(idx)
+    return idx - 1
+
+
 def load_sparse(path, feature_count: int, label_count: int) -> LabeledDataset:
     """Load a sparse ``<labels> <idx>:<val>`` dataset with known dimensions."""
     if feature_count < 1 or label_count < 1:
@@ -227,43 +242,18 @@ def load_sparse(path, feature_count: int, label_count: int) -> LabeledDataset:
         start = 0
         if ":" not in tokens[0]:
             start = 1
-            seen_labels = set()
+            seen = set()
             for part in tokens[0].split(","):
-                try:
-                    idx = int(part)
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: bad label index {part!r}"
-                    ) from None
-                if not 1 <= idx <= label_count:
-                    raise DataError(
-                        f"{path}:{lineno}: label index {idx} out of range 1..{label_count}"
-                    )
-                if idx in seen_labels:
-                    raise DataError(f"{path}:{lineno}: duplicate label index {idx}")
-                seen_labels.add(idx)
-                labs[idx - 1] = 1
-        seen_features = set()
+                labs[_index(part, label_count, seen, "label", path, lineno)] = 1
+        seen = set()
         for token in tokens[start:]:
             idx_text, sep, val_text = token.partition(":")
             if not sep:
                 raise DataError(
                     f"{path}:{lineno}: expected index:value, got {token!r}"
                 )
-            try:
-                idx = int(idx_text)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: bad feature index {idx_text!r}"
-                ) from None
-            if not 1 <= idx <= feature_count:
-                raise DataError(
-                    f"{path}:{lineno}: feature index {idx} out of range 1..{feature_count}"
-                )
-            if idx in seen_features:
-                raise DataError(f"{path}:{lineno}: duplicate feature index {idx}")
-            seen_features.add(idx)
-            feats[idx - 1] = _finite_float(val_text, path, lineno, "feature value")
+            col = _index(idx_text, feature_count, seen, "feature", path, lineno)
+            feats[col] = _finite_float(val_text, path, lineno, "feature value")
         feature_rows.append(feats)
         label_rows.append(labs)
     if not feature_rows:

@@ -1,3 +1,10 @@
+import argparse
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,7 +21,9 @@ from elmstream.cli import (
     run_eval,
     run_train,
 )
-from elmstream.model import load_model
+from elmstream.model import ACTIVATIONS, load_model
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -66,6 +75,22 @@ class TestTrainCommand:
         assert main(train_args(interpolating_csv, out1)) == EXIT_OK
         assert main(train_args(interpolating_csv, out2)) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_fresh_processes_with_one_blas_thread_write_identical_bytes(self, tmp_path):
+        # The README's byte-identity promise holds for one numpy/BLAS build
+        # and one BLAS thread count. H=300 with blocks of 30 gives products
+        # large enough for OpenBLAS to split across threads when it may.
+        data = tmp_path / "train.csv"
+        write_csv(data, synthetic_stream(420, 20, 5, seed=31))
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        outs = [tmp_path / "m1.txt", tmp_path / "m2.txt"]
+        for out in outs:
+            argv = [sys.executable, "-m", "elmstream.cli", "train", "--data", str(data),
+                    "--labels", "5", "--hidden", "300", "--init-block", "330",
+                    "--block", "30", "--seed", "8", "--out", str(out)]
+            subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_underdetermined_init_exits_numeric(self, interpolating_csv, tmp_path, capsys):
         out = tmp_path / "model.txt"
@@ -133,6 +158,16 @@ class TestEvalCommand:
                      "--labels", "3"])
         assert code == EXIT_DATA
         assert "features" in capsys.readouterr().err
+
+    def test_label_count_mismatch_is_data_error(self, interpolating_csv, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        main(train_args(interpolating_csv, model_path))
+        other = tmp_path / "other.csv"
+        write_csv(other, synthetic_stream(10, 4, 2, seed=51))
+        code = main(["eval", "--model", str(model_path), "--data", str(other),
+                     "--labels", "2"])
+        assert code == EXIT_DATA
+        assert "dataset has 2 labels, model expects 3" in capsys.readouterr().err
 
 
 class TestCvCommand:
@@ -345,6 +380,8 @@ class TestUsage:
             ("train", "ridge", "inf"),
             ("train", "seed", "-1"),
             ("train", "shuffle_seed", "-3"),
+            ("train", "format", "xml"),
+            ("train", "activation", "relu"),
             ("cv", "folds", "1"),
             ("cv", "seed", "-1"),
             ("bench", "arrival_interval", "-1"),
@@ -368,6 +405,31 @@ class TestUsage:
         assert main(argv) == EXIT_USAGE
         flag = "--" + key.replace("_", "-")
         assert f"usage error: {flag} must be" in capsys.readouterr().err
+
+    def test_help_lists_the_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        format_line = next(l for l in lines if l.strip().startswith("--format"))
+        activation_line = next(l for l in lines if l.strip().startswith("--activation"))
+        assert "csv" in format_line and "sparse" in format_line
+        for name in ACTIVATIONS:
+            assert name in activation_line
+
+    def test_every_config_key_is_a_flag_and_every_flag_a_key(self):
+        parser = cli._build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        keys = {f.name for f in fields(RunConfig)} - {"command"}
+        flagged = set()
+        for command, p in sub.choices.items():
+            for action in p._actions:
+                flags = [o for o in action.option_strings if o.startswith("--")]
+                if flags in (["--help"], ["--config"]):
+                    continue
+                assert flags == ["--" + action.dest.replace("_", "-")], (command, flags)
+                assert action.dest in keys, (command, action.dest)
+                flagged.add(action.dest)
+        assert flagged == keys
 
     def test_sparse_requires_features(self, tmp_path):
         p = tmp_path / "d.sparse"

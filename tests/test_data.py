@@ -188,6 +188,21 @@ class TestLoadSparse:
         with pytest.raises(DataError, match="feature index 9 out of range"):
             load_sparse(p, feature_count=5, label_count=3)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1,x 2:0.5", "bad label index 'x'"),
+            ("1 y:0.5", "bad feature index 'y'"),
+            ("1 2:0.5 7", "expected index:value, got '7'"),
+        ],
+    )
+    def test_malformed_token_message(self, tmp_path, line, message):
+        p = tmp_path / "bad.sparse"
+        p.write_text(line + "\n")
+        with pytest.raises(DataError) as exc:
+            load_sparse(p, feature_count=5, label_count=2)
+        assert str(exc.value) == f"{p}:1: {message}"
+
     def test_parse_error_names_line(self, tmp_path):
         p = tmp_path / "bad.sparse"
         p.write_text("1 2:0.5\n1 x\n")
