@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -60,29 +60,52 @@ class UsageError(Exception):
     """Bad flags, bad config file, or missing required options."""
 
 
+_FORMATS = ("csv", "sparse")
+_TRAINING = ("train", "cv", "bench")
+
+
+def _key(help: str, metavar: str | None = None, *, commands=None, default=None):
+    """A RunConfig field: a config key of every command and the flag of
+    ``commands`` (every command when None), shown with ``help``."""
+    return field(default=default,
+                 metadata={"help": help, "metavar": metavar, "commands": commands})
+
+
 @dataclass
 class RunConfig:
-    """Merged view of command-line flags and the optional config file."""
+    """Merged view of command-line flags and the optional config file.
+
+    Each field but ``command`` is declared once here: its type and default
+    are the config key's, and its metadata makes it the flag ``--name``
+    (``_`` spelled ``-``) of the commands it names, in this order in --help.
+    """
 
     command: str = ""
-    data: str | None = None
-    model: str | None = None
-    out: str | None = None
-    format: str = "csv"
-    header: bool = False
-    labels: int | None = None
-    features: int | None = None
-    hidden: int | None = None
-    activation: str = "sigmoid"
-    seed: int = 0
-    ridge: float = 0.0
-    init_block: int | None = None
-    block: int | None = None
-    shuffle_seed: int | None = None
-    folds: int | None = None
-    fold_file: str | None = None
-    recalibrate: bool = False
-    arrival_interval: float | None = None
+    data: str | None = _key("dataset path")
+    format: str = _key("dataset format", "|".join(_FORMATS), default="csv")
+    header: bool = _key("CSV file starts with a header line", default=False)
+    labels: int | None = _key("number of labels", "M")
+    features: int | None = _key("number of features (required for sparse format)", "D")
+    seed: int = _key("random seed (default 0)", commands=_TRAINING, default=0)
+    out: str | None = _key("output path")
+    hidden: int | None = _key("hidden neuron count (required)", "N", commands=_TRAINING)
+    activation: str = _key("hidden activation", "|".join(sorted(ACTIVATIONS)),
+                           commands=_TRAINING, default="sigmoid")
+    ridge: float = _key("ridge term for the initial solve (default 0)",
+                        commands=_TRAINING, default=0.0)
+    init_block: int | None = _key("rows in the initialization block", "N0", commands=_TRAINING)
+    block: int | None = _key("rows per stream block", "B", commands=_TRAINING)
+    shuffle_seed: int | None = _key("shuffle rows with this seed before streaming",
+                                    commands=_TRAINING)
+    recalibrate: bool = _key("recalibrate the threshold after every stream block",
+                             commands=_TRAINING, default=False)
+    model: str | None = _key("model file written by train", commands=("eval",))
+    folds: int | None = _key("number of folds", "K", commands=("cv",))
+    fold_file: str | None = _key("explicit folds: one line of 0-based test indices per fold",
+                                 commands=("cv",))
+    arrival_interval: float | None = _key(
+        "assert real-time feasibility against this per-block arrival interval", "SECONDS",
+        commands=("bench",))
 
 
 # Config key -> value type, read off the RunConfig annotations
@@ -92,8 +115,6 @@ _FIELD_TYPES = {
     for name, hint in get_type_hints(RunConfig).items()
     if name != "command"
 }
-
-_FORMATS = ("csv", "sparse")
 
 # Bounds a value must meet whatever the data: (keys, test, requirement).
 # Flags and config-file values both pass through this one table.
@@ -119,77 +140,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key-value config file; flags override it")
-    p.add_argument("--data", help="dataset path")
-    p.add_argument("--format", metavar="|".join(_FORMATS), help="dataset format")
-    p.add_argument("--header", action="store_true", default=None,
-                   help="CSV file starts with a header line")
-    p.add_argument("--labels", type=int, metavar="M", help="number of labels")
-    p.add_argument("--features", type=int, metavar="D",
-                   help="number of features (required for sparse format)")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--out", help="output path")
-
-
-def _add_training(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", type=int, metavar="N", help="hidden neuron count (required)")
-    p.add_argument("--activation", metavar="|".join(sorted(ACTIVATIONS)),
-                   help="hidden activation")
-    p.add_argument("--ridge", type=float, help="ridge term for the initial solve (default 0)")
-    p.add_argument("--init-block", dest="init_block", type=int, metavar="N0",
-                   help="rows in the initialization block")
-    p.add_argument("--block", type=int, metavar="B", help="rows per stream block")
-    p.add_argument("--shuffle-seed", dest="shuffle_seed", type=int,
-                   help="shuffle rows with this seed before streaming")
-    p.add_argument("--recalibrate", action="store_true", default=None,
-                   help="recalibrate the threshold after every stream block")
-
-
 def _build_parser() -> _Parser:
+    """One subparser per command of ``_HANDLERS``, its help the handler's
+    docstring, with ``--config`` and the flags RunConfig gives it."""
     parser = _Parser(
         prog="elmstream",
         description="Online sequential ELM for multi-label data streams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train on a stream and write a model file")
-    _add_common(p)
-    _add_training(p)
-
-    p = sub.add_parser("eval", help="evaluate a trained model on a dataset")
-    _add_common(p)
-    p.add_argument("--model", help="model file written by train")
-
-    p = sub.add_parser("cv", help="k-fold cross-validation on one dataset")
-    _add_common(p)
-    _add_training(p)
-    p.add_argument("--folds", type=int, metavar="K", help="number of folds")
-    p.add_argument("--fold-file", dest="fold_file",
-                   help="explicit folds: one line of 0-based test indices per fold")
-
-    p = sub.add_parser("bench", help="time the training stream block by block")
-    _add_common(p)
-    _add_training(p)
-    p.add_argument("--arrival-interval", dest="arrival_interval", type=float,
-                   metavar="SECONDS", help="assert real-time feasibility against "
-                   "this per-block arrival interval")
+    for command, handler in _HANDLERS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
+        p.add_argument("--config", help="flat key-value config file; flags override it")
+        for f in fields(RunConfig):
+            meta = f.metadata
+            if meta and command in (meta["commands"] or _HANDLERS):
+                # A flag's value reaches _coerce as text, like a config value;
+                # a boolean flag spells "true".
+                as_text = ({"action": "store_const", "const": "true"}
+                           if _FIELD_TYPES[f.name] is bool else {"metavar": meta["metavar"]})
+                p.add_argument(_flag(f.name), help=meta["help"], **as_text)
     return parser
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+_KINDS = {int: "an integer", float: "a number", bool: "true or false"}
+
+
 def _coerce(key: str, text: str):
+    """The value ``text`` spells for ``key``, from a flag or the config file."""
     kind = _FIELD_TYPES[key]
-    if kind is bool:
-        low = text.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config key {key!r}: cannot parse boolean {text!r}")
     try:
-        return kind(text)
-    except ValueError:
-        raise UsageError(f"config key {key!r}: cannot parse {text!r} as {kind.__name__}") from None
+        return _BOOLEANS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise UsageError(f"{_flag(key)} must be {_KINDS[kind]}, got {text!r}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -215,11 +199,11 @@ def _read_config_file(path: str) -> dict:
 
 
 def _merge_config(ns: argparse.Namespace) -> RunConfig:
-    file_values = _read_config_file(ns.config) if getattr(ns, "config", None) else {}
     flag_values = {
-        name: value for name in _FIELD_TYPES
-        if (value := getattr(ns, name, None)) is not None
+        name: _coerce(name, text) for name in _FIELD_TYPES
+        if (text := getattr(ns, name, None)) is not None
     }
+    file_values = _read_config_file(ns.config) if ns.config else {}
     cfg = RunConfig(command=ns.command, **{**file_values, **flag_values})
     for names, ok, requirement in _BOUNDS:
         for name in names:
@@ -381,6 +365,7 @@ def run_cv(cfg: RunConfig) -> CvOutcome:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    """train on a stream and write a model file"""
     _require(cfg, "out")
     outcome = run_train(cfg)
     save_model(cfg.out, outcome.model, outcome.normalizer)
@@ -393,6 +378,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
+    """evaluate a trained model on a dataset"""
     report = run_eval(cfg)
     print(format_report(report))
     if cfg.out:
@@ -402,6 +388,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_cv(cfg: RunConfig) -> int:
+    """k-fold cross-validation on one dataset"""
     outcome = run_cv(cfg)
     for i, report in enumerate(outcome.reports):
         parts = " ".join(f"{n}={getattr(report, n):.6f}" for n in _METRIC_FIELDS)
@@ -421,6 +408,7 @@ def cmd_cv(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
+    """time the training stream block by block"""
     outcome = run_train(cfg)
     print(f"{'block':>5}  {'rows':>6}  {'seconds':>10}")
     for i, (rows, t) in enumerate(zip(outcome.block_rows, outcome.block_times), start=1):

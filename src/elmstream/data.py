@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import all_finite
+
 __all__ = [
     "DataError",
     "LabeledDataset",
@@ -122,22 +124,21 @@ def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset
     if label_count < 1:
         raise DataError(f"label_count must be >= 1, got {label_count}")
     path = str(path)
-    ds = _csv_in_bulk(path, label_count, has_header)
-    return ds if ds is not None else _csv_by_line(path, label_count, has_header)
+    text = _read_text(path)
+    ds = _csv_in_bulk(text, label_count, has_header)
+    return ds if ds is not None else _csv_by_line(text, path, label_count, has_header)
 
 
-def _csv_in_bulk(path: str, label_count: int, has_header: bool) -> LabeledDataset | None:
-    """The dataset of a CSV whose every row is plainly valid, else None.
+def _csv_in_bulk(text: str, label_count: int, has_header: bool) -> LabeledDataset | None:
+    """The dataset of CSV text whose every row is plainly valid, else None.
 
-    Text that is not UTF-8 raises the DataError ``_csv_by_line`` would.
-    Every other fault declines: no data rows, a header wider or narrower
+    Every fault declines: no data rows, a header wider or narrower
     than the first row, a label field that is not literally ``,0`` or
     ``,1``, a field ``np.loadtxt`` cannot parse, a ragged row or a
     non-finite value all leave the verdict to ``_csv_by_line``. Every
     field ``np.loadtxt`` accepts, ``float`` reads to the same value once
     stripped.
     """
-    text = _read_text(path)
     lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
     if has_header:
         if len(lines) < 2 or lines[0].count(",") != lines[1].count(","):
@@ -156,7 +157,7 @@ def _csv_in_bulk(path: str, label_count: int, has_header: bool) -> LabeledDatase
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if not np.isfinite(values).all():
+    if not all_finite(values):
         return None
     return LabeledDataset(
         features=np.ascontiguousarray(values[:, :-label_count]),
@@ -164,13 +165,13 @@ def _csv_in_bulk(path: str, label_count: int, has_header: bool) -> LabeledDatase
     )
 
 
-def _csv_by_line(path: str, label_count: int, has_header: bool) -> LabeledDataset:
-    """Reference reader of ``load_csv``: validates line by line and raises
-    DataError naming ``path:line`` at the first fault."""
+def _csv_by_line(text: str, path: str, label_count: int, has_header: bool) -> LabeledDataset:
+    """Reference reader of ``load_csv``: validates the CSV text of ``path``
+    line by line and raises DataError naming ``path:line`` at the first fault."""
     expected_fields = None
     feature_rows: list[list[float]] = []
     label_rows: list[list[int]] = []
-    for lineno, line in _text_lines(path):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

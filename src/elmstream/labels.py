@@ -94,7 +94,7 @@ def calibrate_threshold(raw, truth) -> ThresholdCalibration:
     truth = _as_label_matrix(truth, "truth")
     if raw.shape != truth.shape:
         raise ValueError(f"raw {raw.shape} and truth {truth.shape} differ in shape")
-    if not np.isfinite(raw).all():
+    if not all_finite(raw):
         raise ValueError("raw outputs contain non-finite values; cannot calibrate")
 
     flat = raw.ravel()

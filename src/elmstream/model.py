@@ -19,6 +19,7 @@ from .data import DataError, Normalizer, _finite_float
 from .numerics import (
     NumericalError,
     ShapeError,
+    all_finite,
     as_matrix,
     cholesky_spd,
     ensure_finite,
@@ -531,7 +532,7 @@ def load_model(path) -> tuple[OselmModel, Normalizer | None]:
             f"{path}: {len(payload)} bytes of arrays, the header needs {8 * sum(sizes)}"
         )
     flat = np.frombuffer(payload, dtype="<f8")
-    if not np.isfinite(flat).all():
+    if not all_finite(flat):
         raise DataError(f"{path}: non-finite array value")
     weights, biases, gram_inv, beta, *norm = (
         part.reshape(shape).astype(float)

@@ -1,9 +1,11 @@
+import argparse
 import os
 import pathlib
 
 import numpy as np
 import pytest
 
+from elmstream import cli
 from elmstream.data import DataError, LabeledDataset, load_csv
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent / "data"
@@ -98,3 +100,13 @@ def save_sparse(path, ds: LabeledDataset) -> None:
         lines.append(" ".join(parts))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def command_flags() -> dict[str, list[str]]:
+    """Each CLI subcommand's flags, in --help order, without --help."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: [o for a in p._actions for o in a.option_strings if o not in ("-h", "--help")]
+        for command, p in sub.choices.items()
+    }

@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import synthetic_stream, write_csv
+from conftest import command_flags, synthetic_stream, write_csv
 from elmstream import cli
 from elmstream.cli import (
     EXIT_DATA,
@@ -352,19 +352,26 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert str(config) in capsys.readouterr().err
 
-    def test_bad_boolean_rejected(self, interpolating_csv, tmp_path):
+    def test_bad_boolean_rejected(self, interpolating_csv, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("recalibrate maybe\n")
         assert main(["train", "--config", str(config), "--data", str(interpolating_csv),
                      "--out", str(tmp_path / "m.txt")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: --recalibrate must be true or false, got 'maybe'\n"
+        )
 
 
 class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
-    def test_bad_flag_value(self, tmp_path):
-        assert main(["train", "--hidden", "lots"]) == EXIT_USAGE
+    def test_bad_flag_value(self, capsys):
+        for flag, value, kind in [("--hidden", "lots", "an integer"), ("--ridge", "x", "a number")]:
+            assert main(["train", flag, value]) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                f"usage error: {flag} must be {kind}, got {value!r}\n"
+            )
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize(
@@ -382,10 +389,13 @@ class TestUsage:
             ("train", "shuffle_seed", "-3"),
             ("train", "format", "xml"),
             ("train", "activation", "relu"),
+            ("train", "hidden", "lots"),
+            ("train", "ridge", "x"),
             ("cv", "folds", "1"),
             ("cv", "seed", "-1"),
             ("bench", "arrival_interval", "-1"),
             ("bench", "arrival_interval", "nan"),
+            ("bench", "arrival_interval", "soon"),
         ],
     )
     def test_out_of_range_value_is_usage_error(
@@ -415,6 +425,24 @@ class TestUsage:
         assert "csv" in format_line and "sparse" in format_line
         for name in ACTIVATIONS:
             assert name in activation_line
+
+    def test_eval_takes_no_seed(self, capsys):
+        assert main(["eval", "--seed", "3"]) == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        assert "--seed" not in capsys.readouterr().out
+
+    def test_each_command_has_its_flags(self):
+        dataset = ["--config", "--data", "--format", "--header", "--labels", "--features"]
+        training = ["--seed", "--out", "--hidden", "--activation", "--ridge", "--init-block",
+                    "--block", "--shuffle-seed", "--recalibrate"]
+        assert command_flags() == {
+            "train": dataset + training,
+            "eval": dataset + ["--out", "--model"],
+            "cv": dataset + training + ["--folds", "--fold-file"],
+            "bench": dataset + training + ["--arrival-interval"],
+        }
 
     def test_every_config_key_is_a_flag_and_every_flag_a_key(self):
         parser = cli._build_parser()

@@ -7,6 +7,7 @@ from elmstream.data import (
     LabeledDataset,
     StreamPlan,
     _csv_in_bulk,
+    _read_text,
     fit_normalizer,
     kfold,
     load_csv,
@@ -121,11 +122,11 @@ class TestLoadCsv:
         # The per-line reader is for errors and rare spellings only.
         p = tmp_path / "plain.csv"
         write_csv(p, small_learnable)
-        ds = _csv_in_bulk(str(p), 3, has_header=False)
+        ds = _csv_in_bulk(_read_text(str(p)), 3, has_header=False)
         assert np.array_equal(ds.features, small_learnable.features)
         assert np.array_equal(ds.labels, small_learnable.labels)
         p.write_text("1_0,2.5,1\n")
-        assert _csv_in_bulk(str(p), 1, has_header=False) is None
+        assert _csv_in_bulk(_read_text(str(p)), 1, has_header=False) is None
 
     def test_label_count_beyond_the_row_width(self, tmp_path):
         p = tmp_path / "wide.csv"

@@ -28,6 +28,7 @@ from elmstream.data import (  # noqa: E402
     LabeledDataset,
     Normalizer,
     _csv_by_line,
+    _read_text,
     load_csv,
     load_sparse,
 )
@@ -349,7 +350,8 @@ def test_csv_load_matches_the_per_line_reader(csv_path, drawn):
     text, m, has_header = drawn
     csv_path.write_bytes(text.encode("utf-8"))
     assert csv_outcome(load_csv, csv_path, m, has_header) == csv_outcome(
-        _csv_by_line, csv_path, m, has_header
+        lambda path, *args: _csv_by_line(_read_text(str(path)), str(path), *args),
+        csv_path, m, has_header
     )
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from elmstream.labels import decode
+from elmstream.labels import calibrate_threshold, decode
 from elmstream.model import OselmModel, init_hidden, update
 from elmstream.numerics import (
     NumericalError,
@@ -21,13 +21,17 @@ def random_spd(rng, n, shift=1.0):
     return g.T @ g + shift * np.eye(n)
 
 
-# ensure_finite and decode prove a finite array with one dot, a sum of
-# squares, and test each entry only when that sum is not finite.
+# ensure_finite, decode and calibrate_threshold prove a finite array with
+# one dot, a sum of squares, and test each entry only when that sum is not
+# finite.
 FINITE_CHECKS = [
     pytest.param(ensure_finite, NumericalError, "result contains non-finite entries",
                  id="ensure_finite"),
     pytest.param(lambda a: decode(a, 0.0), ValueError, "raw outputs contain non-finite values",
                  id="decode"),
+    pytest.param(lambda a: calibrate_threshold(a, np.zeros(a.shape, dtype=np.int8)), ValueError,
+                 "raw outputs contain non-finite values; cannot calibrate",
+                 id="calibrate_threshold"),
 ]
 
 

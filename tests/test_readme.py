@@ -1,11 +1,13 @@
-"""README's library quick start runs as written."""
+"""README's library quick start runs as written, and its CLI flag lists
+match the parser."""
 
 import pathlib
 import re
 
 import numpy as np
 
-from conftest import synthetic_stream, write_csv
+from conftest import command_flags, synthetic_stream, write_csv
+from elmstream import cli
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +27,16 @@ def test_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
     assert names == ["prequential hamming loss", "hamming loss"]
     for line in lines:
         assert 0.0 <= float(line.split(":")[1]) < 0.5
+
+
+def test_cli_flag_lists_match_the_parser():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("Flags by command:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = {command: set() for command in cli._HANDLERS}
+    for item in section.split("\n* "):
+        head, body = item.removeprefix("* ").split(":", 1)
+        commands = list(cli._HANDLERS) if head == "every command" else re.findall(r"`(\w+)`", head)
+        assert commands, head
+        for command in commands:
+            listed[command] |= set(re.findall(r"`(--[a-z-]+)", body))
+    assert listed == {command: set(flags) for command, flags in command_flags().items()}
