@@ -15,6 +15,7 @@ import argparse
 import math
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from typing import get_args, get_type_hints
 
@@ -31,6 +32,7 @@ from .data import (
     load_fold_file,
     load_sparse,
     stream_blocks,
+    stream_csv,
 )
 from .labels import calibrate_threshold, decode, to_bipolar
 from .metrics import MetricsReport, compute_report, format_report, report_kv_lines
@@ -277,10 +279,16 @@ class CvOutcome:
         return float(np.std([getattr(r, name) for r in self.reports], ddof=1))
 
 
+def _plan(cfg: RunConfig) -> StreamPlan:
+    _require(cfg, "hidden", "init_block", "block")
+    return StreamPlan(cfg.init_block, cfg.block, cfg.shuffle_seed)
+
+
 def _train_streaming(
-    ds: LabeledDataset, cfg: RunConfig, layer_seed: int, norm: Normalizer | None = None
+    blocks: Iterable[LabeledDataset], cfg: RunConfig, layer_seed: int,
+    norm: Normalizer | None = None,
 ) -> TrainOutcome:
-    """Shared training loop: stream blocks, init, RLS updates, calibration.
+    """Shared training loop: init, RLS updates, calibration, one block at a time.
 
     The normalizer defaults to one fit on the initial block (streaming
     contract); cross-validation passes one fit on the whole training fold.
@@ -289,14 +297,12 @@ def _train_streaming(
     calibration; each later block is one update, plus recalibration with
     --recalibrate.
     """
-    _require(cfg, "hidden", "init_block", "block")
-    plan = StreamPlan(cfg.init_block, cfg.block, cfg.shuffle_seed)
-    blocks = stream_blocks(ds, plan)
-    if norm is None:
-        norm = fit_normalizer(blocks[0])
-    layer = init_hidden(ds.n_features, cfg.hidden, cfg.activation, layer_seed)
-    block_times = []
+    block_rows, block_times = [], []
     for i, block in enumerate(blocks):
+        if i == 0:
+            if norm is None:
+                norm = fit_normalizer(block)
+            layer = init_hidden(block.n_features, cfg.hidden, cfg.activation, layer_seed)
         xb, yb = norm.transform(block.features), to_bipolar(block.labels)
         block_start = time.perf_counter()
         if i == 0:
@@ -306,7 +312,8 @@ def _train_streaming(
         if i == 0 or cfg.recalibrate:
             model.threshold = calibrate_threshold(predict_raw(model, xb), block.labels).threshold
         block_times.append(time.perf_counter() - block_start)
-    return TrainOutcome(model, norm, [b.n_samples for b in blocks], block_times)
+        block_rows.append(block.n_samples)
+    return TrainOutcome(model, norm, block_rows, block_times)
 
 
 def _evaluate(
@@ -329,9 +336,15 @@ def _evaluate(
 
 
 def run_train(cfg: RunConfig) -> TrainOutcome:
+    """Train on ``cfg.data``. An unshuffled CSV file is read one block at a
+    time, as it is learned; other input is loaded whole, then cut."""
     _require(cfg, "data")
-    ds = _load_dataset(cfg, cfg.data)
-    return _train_streaming(ds, cfg, cfg.seed)
+    if cfg.format == "csv" and cfg.shuffle_seed is None:
+        _require(cfg, "labels")
+        blocks = stream_csv(cfg.data, cfg.labels, _plan(cfg), has_header=cfg.header)
+    else:
+        blocks = stream_blocks(_load_dataset(cfg, cfg.data), _plan(cfg))
+    return _train_streaming(blocks, cfg, cfg.seed)
 
 
 def run_eval(cfg: RunConfig) -> MetricsReport:
@@ -349,11 +362,12 @@ def run_cv(cfg: RunConfig) -> CvOutcome:
     else:
         _require(cfg, "folds")
         folds = kfold(ds, cfg.folds, cfg.seed)
+    plan = _plan(cfg)
     reports = []
     for i, (train_idx, test_idx) in enumerate(folds):
         train_ds = ds.subset(train_idx)
         norm = fit_normalizer(train_ds)
-        outcome = _train_streaming(train_ds, cfg, cfg.seed + i, norm=norm)
+        outcome = _train_streaming(stream_blocks(train_ds, plan), cfg, cfg.seed + i, norm=norm)
         reports.append(
             _evaluate(outcome.model, norm, ds.subset(test_idx), outcome.train_time)
         )

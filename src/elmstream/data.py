@@ -14,11 +14,18 @@ Two on-disk formats are supported:
 
 Fold files (optional input to cross-validation) hold one line per fold of
 space-separated 0-based test indices.
+
+Every reader checks that the whole file is UTF-8 before it reads the
+first line, then reads it line by line; no reader holds the file's text.
+A CSV file is parsed in chunks of rows: ``load_csv`` joins them into one
+dataset, and ``stream_csv`` hands them out as the blocks of a stream.
 """
 
 from __future__ import annotations
 
-import io
+import codecs
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +38,7 @@ __all__ = [
     "Normalizer",
     "StreamPlan",
     "load_csv",
+    "stream_csv",
     "load_sparse",
     "fit_normalizer",
     "kfold",
@@ -92,22 +100,28 @@ def _finite_float(text: str, path: str, lineno: int, what: str) -> float:
     return value
 
 
-def _read_text(path: str) -> str:
-    """The text of a UTF-8 file, with CRLF and lone CR turned into LF.
-
-    The file is decoded whole, so bytes that are not UTF-8 raise DataError
-    naming the file wherever they sit and whatever the file's size.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+_CHECK_BYTES = 1 << 16  # bytes per read of the UTF-8 check
+_CHUNK_ROWS = 1024  # rows per chunk of load_csv
 
 
 def _text_lines(path: str):
-    """(line number, line) pairs of ``_read_text(path)``, split at LF alone."""
-    return enumerate(io.StringIO(_read_text(path)), start=1)
+    """(line number, line) pairs of the UTF-8 file ``path``, read one line
+    at a time; LF, CRLF and lone CR end a line, as in ``open``'s text mode.
+
+    Every byte is checked first, 64 KB at a time, so bytes that are not
+    UTF-8 raise DataError naming the file before the first line is read,
+    wherever they sit and whatever the file's size.
+    """
+    with open(path, encoding="utf-8") as fh:
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        try:
+            while data := fh.buffer.read(_CHECK_BYTES):
+                decoder.decode(data)
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        fh.seek(0)
+        yield from enumerate(fh, start=1)
 
 
 def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset:
@@ -116,37 +130,96 @@ def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset
     With ``has_header`` the first non-blank line is a header: it is
     skipped, and its field count is the width every data row must have.
 
-    The file is parsed in bulk by one ``np.loadtxt`` call. It is read line
-    by line only when the bulk parse declines: to load the few spellings
-    it does not take (``1_0``, non-ASCII digits, padded labels) or to name
-    the ``path:line`` of an error.
+    The file is read in chunks of rows, each parsed in bulk by one
+    ``np.loadtxt`` call. A chunk is read line by line only when the bulk
+    parse declines: to load the few spellings it does not take (``1_0``,
+    non-ASCII digits, padded labels) or to name the ``path:line`` of an
+    error.
+    """
+    chunks = list(_csv_chunks(str(path), label_count, has_header, itertools.repeat(_CHUNK_ROWS)))
+    if len(chunks) == 1:
+        return chunks[0]
+    return LabeledDataset(
+        features=np.concatenate([c.features for c in chunks]),
+        labels=np.concatenate([c.labels for c in chunks]),
+    )
+
+
+def stream_csv(path, label_count: int, plan: StreamPlan,
+               has_header: bool = False) -> Iterator[LabeledDataset]:
+    """The blocks of ``stream_blocks(load_csv(path, label_count, has_header),
+    plan)``, read from the file one block at a time.
+
+    The reader holds the block being learned and, until the initial
+    block is passed on, the first stream block: it is read ahead, so an
+    infeasible plan raises DataError before the first block is returned.
+    A fault in a later row raises DataError when its block is read.
+    ``plan`` must not shuffle: a shuffle needs every row first.
+    """
+    if plan.shuffle_seed is not None:
+        raise ValueError("stream_csv reads rows in file order; shuffle with stream_blocks")
+    sizes = itertools.chain([plan.init_block_size], itertools.repeat(plan.block_size))
+    blocks = _csv_chunks(str(path), label_count, has_header, sizes)
+    ahead = list(itertools.islice(blocks, 2))
+    _check_feasible(plan, sum(b.n_samples for b in ahead))
+    while ahead:
+        yield ahead.pop(0)
+    yield from blocks
+
+
+def _csv_chunks(path: str, label_count: int, has_header: bool,
+                sizes: Iterable[int]) -> Iterator[LabeledDataset]:
+    """Consecutive chunks of the CSV file ``path``, each with as many rows
+    as the next of ``sizes``; the chunk at the end of the file may be short.
+
+    Each chunk is parsed by ``_csv_in_bulk``, or by ``_csv_by_line`` when
+    the bulk parse declines. A file with no data rows raises DataError.
     """
     if label_count < 1:
         raise DataError(f"label_count must be >= 1, got {label_count}")
-    path = str(path)
-    text = _read_text(path)
-    ds = _csv_in_bulk(text, label_count, has_header)
-    return ds if ds is not None else _csv_by_line(text, path, label_count, has_header)
+    lines = _text_lines(path)
+    lineno, width = 0, None
+    for size in sizes:
+        header = has_header and width is None
+        chunk, left = [], size + header
+        for lineno, line in lines:
+            line = line.strip()
+            chunk.append(line)
+            if line:
+                left -= 1
+                if not left:
+                    break
+        if width is not None and left == size:
+            return  # the file ended with the previous chunk
+        ds = _csv_in_bulk(chunk, label_count, header, width)
+        if ds is None:
+            ds = _csv_by_line(chunk, path, label_count, header, lineno - len(chunk) + 1, width)
+        width = ds.n_features + label_count
+        yield ds
+        if left:
+            return
 
 
-def _csv_in_bulk(text: str, label_count: int, has_header: bool) -> LabeledDataset | None:
-    """The dataset of CSV text whose every row is plainly valid, else None.
+def _csv_in_bulk(lines: list[str], label_count: int, has_header: bool,
+                 width: int | None = None) -> LabeledDataset | None:
+    """The dataset of stripped CSV ``lines`` whose every row is plainly
+    valid and ``width`` fields wide (any width when None), else None.
 
-    Every fault declines: no data rows, a header wider or narrower
-    than the first row, a label field that is not literally ``,0`` or
-    ``,1``, a field ``np.loadtxt`` cannot parse, a ragged row or a
-    non-finite value all leave the verdict to ``_csv_by_line``. Every
-    field ``np.loadtxt`` accepts, ``float`` reads to the same value once
-    stripped.
+    Blank lines are skipped. Every fault declines: no data rows, a header
+    wider or narrower than the first row, a label field that is not
+    literally ``,0`` or ``,1``, a field ``np.loadtxt`` cannot parse, a
+    ragged row or a non-finite value all leave the verdict to
+    ``_csv_by_line``. Every field ``np.loadtxt`` accepts, ``float`` reads
+    to the same value once stripped.
     """
-    lines = [ln for ln in map(str.strip, text.split("\n")) if ln]
+    lines = [ln for ln in lines if ln]
     if has_header:
         if len(lines) < 2 or lines[0].count(",") != lines[1].count(","):
             return None
         del lines[0]
-    # A row ends in label_count pairs ",0" or ",1". The file's length
+    # A row ends in label_count pairs ",0" or ",1". The first row's length
     # bounds the comma string, whatever label_count is asked for.
-    if not lines or 2 * label_count > len(text):
+    if not lines or 2 * label_count > len(lines[0]):
         return None
     commas = "," * label_count
     start = -2 * label_count
@@ -157,7 +230,7 @@ def _csv_in_bulk(text: str, label_count: int, has_header: bool) -> LabeledDatase
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if not all_finite(values):
+    if width not in (None, values.shape[1]) or not all_finite(values):
         return None
     return LabeledDataset(
         features=np.ascontiguousarray(values[:, :-label_count]),
@@ -165,30 +238,35 @@ def _csv_in_bulk(text: str, label_count: int, has_header: bool) -> LabeledDatase
     )
 
 
-def _csv_by_line(text: str, path: str, label_count: int, has_header: bool) -> LabeledDataset:
-    """Reference reader of ``load_csv``: validates the CSV text of ``path``
-    line by line and raises DataError naming ``path:line`` at the first fault."""
-    expected_fields = None
+def _csv_by_line(lines, path: str, label_count: int, has_header: bool,
+                 first_line: int = 1, width: int | None = None) -> LabeledDataset:
+    """Reference reader of ``load_csv``: validates the CSV ``lines`` of
+    ``path``, the first being line ``first_line``, one by one, and raises
+    DataError naming ``path:line`` at the first fault.
+
+    ``width`` is the field count that earlier lines fixed. When it is
+    None, the first non-blank line fixes it: the header with
+    ``has_header``, else the first row.
+    """
     feature_rows: list[list[float]] = []
     label_rows: list[list[int]] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=first_line):
         line = line.strip()
         if not line:
             continue
         fields = [f.strip() for f in line.split(",")]
-        if expected_fields is None:
+        if width is None:
             if len(fields) <= label_count:
                 raise DataError(
                     f"{path}:{lineno}: {'header' if has_header else 'row'} has "
                     f"{len(fields)} fields, need more than {label_count}"
                 )
-            expected_fields = len(fields)
+            width = len(fields)
             if has_header:
                 continue
-        elif len(fields) != expected_fields:
+        elif len(fields) != width:
             raise DataError(
-                f"{path}:{lineno}: ragged row with {len(fields)} fields, "
-                f"expected {expected_fields}"
+                f"{path}:{lineno}: ragged row with {len(fields)} fields, expected {width}"
             )
         feats = [
             _finite_float(f, path, lineno, "feature") for f in fields[:-label_count]
@@ -329,6 +407,24 @@ class StreamPlan:
     block_size: int
     shuffle_seed: int | None = None
 
+    def __post_init__(self):
+        n0, b = self.init_block_size, self.block_size
+        if n0 < 1 or b < 1:
+            raise DataError(f"init_block_size and block_size must be >= 1, got {n0}, {b}")
+
+
+def _check_feasible(plan: StreamPlan, n: int) -> None:
+    """Raise DataError unless ``plan`` can cut ``n`` rows: after the initial
+    block comes at least one full stream block, unless the initial block
+    is every row.
+
+    A reader that stops after its first two blocks passes their row
+    count: it is ``n`` whenever the plan is infeasible.
+    """
+    n0, b = plan.init_block_size, plan.block_size
+    if n0 != n and n0 + b > n:
+        raise DataError(f"infeasible plan: init block {n0} plus block {b} exceeds {n} rows")
+
 
 def stream_blocks(ds: LabeledDataset, plan: StreamPlan) -> list[LabeledDataset]:
     """Cut the dataset into the initial block followed by stream blocks.
@@ -344,17 +440,11 @@ def stream_blocks(ds: LabeledDataset, plan: StreamPlan) -> list[LabeledDataset]:
     writes to that array.
     """
     n = ds.n_samples
-    n0, b = plan.init_block_size, plan.block_size
-    if n0 < 1 or b < 1:
-        raise DataError(f"init_block_size and block_size must be >= 1, got {n0}, {b}")
-    if n0 != n and n0 + b > n:
-        raise DataError(
-            f"infeasible plan: init block {n0} plus block {b} exceeds {n} rows"
-        )
+    _check_feasible(plan, n)
     if plan.shuffle_seed is not None:
         ds = ds.subset(np.random.default_rng(plan.shuffle_seed).permutation(n))
     x, y = ds.features, ds.labels
-    bounds = [0, *range(n0, n, b), n]
+    bounds = [0, *range(plan.init_block_size, n, plan.block_size), n]
     return [LabeledDataset(x[a:z], y[a:z]) for a, z in zip(bounds, bounds[1:])]
 
 

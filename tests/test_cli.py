@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -21,7 +22,8 @@ from elmstream.cli import (
     run_eval,
     run_train,
 )
-from elmstream.model import ACTIVATIONS, load_model
+from elmstream.data import DataError, StreamPlan, load_csv, stream_blocks
+from elmstream.model import ACTIVATIONS, load_model, save_model
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -114,6 +116,101 @@ class TestTrainCommand:
         out = tmp_path / "model.txt"
         argv = train_args(interpolating_csv, out) + ["--recalibrate"]
         assert main(argv) == EXIT_OK
+
+
+def csv_text(ds, header=False, seed=0):
+    """``ds`` as CSV text whose rows end in LF, CRLF, lone CR or a blank
+    line, drawn per row, so block boundaries fall on every kind of end."""
+    ends = ["\n", "\r\n", "\r", "\n\n", "\r\n \t\r\n", "\r\r"]
+    rng = np.random.default_rng(seed)
+    width = ds.n_features + ds.n_labels
+    lines = [",".join(f"c{j}" for j in range(width)) + "\n\n"] if header else []
+    for x, y in zip(ds.features, ds.labels):
+        row = ",".join([*(repr(float(v)) for v in x), *(str(int(v)) for v in y)])
+        lines.append(row + ends[rng.integers(len(ends))])
+    return "".join(lines)
+
+
+class TestStreamedTrain:
+    """``train`` reads an unshuffled CSV file one block at a time."""
+
+    @pytest.mark.parametrize(
+        "rows, init_block, block, header",
+        [(50, 12, 5, False), (50, 12, 5, True), (48, 12, 6, True), (50, 50, 7, True),
+         (31, 30, 1, False)],
+        ids=["remainder", "remainder_header", "even_header", "init_is_every_row",
+             "single_rows"],
+    )
+    def test_writes_the_model_of_the_loaded_stream(self, tmp_path, rows, init_block, block,
+                                                   header):
+        data = tmp_path / "d.csv"
+        data.write_bytes(csv_text(synthetic_stream(rows, 4, 3, seed=rows), header).encode())
+        cfg = RunConfig(command="train", data=str(data), labels=3, header=header, hidden=8,
+                        init_block=init_block, block=block, seed=5, recalibrate=True)
+        streamed = run_train(cfg)
+        plan = StreamPlan(init_block, block)
+        loaded = cli._train_streaming(stream_blocks(load_csv(data, 3, header), plan), cfg, 5)
+        paths = [tmp_path / "streamed.txt", tmp_path / "loaded.txt"]
+        for path, outcome in zip(paths, (streamed, loaded)):
+            save_model(path, outcome.model, outcome.normalizer)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert streamed.block_rows == loaded.block_rows
+
+    @pytest.mark.parametrize("rows", [7, 11, 13, 14])
+    def test_infeasible_plan_text(self, tmp_path, capsys, rows):
+        # 7 rows end inside the init block of 10; 11 to 13 leave 1 to 3
+        # rows after it, short of a block of 4. 14 rows are feasible.
+        data = tmp_path / "d.csv"
+        write_csv(data, synthetic_stream(rows, 2, 3, seed=4))
+        out = tmp_path / "m.txt"
+        code = main(train_args(data, out, **{"init-block": "10", "block": "4"}))
+        if rows == 14:
+            assert code == EXIT_OK
+            return
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: infeasible plan: init block 10 plus block 4 exceeds {rows} rows\n"
+        )
+        assert not out.exists()
+
+    def test_fault_in_the_last_row_writes_no_model(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        write_csv(data, synthetic_stream(40, 2, 3, seed=4))
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write("0.5,0.5,1,0,2\n")
+        out = tmp_path / "m.txt"
+        assert main(train_args(data, out, **{"init-block": "10", "block": "4"})) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {data}:41: label field '2' is not 0 or 1\n"
+        )
+        assert not out.exists()
+
+    def test_bad_byte_at_the_end_stops_before_the_first_block(self, tmp_path, monkeypatch):
+        data = tmp_path / "d.csv"
+        write_csv(data, synthetic_stream(40, 2, 3, seed=4))
+        with open(data, "ab") as fh:
+            fh.write(b"\xff\n")
+        monkeypatch.setattr(cli, "init_phase", lambda *args: pytest.fail("a block was learned"))
+        with pytest.raises(DataError, match=r"d.csv: not UTF-8 text \(invalid start byte\)"):
+            run_train(RunConfig(command="train", data=str(data), labels=3, hidden=6,
+                                init_block=10, block=4))
+
+    def test_peak_memory_does_not_grow_with_the_stream(self, tmp_path):
+        # Loading the whole file first made this peak grow about 4x from
+        # 2,000 to 8,000 rows. Read one block at a time, it stays flat.
+        peaks = []
+        for rows in (2000, 8000):
+            data = tmp_path / f"d{rows}.csv"
+            write_csv(data, synthetic_stream(rows, 20, 5, seed=6))
+            cfg = RunConfig(command="train", data=str(data), labels=5, hidden=40,
+                            init_block=100, block=10)
+            tracemalloc.start()
+            try:
+                run_train(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestEvalCommand:

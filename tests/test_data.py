@@ -7,13 +7,13 @@ from elmstream.data import (
     LabeledDataset,
     StreamPlan,
     _csv_in_bulk,
-    _read_text,
     fit_normalizer,
     kfold,
     load_csv,
     load_fold_file,
     load_sparse,
     stream_blocks,
+    stream_csv,
 )
 
 
@@ -122,11 +122,23 @@ class TestLoadCsv:
         # The per-line reader is for errors and rare spellings only.
         p = tmp_path / "plain.csv"
         write_csv(p, small_learnable)
-        ds = _csv_in_bulk(_read_text(str(p)), 3, has_header=False)
+        ds = _csv_in_bulk(p.read_text().splitlines(), 3, has_header=False)
         assert np.array_equal(ds.features, small_learnable.features)
         assert np.array_equal(ds.labels, small_learnable.labels)
         p.write_text("1_0,2.5,1\n")
-        assert _csv_in_bulk(_read_text(str(p)), 1, has_header=False) is None
+        assert _csv_in_bulk(p.read_text().splitlines(), 1, has_header=False) is None
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    def test_chunk_of_another_width_is_ragged(self, tmp_path, monkeypatch, chunk_rows):
+        # Rows 3 and 4 are valid on their own, one field wider than rows 1
+        # and 2: a chunk holding only them must not set a new width.
+        monkeypatch.setattr("elmstream.data._CHUNK_ROWS", chunk_rows)
+        p = tmp_path / "wider.csv"
+        p.write_text("1.0,2.0,1\n3.0,4.0,0\n\n5.0,6.0,7.0,1\n8.0,9.0,1.0,0\n")
+        with pytest.raises(DataError, match=r"wider.csv:4: ragged row with 4 fields, expected 3$"):
+            load_csv(p, label_count=1)
+        with pytest.raises(DataError, match=r"wider.csv:4: ragged row with 4 fields, expected 3$"):
+            list(stream_csv(p, 1, StreamPlan(2, 1)))
 
     def test_label_count_beyond_the_row_width(self, tmp_path):
         p = tmp_path / "wide.csv"
