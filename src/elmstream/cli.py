@@ -26,6 +26,7 @@ from .data import (
     LabeledDataset,
     Normalizer,
     StreamPlan,
+    _text_lines,
     fit_normalizer,
     kfold,
     load_csv,
@@ -179,24 +180,26 @@ def _coerce(key: str, text: str):
 
 
 def _read_config_file(path: str) -> dict:
-    values = {}
+    """The values the config file ``path`` sets; a key set twice is an error."""
+    values, set_at = {}, {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise UsageError(f"{path}:{lineno}: expected 'key value'")
-                key, text = parts
-                if key not in _FIELD_TYPES:
-                    raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = _coerce(key, text.strip())
+        for lineno, line in _text_lines(path, "#"):
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise UsageError(f"{path}:{lineno}: expected 'key value'")
+            key, text = parts
+            if key not in _FIELD_TYPES:
+                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in set_at:
+                raise UsageError(
+                    f"{path}:{lineno}: config key {key!r} already set at line {set_at[key]}"
+                )
+            set_at[key] = lineno
+            values[key] = _coerce(key, text)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise UsageError(f"{path}: config file is not UTF-8 text ({exc.reason})") from None
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
     return values
 
 

@@ -1,19 +1,21 @@
 """Dataset loading, normalization, splitting, and stream-block iteration.
 
-Two on-disk formats are supported:
+Every text input, ``cli``'s config file included, is read by one line
+rule: the file is UTF-8, LF, CRLF and lone CR all end a line, whitespace
+around a line is ignored, and blank or whitespace-only lines are
+skipped. In sparse and config files ``#`` starts a comment. An error in
+a line names its ``path:line``.
 
-* Dense CSV: UTF-8, comma-separated, optional single header line (skipped;
+* Dense CSV: comma-separated, optional single header line (skipped;
   rows must match its width). Each data row holds D real feature fields
-  followed by M label fields that must be literally ``0`` or ``1``. Blank
-  lines are skipped, whitespace around a field is ignored, and LF, CRLF
-  and lone CR all end a line. An error in a row names its ``path:line``.
+  followed by M label fields that must be literally ``0`` or ``1``;
+  whitespace around a field is ignored.
 * Sparse: one sample per line, ``<label-idx-list> <idx>:<val> ...`` with
   1-based indices, the label list comma-separated. Unlisted features and
-  labels are zero. ``#`` starts a comment; blank lines are skipped. A line
-  whose first token contains ``:`` has an empty label set.
-
-Fold files (optional input to cross-validation) hold one line per fold of
-space-separated 0-based test indices.
+  labels are zero. A line whose first token contains ``:`` has an empty
+  label set.
+* Fold file (optional input to cross-validation): one line per fold of
+  space-separated 0-based test indices.
 
 Every reader checks that the whole file is UTF-8 before it reads the
 first line, then reads it line by line; no reader holds the file's text.
@@ -23,7 +25,6 @@ dataset, and ``stream_csv`` hands them out as the blocks of a stream.
 
 from __future__ import annotations
 
-import codecs
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -100,28 +101,32 @@ def _finite_float(text: str, path: str, lineno: int, what: str) -> float:
     return value
 
 
-_CHECK_BYTES = 1 << 16  # bytes per read of the UTF-8 check
+_CHECK_CHARS = 1 << 16  # characters per read of the UTF-8 check
 _CHUNK_ROWS = 1024  # rows per chunk of load_csv
 
 
-def _text_lines(path: str):
-    """(line number, line) pairs of the UTF-8 file ``path``, read one line
-    at a time; LF, CRLF and lone CR end a line, as in ``open``'s text mode.
+def _text_lines(path: str, comment: str | None = None) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each non-blank line of the UTF-8 file ``path``,
+    read one at a time: the text is the line cut at the first ``comment``
+    character, when given, and stripped. LF, CRLF and lone CR end a line.
 
-    Every byte is checked first, 64 KB at a time, so bytes that are not
-    UTF-8 raise DataError naming the file before the first line is read,
-    wherever they sit and whatever the file's size.
+    The whole file is decoded first, 64 K characters at a time, so bytes
+    that are not UTF-8 raise DataError naming the file before the first
+    line is returned, wherever they sit and whatever the file's size.
     """
     with open(path, encoding="utf-8") as fh:
-        decoder = codecs.getincrementaldecoder("utf-8")()
         try:
-            while data := fh.buffer.read(_CHECK_BYTES):
-                decoder.decode(data)
-            decoder.decode(b"", final=True)
+            while fh.read(_CHECK_CHARS):
+                pass
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
         fh.seek(0)
-        yield from enumerate(fh, start=1)
+        for lineno, line in enumerate(fh, start=1):
+            if comment is not None:
+                line = line.split(comment, 1)[0]
+            line = line.strip()
+            if line:
+                yield lineno, line
 
 
 def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset:
@@ -177,46 +182,38 @@ def _csv_chunks(path: str, label_count: int, has_header: bool,
     """
     if label_count < 1:
         raise DataError(f"label_count must be >= 1, got {label_count}")
-    lines = _text_lines(path)
-    lineno, width = 0, None
+    rows = _text_lines(path)
+    width = None
     for size in sizes:
         header = has_header and width is None
-        chunk, left = [], size + header
-        for lineno, line in lines:
-            line = line.strip()
-            chunk.append(line)
-            if line:
-                left -= 1
-                if not left:
-                    break
-        if width is not None and left == size:
+        chunk = list(itertools.islice(rows, size + header))
+        if width is not None and not chunk:
             return  # the file ended with the previous chunk
-        ds = _csv_in_bulk(chunk, label_count, header, width)
+        ds = _csv_in_bulk([line for _, line in chunk], label_count, header, width)
         if ds is None:
-            ds = _csv_by_line(chunk, path, label_count, header, lineno - len(chunk) + 1, width)
+            ds = _csv_by_line(chunk, path, label_count, header, width)
         width = ds.n_features + label_count
         yield ds
-        if left:
+        if len(chunk) < size + header:
             return
 
 
 def _csv_in_bulk(lines: list[str], label_count: int, has_header: bool,
                  width: int | None = None) -> LabeledDataset | None:
-    """The dataset of stripped CSV ``lines`` whose every row is plainly
-    valid and ``width`` fields wide (any width when None), else None.
+    """The dataset of stripped, non-blank CSV ``lines`` whose every row is
+    plainly valid and ``width`` fields wide (any width when None), else None.
 
-    Blank lines are skipped. Every fault declines: no data rows, a header
-    wider or narrower than the first row, a label field that is not
-    literally ``,0`` or ``,1``, a field ``np.loadtxt`` cannot parse, a
-    ragged row or a non-finite value all leave the verdict to
-    ``_csv_by_line``. Every field ``np.loadtxt`` accepts, ``float`` reads
-    to the same value once stripped.
+    Every fault declines: no data rows, a header wider or narrower than
+    the first row, a label field that is not literally ``,0`` or ``,1``,
+    a field ``np.loadtxt`` cannot parse, a ragged row or a non-finite
+    value all leave the verdict to ``_csv_by_line``. Every field
+    ``np.loadtxt`` accepts, ``float`` reads to the same value once
+    stripped.
     """
-    lines = [ln for ln in lines if ln]
     if has_header:
         if len(lines) < 2 or lines[0].count(",") != lines[1].count(","):
             return None
-        del lines[0]
+        lines = lines[1:]
     # A row ends in label_count pairs ",0" or ",1". The first row's length
     # bounds the comma string, whatever label_count is asked for.
     if not lines or 2 * label_count > len(lines[0]):
@@ -238,22 +235,19 @@ def _csv_in_bulk(lines: list[str], label_count: int, has_header: bool,
     )
 
 
-def _csv_by_line(lines, path: str, label_count: int, has_header: bool,
-                 first_line: int = 1, width: int | None = None) -> LabeledDataset:
-    """Reference reader of ``load_csv``: validates the CSV ``lines`` of
-    ``path``, the first being line ``first_line``, one by one, and raises
-    DataError naming ``path:line`` at the first fault.
+def _csv_by_line(rows: Iterable[tuple[int, str]], path: str, label_count: int,
+                 has_header: bool, width: int | None = None) -> LabeledDataset:
+    """Reference reader of ``load_csv``: validates the CSV ``rows`` of
+    ``path``, (line number, stripped non-blank line) pairs, one by one,
+    and raises DataError naming ``path:line`` at the first fault.
 
     ``width`` is the field count that earlier lines fixed. When it is
-    None, the first non-blank line fixes it: the header with
-    ``has_header``, else the first row.
+    None, the first line fixes it: the header with ``has_header``, else
+    the first row.
     """
     feature_rows: list[list[float]] = []
     label_rows: list[list[int]] = []
-    for lineno, line in enumerate(lines, start=first_line):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in rows:
         fields = [f.strip() for f in line.split(",")]
         if width is None:
             if len(fields) <= label_count:
@@ -311,10 +305,7 @@ def load_sparse(path, feature_count: int, label_count: int) -> LabeledDataset:
     path = str(path)
     feature_rows: list[np.ndarray] = []
     label_rows: list[np.ndarray] = []
-    for lineno, line in _text_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _text_lines(path, "#"):
         tokens = line.split()
         feats = np.zeros(feature_count, dtype=float)
         labs = np.zeros(label_count, dtype=np.int8)
@@ -454,9 +445,6 @@ def load_fold_file(path, n_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
     folds = []
     seen = np.zeros(n_samples, dtype=bool)
     for lineno, line in _text_lines(path):
-        line = line.strip()
-        if not line:
-            continue
         try:
             idx = np.array([int(tok) for tok in line.split()], dtype=np.int64)
         except ValueError:

@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import command_flags, synthetic_stream, write_csv
+from conftest import command_flags, save_sparse, synthetic_stream, write_csv
 from elmstream import cli
 from elmstream.cli import (
     EXIT_DATA,
@@ -45,6 +45,15 @@ def interpolating_csv(tmp_path):
             labs = ",".join(str(int(v)) for v in ys[i])
             fh.write(f"{feats},{labs}\n")
     return path
+
+
+def without_times(text):
+    """The lines of a command's output without its timing values."""
+    return [
+        " ".join(p for p in line.split() if "time" not in p)
+        for line in text.splitlines()
+        if not line.startswith(("train_time", "test_time"))
+    ]
 
 
 def train_args(data, out, **over):
@@ -290,15 +299,7 @@ class TestCvCommand:
         first = capsys.readouterr().out
         assert main(argv) == EXIT_OK
         second = capsys.readouterr().out
-
-        def strip_times(text):
-            return [
-                " ".join(p for p in line.split() if "time" not in p)
-                for line in text.splitlines()
-                if not line.startswith(("train_time", "test_time"))
-            ]
-
-        assert strip_times(first) == strip_times(second)
+        assert without_times(first) == without_times(second)
 
     def test_fold_file_input(self, tmp_path):
         ds = synthetic_stream(12, 3, 2, seed=62)
@@ -447,7 +448,31 @@ class TestConfigFile:
         code = main(["train", "--config", str(config), "--data", str(interpolating_csv),
                      "--out", str(tmp_path / "m.txt")])
         assert code == EXIT_USAGE
-        assert str(config) in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"usage error: {config}: not UTF-8 text (invalid start byte)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"hidden 5\n# wider\n\nhidden 7\n",
+             "{}:4: config key 'hidden' already set at line 1"),
+            (b"labels 3\nhidden\n", "{}:2: expected 'key value'"),
+            (None, "cannot read config file: [Errno 2] No such file or directory: '{}'"),
+        ],
+        ids=["key_set_twice", "key_without_value", "missing_file"],
+    )
+    def test_config_fault_text(self, interpolating_csv, tmp_path, capsys, content, message):
+        config = tmp_path / "run.cfg"
+        if content is not None:
+            config.write_bytes(content)
+        model_path = tmp_path / "m.txt"
+        code = main(["train", "--config", str(config), "--data", str(interpolating_csv),
+                     "--labels", "3", "--init-block", "6", "--block", "2",
+                     "--out", str(model_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message.format(config)}\n"
+        assert not model_path.exists()
 
     def test_bad_boolean_rejected(self, interpolating_csv, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -563,6 +588,29 @@ class TestUsage:
                      "--hidden", "1", "--init-block", "1", "--block", "1",
                      "--out", str(tmp_path / "m.txt")])
         assert code == EXIT_USAGE
+
+
+def test_sparse_input_runs_as_the_same_rows_in_csv(tmp_path, capsys):
+    # train streams the CSV file but loads the sparse one whole and cuts
+    # it, so equal model bytes also pin that both paths learn the same
+    # blocks: an init block of 20, then 10 blocks of 7 and a rest of 3.
+    ds = synthetic_stream(93, 5, 3, seed=95)
+    csv, sparse = tmp_path / "d.csv", tmp_path / "d.sparse"
+    write_csv(csv, ds)
+    save_sparse(sparse, ds)
+    inputs = {csv: [], sparse: ["--format", "sparse", "--features", "5"]}
+    plan = ["--hidden", "8", "--init-block", "20", "--block", "7", "--seed", "4"]
+    outputs = {}
+    for data, read_as in inputs.items():
+        model = tmp_path / (data.name + ".model")
+        dataset = ["--data", str(data), "--labels", "3", *read_as]
+        assert main(["train", *dataset, *plan, "--out", str(model)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["eval", *dataset, "--model", str(tmp_path / "d.csv.model")]) == EXIT_OK
+        evaluated = without_times(capsys.readouterr().out)
+        assert main(["cv", *dataset, *plan, "--folds", "3"]) == EXIT_OK
+        outputs[data] = (model.read_bytes(), evaluated, without_times(capsys.readouterr().out))
+    assert outputs[csv] == outputs[sparse]
 
 
 def test_yeast_scale_train_reports_time_within_budget(tmp_path, capsys):

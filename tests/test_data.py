@@ -147,6 +147,14 @@ class TestLoadCsv:
             load_csv(p, label_count=4)
         with pytest.raises(DataError, match=r"need more than 1000000000000$"):
             load_csv(p, label_count=10**12)
+        with pytest.raises(DataError, match=r"^label_count must be >= 1, got 0$"):
+            load_csv(p, label_count=0)
+
+    def test_stream_csv_refuses_a_shuffling_plan(self, tmp_path):
+        p = tmp_path / "toy.csv"
+        p.write_text("1.0,2.0,1\n3.0,4.0,0\n")
+        with pytest.raises(ValueError, match="^stream_csv reads rows in file order"):
+            list(stream_csv(p, 1, StreamPlan(1, 1, shuffle_seed=0)))
 
     def test_underscore_digits_load_as_python_floats(self, tmp_path):
         p = tmp_path / "digits.csv"
@@ -251,6 +259,13 @@ class TestLoadSparse:
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
 
+    @pytest.mark.parametrize("counts", [(0, 2), (3, 0)])
+    def test_counts_below_one_rejected(self, tmp_path, counts):
+        p = tmp_path / "toy.sparse"
+        p.write_text("1 1:0.5\n")
+        with pytest.raises(DataError, match="^feature_count and label_count must both be >= 1$"):
+            load_sparse(p, *counts)
+
     def test_unrepresentable_row_rejected(self, tmp_path):
         ds = LabeledDataset(
             features=np.zeros((1, 3)), labels=np.zeros((1, 2), dtype=np.int8)
@@ -297,6 +312,11 @@ class TestNormalizer:
         with pytest.raises(DataError, match="empty"):
             fit_normalizer(ds.subset(np.arange(0)))
 
+    def test_transform_of_another_width_rejected(self):
+        norm = fit_normalizer(synthetic_stream(5, 2, 2, seed=6))
+        with pytest.raises(DataError, match="^normalizer fitted on 2 features, input has 3$"):
+            norm.transform(np.zeros((4, 3)))
+
 
 class TestKfold:
     def test_sizes_and_partition_yeast_n(self):
@@ -334,6 +354,18 @@ class TestKfold:
 
 
 class TestSubset:
+    @pytest.mark.parametrize(
+        "features, labels, message",
+        [
+            ((3, 2), (2, 1), "features have 3 rows, labels have 2"),
+            ((3,), (3, 1), "features and labels must both be 2-D"),
+        ],
+        ids=["row_counts", "one_dimensional"],
+    )
+    def test_arrays_must_be_2d_with_aligned_rows(self, features, labels, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            LabeledDataset(features=np.zeros(features), labels=np.zeros(labels, dtype=np.int8))
+
     def test_writing_into_subset_leaves_parent_unchanged(self):
         ds = synthetic_stream(10, 3, 2, seed=19)
         features, labels = ds.features.copy(), ds.labels.copy()
@@ -436,6 +468,11 @@ class TestFoldFile:
         assert np.array_equal(folds[0][1], [0, 2, 4])
         assert np.array_equal(folds[0][0], [1, 3, 5])
 
+    def test_blank_lines_between_folds_are_skipped(self, tmp_path):
+        p = tmp_path / "folds.txt"
+        p.write_text("0 2 4\n\n \t\n1 3 5")
+        assert [test.tolist() for _, test in load_fold_file(p, 6)] == [[0, 2, 4], [1, 3, 5]]
+
     def test_overlap_rejected(self, tmp_path):
         p = tmp_path / "folds.txt"
         p.write_text("0 1\n1 2\n")
@@ -465,6 +502,22 @@ class TestFoldFile:
         p.write_text("0 1\n2 5\n")
         with pytest.raises(DataError, match="out of range"):
             load_fold_file(p, 4)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n2 x 3\n", "folds.txt:2: fold indices must be integers"),
+            ("# 0 1\n2 3\n", "folds.txt:1: fold indices must be integers"),
+            ("0 1 2 3\n", "folds.txt: need at least two folds"),
+        ],
+        ids=["non_integer", "hash_is_not_a_comment", "single_fold"],
+    )
+    def test_fault_text(self, tmp_path, text, message):
+        p = tmp_path / "folds.txt"
+        p.write_text(text)
+        with pytest.raises(DataError) as exc:
+            load_fold_file(p, 4)
+        assert str(exc.value) == f"{tmp_path}/{message}"
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,10 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(np.array([[np.nan]]), 0.0)
 
+    def test_rejects_one_dimensional_outputs(self):
+        with pytest.raises(ValueError, match="^raw outputs must be 2-D, got ndim=1$"):
+            decode(np.array([0.5, -0.2]), 0.0)
+
     def test_infinite_thresholds_give_all_or_no_labels(self):
         raw = np.array([[1e300, -1e300, 0.0]])
         assert np.array_equal(decode(raw, -np.inf), [[1, 1, 1]])

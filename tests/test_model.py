@@ -390,6 +390,12 @@ class TestUpdate:
         with pytest.raises(ShapeError):
             update(model, x0[:1], y0[:1, :2])
 
+    def test_rejects_row_mismatch(self, square_init):
+        layer, x0, y0 = square_init
+        model = init_phase(layer, x0, y0)
+        with pytest.raises(ShapeError, match="^2 feature rows but 1 target rows$"):
+            update(model, x0[:2], y0[:1])
+
 
 def stepwise(m, beta, h, y):
     """M and beta after each row of h in turn, by the textbook rank-one

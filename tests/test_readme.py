@@ -1,15 +1,17 @@
-"""README's library quick start runs as written, and its CLI flag lists
-match the parser."""
+"""README's library quick start runs as written, its CLI flag lists
+match the parser, and its fixture files regenerate as it says."""
 
+import importlib.util
 import pathlib
 import re
 
 import numpy as np
 
-from conftest import command_flags, synthetic_stream, write_csv
+from conftest import DATA_DIR, command_flags, synthetic_stream, write_csv
 from elmstream import cli
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
@@ -40,3 +42,16 @@ def test_cli_flag_lists_match_the_parser():
         for command in commands:
             listed[command] |= set(re.findall(r"`(--[a-z-]+)", body))
     assert listed == {command: set(flags) for command, flags in command_flags().items()}
+
+
+def test_fixtures_regenerate_byte_for_byte(tmp_path):
+    # README: tests/data/*.csv are regenerable via tools/make_fixtures.py.
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", ROOT / "tools" / "make_fixtures.py"
+    )
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    assert sorted(p.name for p in DATA_DIR.glob("*.csv")) == sorted(make_fixtures.SPECS)
+    for name, spec_args in make_fixtures.SPECS.items():
+        make_fixtures.make_file(tmp_path / name, *spec_args)
+        assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
