@@ -67,11 +67,18 @@ _FORMATS = ("csv", "sparse")
 _TRAINING = ("train", "cv", "bench")
 
 
-def _key(help: str, metavar: str | None = None, *, commands=None, default=None):
+def _key(help: str, metavar: str | None = None, *, commands=None, default=None,
+         required=False):
     """A RunConfig field: a config key of every command and the flag of
-    ``commands`` (every command when None), shown with ``help``."""
-    return field(default=default,
-                 metadata={"help": help, "metavar": metavar, "commands": commands})
+    ``commands`` (every command when None), shown with ``help``. Those
+    commands need it set when ``required`` is True or, given as a test of
+    the RunConfig, when that test holds."""
+    return field(default=default, metadata={"help": help, "metavar": metavar,
+                                            "commands": commands, "required": required})
+
+
+def _is_flag_of(f, command: str) -> bool:
+    return bool(f.metadata) and command in (f.metadata["commands"] or _HANDLERS)
 
 
 @dataclass
@@ -81,34 +88,53 @@ class RunConfig:
     Each field but ``command`` is declared once here: its type and default
     are the config key's, and its metadata makes it the flag ``--name``
     (``_`` spelled ``-``) of the commands it names, in this order in --help.
+    Construction checks every value, so a bad or missing one is reported
+    before any file is read.
     """
 
-    command: str = ""
-    data: str | None = _key("dataset path")
+    command: str
+    data: str | None = _key("dataset path", required=True)
     format: str = _key("dataset format", "|".join(_FORMATS), default="csv")
     header: bool = _key("CSV file starts with a header line", default=False)
-    labels: int | None = _key("number of labels", "M")
-    features: int | None = _key("number of features (required for sparse format)", "D")
+    labels: int | None = _key("number of labels", "M", required=True)
+    features: int | None = _key("number of features (required for sparse format)", "D",
+                                required=lambda cfg: cfg.format == "sparse")
     seed: int = _key("random seed (default 0)", commands=_TRAINING, default=0)
     out: str | None = _key("output path")
-    hidden: int | None = _key("hidden neuron count (required)", "N", commands=_TRAINING)
+    hidden: int | None = _key("hidden neuron count (required)", "N", commands=_TRAINING,
+                              required=True)
     activation: str = _key("hidden activation", "|".join(sorted(ACTIVATIONS)),
                            commands=_TRAINING, default="sigmoid")
     ridge: float = _key("ridge term for the initial solve (default 0)",
                         commands=_TRAINING, default=0.0)
-    init_block: int | None = _key("rows in the initialization block", "N0", commands=_TRAINING)
-    block: int | None = _key("rows per stream block", "B", commands=_TRAINING)
+    init_block: int | None = _key("rows in the initialization block", "N0", commands=_TRAINING,
+                                  required=True)
+    block: int | None = _key("rows per stream block", "B", commands=_TRAINING, required=True)
     shuffle_seed: int | None = _key("shuffle rows with this seed before streaming",
                                     commands=_TRAINING)
     recalibrate: bool = _key("recalibrate the threshold after every stream block",
                              commands=_TRAINING, default=False)
-    model: str | None = _key("model file written by train", commands=("eval",))
-    folds: int | None = _key("number of folds", "K", commands=("cv",))
+    model: str | None = _key("model file written by train", commands=("eval",), required=True)
+    folds: int | None = _key("number of folds", "K", commands=("cv",),
+                             required=lambda cfg: cfg.fold_file is None)
     fold_file: str | None = _key("explicit folds: one line of 0-based test indices per fold",
                                  commands=("cv",))
     arrival_interval: float | None = _key(
         "assert real-time feasibility against this per-block arrival interval", "SECONDS",
         commands=("bench",))
+
+    def __post_init__(self):
+        if self.command not in _HANDLERS:
+            raise UsageError(f"unknown command {self.command!r}")
+        for names, ok, requirement in _BOUNDS:
+            for name in names:
+                value = getattr(self, name)
+                if value is not None and not ok(value):
+                    raise UsageError(f"{_flag(name)} must be {requirement}, got {value!r}")
+        for f in fields(self):
+            required = f.metadata.get("required")
+            if required and _is_flag_of(f, self.command) and (required is True or required(self)):
+                _require(self, f.name)
 
 
 # Config key -> value type, read off the RunConfig annotations
@@ -156,7 +182,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", help="flat key-value config file; flags override it")
         for f in fields(RunConfig):
             meta = f.metadata
-            if meta and command in (meta["commands"] or _HANDLERS):
+            if _is_flag_of(f, command):
                 # A flag's value reaches _coerce as text, like a config value;
                 # a boolean flag spells "true".
                 as_text = ({"action": "store_const", "const": "true"}
@@ -209,31 +235,22 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
         if (text := getattr(ns, name, None)) is not None
     }
     file_values = _read_config_file(ns.config) if ns.config else {}
-    cfg = RunConfig(command=ns.command, **{**file_values, **flag_values})
-    for names, ok, requirement in _BOUNDS:
-        for name in names:
-            value = getattr(cfg, name)
-            if value is not None and not ok(value):
-                raise UsageError(f"{_flag(name)} must be {requirement}, got {value!r}")
-    return cfg
+    return RunConfig(command=ns.command, **{**file_values, **flag_values})
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise UsageError(f"{_flag(name)} is required for '{cfg.command}'")
+def _require(cfg: RunConfig, name: str) -> None:
+    if getattr(cfg, name) is None:
+        raise UsageError(f"{_flag(name)} is required for '{cfg.command}'")
 
 
-def _load_dataset(cfg: RunConfig, path: str) -> LabeledDataset:
-    _require(cfg, "labels")
+def _load_dataset(cfg: RunConfig) -> LabeledDataset:
     if cfg.format == "sparse":
-        _require(cfg, "features")
-        return load_sparse(path, cfg.features, cfg.labels)
-    return load_csv(path, cfg.labels, has_header=cfg.header)
+        return load_sparse(cfg.data, cfg.features, cfg.labels)
+    return load_csv(cfg.data, cfg.labels, has_header=cfg.header)
 
 
 def _write_kv(path: str, lines: list[str]) -> None:
@@ -280,11 +297,6 @@ class CvOutcome:
 
     def std(self, name: str) -> float:
         return float(np.std([getattr(r, name) for r in self.reports], ddof=1))
-
-
-def _plan(cfg: RunConfig) -> StreamPlan:
-    _require(cfg, "hidden", "init_block", "block")
-    return StreamPlan(cfg.init_block, cfg.block, cfg.shuffle_seed)
 
 
 def _train_streaming(
@@ -341,31 +353,26 @@ def _evaluate(
 def run_train(cfg: RunConfig) -> TrainOutcome:
     """Train on ``cfg.data``. An unshuffled CSV file is read one block at a
     time, as it is learned; other input is loaded whole, then cut."""
-    _require(cfg, "data")
+    plan = StreamPlan(cfg.init_block, cfg.block, cfg.shuffle_seed)
     if cfg.format == "csv" and cfg.shuffle_seed is None:
-        _require(cfg, "labels")
-        blocks = stream_csv(cfg.data, cfg.labels, _plan(cfg), has_header=cfg.header)
+        blocks = stream_csv(cfg.data, cfg.labels, plan, has_header=cfg.header)
     else:
-        blocks = stream_blocks(_load_dataset(cfg, cfg.data), _plan(cfg))
+        blocks = stream_blocks(_load_dataset(cfg), plan)
     return _train_streaming(blocks, cfg, cfg.seed)
 
 
 def run_eval(cfg: RunConfig) -> MetricsReport:
-    _require(cfg, "model", "data")
     model, norm = load_model(cfg.model)
-    ds = _load_dataset(cfg, cfg.data)
-    return _evaluate(model, norm, ds)
+    return _evaluate(model, norm, _load_dataset(cfg))
 
 
 def run_cv(cfg: RunConfig) -> CvOutcome:
-    _require(cfg, "data")
-    ds = _load_dataset(cfg, cfg.data)
+    ds = _load_dataset(cfg)
     if cfg.fold_file is not None:
         folds = load_fold_file(cfg.fold_file, ds.n_samples)
     else:
-        _require(cfg, "folds")
         folds = kfold(ds, cfg.folds, cfg.seed)
-    plan = _plan(cfg)
+    plan = StreamPlan(cfg.init_block, cfg.block, cfg.shuffle_seed)
     reports = []
     for i, (train_idx, test_idx) in enumerate(folds):
         train_ds = ds.subset(train_idx)

@@ -392,10 +392,10 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     norms = float(np.vdot(v, v))  # the sum of V's squared row norms
     if not math.isfinite(norms):  # finite rows can overflow it: check exactly
         ensure_finite(v, "inverse Gram matrix")
-    # For one row V'step is an outer product, each entry one rounded
-    # product: np.dot hands it to BLAS with matmul's bits, where matmul's
-    # own loop for this layout took 10-15 us against 2 us at H = 300.
-    beta_new = np.dot(v.T, step) if rows == 1 else v.T @ step
+    # np.dot hands V'step to BLAS for every row count; for one row it is an
+    # outer product, where matmul's own loop for this layout took 10-15 us
+    # against 2 us at H = 300.
+    beta_new = np.dot(v.T, step)
     beta_new += model.beta
     ensure_finite(beta_new, "output weights")
     # The model's state is replaced only after the fold's check.

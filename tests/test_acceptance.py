@@ -18,13 +18,7 @@ from conftest import DATA_DIR, DATASETS_DIR, batch_beta, synthetic_stream, write
 from elmstream.cli import RunConfig, main, run_cv, run_train
 from elmstream.data import load_csv
 from elmstream.labels import calibrate_threshold, decode, to_bipolar
-from elmstream.metrics import (
-    example_accuracy,
-    example_prf,
-    hamming_loss,
-    label_cardinality,
-    label_density,
-)
+from elmstream.metrics import compute_report, hamming_loss, label_cardinality, label_density
 from elmstream.model import hidden_output, init_hidden, init_phase, update
 
 
@@ -107,9 +101,11 @@ def test_criterion_3_metric_oracles_exhaustive():
                 f1 = 1.0 if not (y or z) else 2 * inter / (len(y) + len(z))
                 p = np.array([pr])
                 t = np.array([tr])
-                assert hamming_loss(p, t) == ham
-                assert example_accuracy(p, t) == acc
-                assert example_prf(p, t) == (prec, rec, f1)
+                report = compute_report(p, t)
+                assert hamming_loss(p, t) == report.hamming_loss == ham
+                assert (report.accuracy, report.precision, report.recall, report.f1) == (
+                    acc, prec, rec, f1)
+                assert report.empty_prediction_rate == (0.0 if z else 1.0)
 
 
 def hand_count_label_ones(path, label_count):

@@ -581,6 +581,48 @@ class TestUsage:
                 flagged.add(action.dest)
         assert flagged == keys
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["train", "--data", "nope.csv", "--labels", "2", "--init-block", "1",
+              "--block", "1", "--out", "m"], "hidden"),
+            (["train", "--data", "nope.csv", "--labels", "2", "--init-block", "1",
+              "--block", "1", "--out", "m", "--shuffle-seed", "3"], "hidden"),
+            (["train", "--data", "nope.csv", "--labels", "2", "--init-block", "1",
+              "--block", "1", "--out", "m", "--format", "sparse", "--features", "1"], "hidden"),
+            (["train", "--data", "nope.csv", "--labels", "2", "--hidden", "1",
+              "--init-block", "1", "--block", "1", "--out", "m", "--format", "sparse"],
+             "features"),
+            (["train", "--labels", "2"], "data"),
+            (["eval", "--model", "nope.model", "--data", "d.csv"], "labels"),
+            (["eval", "--data", "nope.csv", "--labels", "2"], "model"),
+            (["cv", "--data", "nope.csv", "--labels", "2", "--hidden", "3",
+              "--init-block", "1", "--block", "1"], "folds"),
+            (["bench", "--data", "nope.csv", "--labels", "2", "--hidden", "3",
+              "--block", "1"], "init_block"),
+        ],
+    )
+    def test_missing_key_is_reported_before_any_file_is_read(
+        self, tmp_path, monkeypatch, capsys, argv, key
+    ):
+        monkeypatch.chdir(tmp_path)  # no named file exists here
+        assert main(argv) == EXIT_USAGE
+        flag = "--" + key.replace("_", "-")
+        assert capsys.readouterr().err == f"usage error: {flag} is required for '{argv[0]}'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_run_config_checks_itself(self):
+        with pytest.raises(cli.UsageError, match="^--hidden is required for 'train'$"):
+            RunConfig(command="train", data="nope.csv", labels=2, init_block=1, block=1)
+        with pytest.raises(cli.UsageError, match="^--block must be >= 1, got 0$"):
+            RunConfig(command="train", block=0)
+        with pytest.raises(cli.UsageError, match="^unknown command 'trian'$"):
+            RunConfig(command="trian", data="d.csv", labels=2)
+        # A key that is not a flag of the command is not required by it.
+        RunConfig(command="eval", data="d.csv", labels=2, model="m")
+        RunConfig(command="cv", data="d.csv", labels=2, hidden=1, init_block=1, block=1,
+                  fold_file="f")
+
     def test_sparse_requires_features(self, tmp_path):
         p = tmp_path / "d.sparse"
         p.write_text("1 1:0.5\n")

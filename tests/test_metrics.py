@@ -6,8 +6,6 @@ import pytest
 from elmstream import metrics
 from elmstream.metrics import (
     compute_report,
-    example_accuracy,
-    example_prf,
     format_report,
     hamming_loss,
     label_cardinality,
@@ -59,36 +57,41 @@ class TestHammingLoss:
             hamming_loss(np.zeros((2, 2), dtype=int), np.zeros((2, 3), dtype=int))
 
 
+def scores(pred, truth):
+    """(hamming, accuracy, precision, recall, f1) of compute_report."""
+    r = compute_report(pred, truth)
+    return r.hamming_loss, r.accuracy, r.precision, r.recall, r.f1
+
+
 class TestExampleAccuracy:
     def test_exact_match(self):
         y = np.array([[1, 0, 1]])
-        assert example_accuracy(y, y) == 1.0
+        assert compute_report(y, y).accuracy == 1.0
 
     def test_disjoint_nonempty(self):
-        assert example_accuracy([[1, 0, 0]], [[0, 1, 1]]) == 0.0
+        assert compute_report([[1, 0, 0]], [[0, 1, 1]]).accuracy == 0.0
 
     def test_both_empty_counts_as_one(self):
-        assert example_accuracy([[0, 0]], [[0, 0]]) == 1.0
+        assert compute_report([[0, 0]], [[0, 0]]).accuracy == 1.0
 
 
 class TestExamplePrf:
     def test_exact_match(self):
         y = np.array([[1, 1, 0]])
-        assert example_prf(y, y) == (1.0, 1.0, 1.0)
+        assert scores(y, y)[2:] == (1.0, 1.0, 1.0)
 
     def test_empty_prediction_nonempty_truth(self):
-        assert example_prf([[0, 0, 0]], [[1, 0, 1]]) == (0.0, 0.0, 0.0)
+        assert scores([[0, 0, 0]], [[1, 0, 1]])[2:] == (0.0, 0.0, 0.0)
 
     def test_nonempty_prediction_empty_truth(self):
-        assert example_prf([[1, 0, 0]], [[0, 0, 0]]) == (0.0, 0.0, 0.0)
+        assert scores([[1, 0, 0]], [[0, 0, 0]])[2:] == (0.0, 0.0, 0.0)
 
     def test_random_against_set_oracle(self):
         rng = np.random.default_rng(2)
         p = rng.integers(0, 2, size=(4, 3))
         t = rng.integers(0, 2, size=(4, 3))
         expected = np.mean([set_oracle(pr, tr) for pr, tr in zip(p, t)], axis=0)
-        prec, rec, f1 = example_prf(p, t)
-        assert (prec, rec, f1) == pytest.approx(tuple(expected[2:]), abs=1e-15)
+        assert scores(p, t)[2:] == pytest.approx(tuple(expected[2:]), abs=1e-15)
 
 
 def test_exhaustive_single_rows_match_oracle_exactly():
@@ -98,10 +101,9 @@ def test_exhaustive_single_rows_match_oracle_exactly():
         for tr in rows:
             p = np.array([pr])
             t = np.array([tr])
-            ham, acc, prec, rec, f1 = set_oracle(pr, tr)
-            assert hamming_loss(p, t) == ham
-            assert example_accuracy(p, t) == acc
-            assert example_prf(p, t) == (prec, rec, f1)
+            expected = set_oracle(pr, tr)
+            assert scores(p, t) == expected
+            assert hamming_loss(p, t) == expected[0]
 
 
 def test_exhaustive_two_row_aggregates_match_oracle():
@@ -110,14 +112,9 @@ def test_exhaustive_two_row_aggregates_match_oracle():
     for _ in range(200):
         p = np.array([rows[rng.integers(8)], rows[rng.integers(8)]])
         t = np.array([rows[rng.integers(8)], rows[rng.integers(8)]])
-        per_row = [set_oracle(pr, tr) for pr, tr in zip(p, t)]
-        agg = np.mean(per_row, axis=0)
+        agg = np.mean([set_oracle(pr, tr) for pr, tr in zip(p, t)], axis=0)
         assert abs(hamming_loss(p, t) - agg[0]) <= 1e-15
-        assert abs(example_accuracy(p, t) - agg[1]) <= 1e-15
-        prec, rec, f1 = example_prf(p, t)
-        assert abs(prec - agg[2]) <= 1e-15
-        assert abs(rec - agg[3]) <= 1e-15
-        assert abs(f1 - agg[4]) <= 1e-15
+        assert np.all(np.abs(np.array(scores(p, t)) - agg) <= 1e-15)
 
 
 def test_f1_term_dominates_accuracy_term():
@@ -125,7 +122,8 @@ def test_f1_term_dominates_accuracy_term():
     for _ in range(50):
         p = rng.integers(0, 2, size=(1, 5))
         t = rng.integers(0, 2, size=(1, 5))
-        assert example_prf(p, t)[2] >= example_accuracy(p, t) - 1e-15
+        report = compute_report(p, t)
+        assert report.f1 >= report.accuracy - 1e-15
 
 
 class TestDatasetStatistics:
@@ -186,15 +184,17 @@ class TestReport:
                      "empty_prediction_rate"):
             assert 0.0 <= getattr(report, name) <= 1.0
 
-    def test_checks_its_pair_once_and_agrees_with_the_public_functions(self, monkeypatch):
+    def test_checks_its_pair_once_and_agrees_with_the_set_oracle(self, monkeypatch):
         rng = np.random.default_rng(7)
         p = rng.integers(0, 2, size=(11, 5))
         t = rng.integers(0, 2, size=(11, 5))
+        p[0], t[0] = 0, 0  # one row where both sets are empty
         calls = []
         checked = metrics._pair
         monkeypatch.setattr(metrics, "_pair", lambda *pair: calls.append(1) or checked(*pair))
         report = compute_report(p, t)
         assert len(calls) == 1
-        precision, recall, f1 = example_prf(p, t)
-        assert (report.hamming_loss, report.accuracy) == (hamming_loss(p, t), example_accuracy(p, t))
-        assert (report.precision, report.recall, report.f1) == (precision, recall, f1)
+        assert report.hamming_loss == hamming_loss(p, t)
+        expected = np.mean([set_oracle(pr, tr) for pr, tr in zip(p, t)], axis=0)
+        assert np.all(np.abs(np.array(scores(p, t)) - expected) <= 1e-15)
+        assert report.empty_prediction_rate == np.mean(p.sum(axis=1) == 0)

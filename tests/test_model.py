@@ -737,6 +737,28 @@ class TestProjectionReuse:
             predict_raw(model, x[30:31, :5])
         assert model._projected is None
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda m, x, y: predict_raw(m, x[0]), "input must be 2-D, got ndim=1"),
+            (lambda m, x, y: update(m, x[0], y[:1]), "features must be 2-D, got ndim=1"),
+            (lambda m, x, y: update(m, x[:1], y[0]), "targets must be 2-D, got ndim=1"),
+        ],
+        ids=["predict_raw_input", "update_features", "update_targets"],
+    )
+    def test_one_dimensional_row_is_rejected_and_drops_the_record(
+        self, tmp_path, call, message
+    ):
+        layer, x, y = stream_fixture(seed=74)
+        model = init_phase(layer, x[:30], y[:30])
+        save_model(tmp_path / "before.elm", model)
+        predict_raw(model, x[30:31])
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            call(model, x[30:31], y[30:31])
+        assert model._projected is None
+        save_model(tmp_path / "after.elm", model)
+        assert (tmp_path / "before.elm").read_bytes() == (tmp_path / "after.elm").read_bytes()
+
     def test_rejected_update_drops_the_record(self, projections):
         layer, x, y = stream_fixture(seed=66)
         model = init_phase(layer, x[:30], y[:30])

@@ -1,12 +1,16 @@
-"""README's library quick start runs as written, its CLI flag lists
-match the parser, and its fixture files regenerate as it says."""
+"""README's library quick start runs as written and imports what the
+package exports, its CLI flag lists match the parser, and its fixture
+files regenerate as it says."""
 
+import importlib
 import importlib.util
 import pathlib
+import pkgutil
 import re
 
 import numpy as np
 
+import elmstream
 from conftest import DATA_DIR, command_flags, synthetic_stream, write_csv
 from elmstream import cli
 
@@ -14,9 +18,13 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 
-def test_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+def quick_start():
     text = README.read_text(encoding="utf-8")
-    code = re.search(r"```python\n(.*?)```", text, re.DOTALL).group(1)
+    return re.search(r"```python\n(.*?)```", text, re.DOTALL).group(1)
+
+
+def test_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    code = quick_start()
     # Yeast-shaped: 103 features, 14 labels; 210 rows stream as the
     # quick start's init block of 150 and two blocks of 30.
     ds = synthetic_stream(270, 103, 14, seed=12)
@@ -29,6 +37,18 @@ def test_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
     assert names == ["prequential hamming loss", "hamming loss"]
     for line in lines:
         assert 0.0 <= float(line.split(":")[1]) < 0.5
+
+
+def test_exports_are_the_quick_start_imports_and_the_error_classes():
+    imports = re.search(r"from elmstream import \((.*?)\)", quick_start(), re.DOTALL).group(1)
+    errors = ["DataError", "NumericalError", "ShapeError", "SingularMatrixError"]
+    assert sorted(elmstream.__all__) == sorted(imports.replace(",", " ").split() + errors)
+    assert all(issubclass(getattr(elmstream, name), Exception) for name in errors)
+    # Every submodule exports only names it defines.
+    for info in pkgutil.iter_modules(elmstream.__path__):
+        module = importlib.import_module(f"elmstream.{info.name}")
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], (info.name, missing)
 
 
 def test_cli_flag_lists_match_the_parser():
