@@ -34,6 +34,7 @@ from .data import (
     load_sparse,
     stream_blocks,
     stream_csv,
+    stream_sparse,
 )
 from .labels import calibrate_threshold, decode, to_bipolar
 from .metrics import MetricsReport, compute_report, format_report, report_kv_lines
@@ -247,10 +248,15 @@ def _require(cfg: RunConfig, name: str) -> None:
         raise UsageError(f"{_flag(name)} is required for '{cfg.command}'")
 
 
-def _load_dataset(cfg: RunConfig) -> LabeledDataset:
+def _read(cfg: RunConfig, plan: StreamPlan | None = None):
+    """The dataset ``cfg.data`` or, given an unshuffled ``plan``, its
+    blocks, read from the file one block at a time."""
     if cfg.format == "sparse":
-        return load_sparse(cfg.data, cfg.features, cfg.labels)
-    return load_csv(cfg.data, cfg.labels, has_header=cfg.header)
+        args = (cfg.data, cfg.features, cfg.labels)
+        return load_sparse(*args) if plan is None else stream_sparse(*args, plan)
+    if plan is None:
+        return load_csv(cfg.data, cfg.labels, cfg.header)
+    return stream_csv(cfg.data, cfg.labels, plan, cfg.header)
 
 
 def _write_kv(path: str, lines: list[str]) -> None:
@@ -351,23 +357,20 @@ def _evaluate(
 
 
 def run_train(cfg: RunConfig) -> TrainOutcome:
-    """Train on ``cfg.data``. An unshuffled CSV file is read one block at a
-    time, as it is learned; other input is loaded whole, then cut."""
+    """Train on ``cfg.data``, read one block at a time as it is learned; a
+    shuffle needs every row first, so shuffled input is loaded whole, then cut."""
     plan = StreamPlan(cfg.init_block, cfg.block, cfg.shuffle_seed)
-    if cfg.format == "csv" and cfg.shuffle_seed is None:
-        blocks = stream_csv(cfg.data, cfg.labels, plan, has_header=cfg.header)
-    else:
-        blocks = stream_blocks(_load_dataset(cfg), plan)
+    blocks = _read(cfg, plan) if cfg.shuffle_seed is None else stream_blocks(_read(cfg), plan)
     return _train_streaming(blocks, cfg, cfg.seed)
 
 
 def run_eval(cfg: RunConfig) -> MetricsReport:
     model, norm = load_model(cfg.model)
-    return _evaluate(model, norm, _load_dataset(cfg))
+    return _evaluate(model, norm, _read(cfg))
 
 
 def run_cv(cfg: RunConfig) -> CvOutcome:
-    ds = _load_dataset(cfg)
+    ds = _read(cfg)
     if cfg.fold_file is not None:
         folds = load_fold_file(cfg.fold_file, ds.n_samples)
     else:

@@ -19,8 +19,11 @@ a line names its ``path:line``.
 
 Every reader checks that the whole file is UTF-8 before it reads the
 first line, then reads it line by line; no reader holds the file's text.
-A CSV file is parsed in chunks of rows: ``load_csv`` joins them into one
-dataset, and ``stream_csv`` hands them out as the blocks of a stream.
+Both formats are parsed in chunks of rows: ``load_csv`` and ``load_sparse``
+join them into one dataset, ``stream_csv`` and ``stream_sparse`` hand them
+out as the blocks of a stream, so a fault in a later row raises when its
+block is read. ``cli``'s ``train`` and ``bench`` stream; ``eval``, ``cv``
+and a shuffled stream need every row first, so they load whole files.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "load_csv",
     "stream_csv",
     "load_sparse",
+    "stream_sparse",
     "fit_normalizer",
     "kfold",
     "stream_blocks",
@@ -102,7 +106,7 @@ def _finite_float(text: str, path: str, lineno: int, what: str) -> float:
 
 
 _CHECK_CHARS = 1 << 16  # characters per read of the UTF-8 check
-_CHUNK_ROWS = 1024  # rows per chunk of load_csv
+_CHUNK_ROWS = 1024  # rows per chunk of load_csv and load_sparse
 
 
 def _text_lines(path: str, comment: str | None = None) -> Iterator[tuple[int, str]]:
@@ -134,20 +138,21 @@ def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset
 
     With ``has_header`` the first non-blank line is a header: it is
     skipped, and its field count is the width every data row must have.
-
-    The file is read in chunks of rows, each parsed in bulk by one
-    ``np.loadtxt`` call. A chunk is read line by line only when the bulk
-    parse declines: to load the few spellings it does not take (``1_0``,
-    non-ASCII digits, padded labels) or to name the ``path:line`` of an
-    error.
     """
-    chunks = list(_csv_chunks(str(path), label_count, has_header, itertools.repeat(_CHUNK_ROWS)))
+    return _joined(_csv_chunks, str(path), label_count, has_header)
+
+
+def load_sparse(path, feature_count: int, label_count: int) -> LabeledDataset:
+    """Load a sparse ``<labels> <idx>:<val>`` dataset with known dimensions."""
+    return _joined(_sparse_chunks, str(path), feature_count, label_count)
+
+
+def _joined(chunks, *args) -> LabeledDataset:
+    chunks = list(chunks(*args, itertools.repeat(_CHUNK_ROWS)))
     if len(chunks) == 1:
         return chunks[0]
-    return LabeledDataset(
-        features=np.concatenate([c.features for c in chunks]),
-        labels=np.concatenate([c.labels for c in chunks]),
-    )
+    return LabeledDataset(np.concatenate([c.features for c in chunks]),
+                          np.concatenate([c.labels for c in chunks]))
 
 
 def stream_csv(path, label_count: int, plan: StreamPlan,
@@ -161,10 +166,21 @@ def stream_csv(path, label_count: int, plan: StreamPlan,
     A fault in a later row raises DataError when its block is read.
     ``plan`` must not shuffle: a shuffle needs every row first.
     """
+    return _stream("stream_csv", plan, _csv_chunks, str(path), label_count, has_header)
+
+
+def stream_sparse(path, feature_count: int, label_count: int,
+                  plan: StreamPlan) -> Iterator[LabeledDataset]:
+    """``stream_csv`` for ``load_sparse(path, feature_count, label_count)``."""
+    return _stream("stream_sparse", plan, _sparse_chunks, str(path), feature_count, label_count)
+
+
+def _stream(name: str, plan: StreamPlan, chunks, *args) -> Iterator[LabeledDataset]:
+    """The body of ``name``: the blocks of ``plan``, read by ``chunks(*args, sizes)``."""
     if plan.shuffle_seed is not None:
-        raise ValueError("stream_csv reads rows in file order; shuffle with stream_blocks")
+        raise ValueError(f"{name} reads rows in file order; shuffle with stream_blocks")
     sizes = itertools.chain([plan.init_block_size], itertools.repeat(plan.block_size))
-    blocks = _csv_chunks(str(path), label_count, has_header, sizes)
+    blocks = chunks(*args, sizes)
     ahead = list(itertools.islice(blocks, 2))
     _check_feasible(plan, sum(b.n_samples for b in ahead))
     while ahead:
@@ -172,30 +188,41 @@ def stream_csv(path, label_count: int, plan: StreamPlan,
     yield from blocks
 
 
+def _chunks(path: str, sizes: Iterable[int], parse, comment: str | None = None,
+            head: int = 0) -> Iterator[LabeledDataset]:
+    """Consecutive chunks of the text file ``path``, each ``parse(rows,
+    width)`` of as many (line number, text) rows as the next of ``sizes``
+    (after ``head`` header lines in the first; the last may be short).
+    ``width`` is the last chunk's features plus labels, None at first."""
+    rows = _text_lines(path, comment)
+    width = None
+    for size in sizes:
+        chunk = list(itertools.islice(rows, size + head))
+        if width is not None and not chunk:
+            return  # the file ended with the previous chunk
+        ds = parse(chunk, width)
+        width = ds.n_features + ds.n_labels
+        yield ds
+        head = 0
+
+
 def _csv_chunks(path: str, label_count: int, has_header: bool,
                 sizes: Iterable[int]) -> Iterator[LabeledDataset]:
-    """Consecutive chunks of the CSV file ``path``, each with as many rows
-    as the next of ``sizes``; the chunk at the end of the file may be short.
-
-    Each chunk is parsed by ``_csv_in_bulk``, or by ``_csv_by_line`` when
-    the bulk parse declines. A file with no data rows raises DataError.
+    """The ``_chunks`` of a CSV file, each parsed in bulk by one
+    ``np.loadtxt`` call. A chunk is read line by line only when the bulk
+    parse declines: to load the few spellings it does not take (``1_0``,
+    non-ASCII digits, padded labels) or to name the ``path:line`` of an
+    error.
     """
     if label_count < 1:
         raise DataError(f"label_count must be >= 1, got {label_count}")
-    rows = _text_lines(path)
-    width = None
-    for size in sizes:
+
+    def parse(rows, width):
         header = has_header and width is None
-        chunk = list(itertools.islice(rows, size + header))
-        if width is not None and not chunk:
-            return  # the file ended with the previous chunk
-        ds = _csv_in_bulk([line for _, line in chunk], label_count, header, width)
-        if ds is None:
-            ds = _csv_by_line(chunk, path, label_count, header, width)
-        width = ds.n_features + label_count
-        yield ds
-        if len(chunk) < size + header:
-            return
+        ds = _csv_in_bulk([line for _, line in rows], label_count, header, width)
+        return ds if ds is not None else _csv_by_line(rows, path, label_count, header, width)
+
+    return _chunks(path, sizes, parse, head=has_header)
 
 
 def _csv_in_bulk(lines: list[str], label_count: int, has_header: bool,
@@ -298,39 +325,43 @@ def _index(text: str, count: int, seen: set, what: str, path: str, lineno: int) 
     return idx - 1
 
 
-def load_sparse(path, feature_count: int, label_count: int) -> LabeledDataset:
-    """Load a sparse ``<labels> <idx>:<val>`` dataset with known dimensions."""
+def _sparse_chunks(path: str, feature_count: int, label_count: int,
+                   sizes: Iterable[int]) -> Iterator[LabeledDataset]:
+    """The ``_chunks`` of a sparse file, each read line by line."""
     if feature_count < 1 or label_count < 1:
         raise DataError("feature_count and label_count must both be >= 1")
-    path = str(path)
-    feature_rows: list[np.ndarray] = []
-    label_rows: list[np.ndarray] = []
-    for lineno, line in _text_lines(path, "#"):
-        tokens = line.split()
-        feats = np.zeros(feature_count, dtype=float)
-        labs = np.zeros(label_count, dtype=np.int8)
-        start = 0
-        if ":" not in tokens[0]:
-            start = 1
+
+    def parse(rows, width):
+        feature_rows: list[np.ndarray] = []
+        label_rows: list[np.ndarray] = []
+        for lineno, line in rows:
+            tokens = line.split()
+            feats = np.zeros(feature_count, dtype=float)
+            labs = np.zeros(label_count, dtype=np.int8)
+            start = 0
+            if ":" not in tokens[0]:
+                start = 1
+                seen = set()
+                for part in tokens[0].split(","):
+                    labs[_index(part, label_count, seen, "label", path, lineno)] = 1
             seen = set()
-            for part in tokens[0].split(","):
-                labs[_index(part, label_count, seen, "label", path, lineno)] = 1
-        seen = set()
-        for token in tokens[start:]:
-            idx_text, sep, val_text = token.partition(":")
-            if not sep:
-                raise DataError(
-                    f"{path}:{lineno}: expected index:value, got {token!r}"
-                )
-            col = _index(idx_text, feature_count, seen, "feature", path, lineno)
-            feats[col] = _finite_float(val_text, path, lineno, "feature value")
-        feature_rows.append(feats)
-        label_rows.append(labs)
-    if not feature_rows:
-        raise DataError(f"{path}: no data rows")
-    return LabeledDataset(
-        features=np.vstack(feature_rows), labels=np.vstack(label_rows)
-    )
+            for token in tokens[start:]:
+                idx_text, sep, val_text = token.partition(":")
+                if not sep:
+                    raise DataError(
+                        f"{path}:{lineno}: expected index:value, got {token!r}"
+                    )
+                col = _index(idx_text, feature_count, seen, "feature", path, lineno)
+                feats[col] = _finite_float(val_text, path, lineno, "feature value")
+            feature_rows.append(feats)
+            label_rows.append(labs)
+        if not feature_rows:
+            raise DataError(f"{path}: no data rows")
+        return LabeledDataset(
+            features=np.vstack(feature_rows), labels=np.vstack(label_rows)
+        )
+
+    return _chunks(path, sizes, parse, "#")
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,23 @@ from elmstream.cli import (
     run_eval,
     run_train,
 )
-from elmstream.data import DataError, StreamPlan, load_csv, stream_blocks
-from elmstream.model import ACTIVATIONS, load_model, save_model
+from elmstream.data import (
+    DataError,
+    StreamPlan,
+    fit_normalizer,
+    load_csv,
+    load_sparse,
+    stream_blocks,
+)
+from elmstream.labels import calibrate_threshold, to_bipolar
+from elmstream.model import (
+    ACTIVATIONS,
+    init_hidden,
+    init_phase,
+    load_model,
+    predict_raw,
+    save_model,
+)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -126,6 +141,30 @@ class TestTrainCommand:
         argv = train_args(interpolating_csv, out) + ["--recalibrate"]
         assert main(argv) == EXIT_OK
 
+    def test_threshold_is_calibrated_on_the_init_block_or_the_last_block(self, tmp_path):
+        # 100 rows: an init block of 40, then 6 blocks of 10. The written
+        # threshold is the init model's, calibrated on the init block;
+        # with --recalibrate it is the final model's, on the last block.
+        ds = synthetic_stream(100, 5, 4, seed=21)
+        data = tmp_path / "d.csv"
+        write_csv(data, ds)
+        x0, y0 = ds.features[:40], ds.labels[:40]
+        norm = fit_normalizer(ds.subset(np.arange(40)))
+        model = init_phase(init_hidden(5, 12, "sigmoid", 9), norm.transform(x0), to_bipolar(y0))
+        expected = calibrate_threshold(predict_raw(model, norm.transform(x0)), y0).threshold
+        thresholds = []
+        for extra in ([], ["--recalibrate"]):
+            out = tmp_path / "m.txt"
+            argv = train_args(data, out, labels="4", hidden="12", seed="9",
+                              **{"init-block": "40", "block": "10"})
+            assert main(argv + extra) == EXIT_OK
+            trained, trained_norm = load_model(out)
+            thresholds.append(trained.threshold)
+        assert thresholds[0] == expected
+        last = predict_raw(trained, trained_norm.transform(ds.features[90:]))
+        assert thresholds[1] == calibrate_threshold(last, ds.labels[90:]).threshold
+        assert len(set(thresholds)) == 2
+
 
 def csv_text(ds, header=False, seed=0):
     """``ds`` as CSV text whose rows end in LF, CRLF, lone CR or a blank
@@ -140,25 +179,50 @@ def csv_text(ds, header=False, seed=0):
     return "".join(lines)
 
 
+def write_stream(tmp_path, fmt, ds, header=False):
+    """``ds`` written as a ``fmt`` file: (path, RunConfig keys that read it).
+    Sparse rows end in LF, CRLF, a comment or blank lines, drawn per row,
+    as ``csv_text`` draws CSV line ends."""
+    if fmt == "csv":
+        data = tmp_path / "d.csv"
+        data.write_bytes(csv_text(ds, header).encode())
+        return data, {"labels": ds.n_labels, "header": header}
+    data = tmp_path / "d.sparse"
+    save_sparse(data, ds)
+    ends = ["\n", "\r\n", " # note\n", "\n\n", "\n# comment line\n", "\n \t\n"]
+    rng = np.random.default_rng(0)
+    rows = data.read_text(encoding="utf-8").splitlines()
+    data.write_bytes("".join(row + ends[rng.integers(len(ends))] for row in rows).encode())
+    return data, {"labels": ds.n_labels, "format": "sparse", "features": ds.n_features}
+
+
+def flags(keys):
+    """``train_args`` overrides for the RunConfig ``keys`` of ``write_stream``."""
+    return {k: str(v) for k, v in keys.items() if k != "header"}
+
+
 class TestStreamedTrain:
-    """``train`` reads an unshuffled CSV file one block at a time."""
+    """``train`` reads an unshuffled file of either format one block at a time."""
 
     @pytest.mark.parametrize(
-        "rows, init_block, block, header",
-        [(50, 12, 5, False), (50, 12, 5, True), (48, 12, 6, True), (50, 50, 7, True),
-         (31, 30, 1, False)],
+        "fmt, rows, init_block, block, header",
+        [("csv", 50, 12, 5, False), ("csv", 50, 12, 5, True), ("csv", 48, 12, 6, True),
+         ("csv", 50, 50, 7, True), ("csv", 31, 30, 1, False), ("sparse", 50, 12, 5, False),
+         ("sparse", 48, 12, 6, False), ("sparse", 50, 50, 7, False),
+         ("sparse", 31, 30, 1, False)],
         ids=["remainder", "remainder_header", "even_header", "init_is_every_row",
-             "single_rows"],
+             "single_rows", "sparse_remainder", "sparse_even", "sparse_init_is_every_row",
+             "sparse_single_rows"],
     )
-    def test_writes_the_model_of_the_loaded_stream(self, tmp_path, rows, init_block, block,
-                                                   header):
-        data = tmp_path / "d.csv"
-        data.write_bytes(csv_text(synthetic_stream(rows, 4, 3, seed=rows), header).encode())
-        cfg = RunConfig(command="train", data=str(data), labels=3, header=header, hidden=8,
+    def test_writes_the_model_of_the_loaded_stream(self, tmp_path, fmt, rows, init_block,
+                                                   block, header):
+        data, keys = write_stream(tmp_path, fmt, synthetic_stream(rows, 4, 3, seed=rows), header)
+        cfg = RunConfig(command="train", data=str(data), **keys, hidden=8,
                         init_block=init_block, block=block, seed=5, recalibrate=True)
         streamed = run_train(cfg)
         plan = StreamPlan(init_block, block)
-        loaded = cli._train_streaming(stream_blocks(load_csv(data, 3, header), plan), cfg, 5)
+        ds = load_csv(data, 3, header) if fmt == "csv" else load_sparse(data, 4, 3)
+        loaded = cli._train_streaming(stream_blocks(ds, plan), cfg, 5)
         paths = [tmp_path / "streamed.txt", tmp_path / "loaded.txt"]
         for path, outcome in zip(paths, (streamed, loaded)):
             save_model(path, outcome.model, outcome.normalizer)
@@ -169,57 +233,62 @@ class TestStreamedTrain:
     def test_infeasible_plan_text(self, tmp_path, capsys, rows):
         # 7 rows end inside the init block of 10; 11 to 13 leave 1 to 3
         # rows after it, short of a block of 4. 14 rows are feasible.
-        data = tmp_path / "d.csv"
-        write_csv(data, synthetic_stream(rows, 2, 3, seed=4))
-        out = tmp_path / "m.txt"
-        code = main(train_args(data, out, **{"init-block": "10", "block": "4"}))
-        if rows == 14:
-            assert code == EXIT_OK
-            return
-        assert code == EXIT_DATA
-        assert capsys.readouterr().err == (
-            f"data error: infeasible plan: init block 10 plus block 4 exceeds {rows} rows\n"
-        )
-        assert not out.exists()
+        for fmt in ("csv", "sparse"):
+            data, keys = write_stream(tmp_path, fmt, synthetic_stream(rows, 2, 3, seed=4))
+            out = tmp_path / f"{fmt}.model"
+            code = main(train_args(data, out, **{"init-block": "10", "block": "4"},
+                                   **flags(keys)))
+            if rows == 14:
+                assert code == EXIT_OK
+                continue
+            assert code == EXIT_DATA
+            assert capsys.readouterr().err == (
+                f"data error: infeasible plan: init block 10 plus block 4 exceeds {rows} rows\n"
+            )
+            assert not out.exists()
 
     def test_fault_in_the_last_row_writes_no_model(self, tmp_path, capsys):
-        data = tmp_path / "d.csv"
-        write_csv(data, synthetic_stream(40, 2, 3, seed=4))
-        with open(data, "a", encoding="utf-8") as fh:
-            fh.write("0.5,0.5,1,0,2\n")
-        out = tmp_path / "m.txt"
-        assert main(train_args(data, out, **{"init-block": "10", "block": "4"})) == EXIT_DATA
-        assert capsys.readouterr().err == (
-            f"data error: {data}:41: label field '2' is not 0 or 1\n"
-        )
-        assert not out.exists()
+        faults = {"csv": ("0.5,0.5,1,0,2", "label field '2' is not 0 or 1"),
+                  "sparse": ("1,3,1 1:0.5", "duplicate label index 1")}
+        for fmt, (row, message) in faults.items():
+            data, keys = write_stream(tmp_path, fmt, synthetic_stream(40, 2, 3, seed=4))
+            with open(data, "a", encoding="utf-8") as fh:
+                fh.write(row + "\n")
+            lineno = len(data.read_text(encoding="utf-8").splitlines())
+            out = tmp_path / "m.txt"
+            assert main(train_args(data, out, **{"init-block": "10", "block": "4"},
+                                   **flags(keys))) == EXIT_DATA
+            assert capsys.readouterr().err == f"data error: {data}:{lineno}: {message}\n"
+            assert not out.exists()
 
     def test_bad_byte_at_the_end_stops_before_the_first_block(self, tmp_path, monkeypatch):
-        data = tmp_path / "d.csv"
-        write_csv(data, synthetic_stream(40, 2, 3, seed=4))
-        with open(data, "ab") as fh:
-            fh.write(b"\xff\n")
         monkeypatch.setattr(cli, "init_phase", lambda *args: pytest.fail("a block was learned"))
-        with pytest.raises(DataError, match=r"d.csv: not UTF-8 text \(invalid start byte\)"):
-            run_train(RunConfig(command="train", data=str(data), labels=3, hidden=6,
-                                init_block=10, block=4))
+        for fmt in ("csv", "sparse"):
+            data, keys = write_stream(tmp_path, fmt, synthetic_stream(40, 2, 3, seed=4))
+            with open(data, "ab") as fh:
+                fh.write(b"\xff\n")
+            with pytest.raises(DataError,
+                               match=rf"{data.name}: not UTF-8 text \(invalid start byte\)"):
+                run_train(RunConfig(command="train", data=str(data), **keys, hidden=6,
+                                    init_block=10, block=4))
 
     def test_peak_memory_does_not_grow_with_the_stream(self, tmp_path):
         # Loading the whole file first made this peak grow about 4x from
-        # 2,000 to 8,000 rows. Read one block at a time, it stays flat.
-        peaks = []
-        for rows in (2000, 8000):
-            data = tmp_path / f"d{rows}.csv"
-            write_csv(data, synthetic_stream(rows, 20, 5, seed=6))
-            cfg = RunConfig(command="train", data=str(data), labels=5, hidden=40,
-                            init_block=100, block=10)
-            tracemalloc.start()
-            try:
-                run_train(cfg)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 1.25 * peaks[0], peaks
+        # 2,000 to 8,000 rows. Read one block at a time, it stays flat in
+        # either format.
+        for fmt in ("csv", "sparse"):
+            peaks = []
+            for rows in (2000, 8000):
+                data, keys = write_stream(tmp_path, fmt, synthetic_stream(rows, 20, 5, seed=6))
+                cfg = RunConfig(command="train", data=str(data), **keys, hidden=40,
+                                init_block=100, block=10)
+                tracemalloc.start()
+                try:
+                    run_train(cfg)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert peaks[1] <= 1.25 * peaks[0], (fmt, peaks)
 
 
 class TestEvalCommand:
@@ -254,6 +323,14 @@ class TestEvalCommand:
         for name in ("hamming_loss", "accuracy", "precision", "recall", "f1",
                      "empty_prediction_rate"):
             assert values[name] == f"{getattr(report, name):.6f}"
+
+    def test_test_time_is_the_prediction_wall(self, interpolating_csv, tmp_path, monkeypatch):
+        model = tmp_path / "model.txt"
+        assert main(train_args(interpolating_csv, model)) == EXIT_OK
+        ticks = iter([100.0, 100.25])
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(ticks))
+        cfg = RunConfig(command="eval", model=str(model), data=str(interpolating_csv), labels=3)
+        assert run_eval(cfg).test_time == 0.25
 
     def test_dimension_mismatch_is_data_error(self, interpolating_csv, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
@@ -410,11 +487,28 @@ class TestBenchCommand:
                      "--arrival-interval", "10.0"])
         assert code == EXIT_OK
         text = capsys.readouterr().out
+        table = text.splitlines()[1:8]
+        assert [line.split()[:2] for line in table] == [["1", "12"]] + [
+            [str(i), "8"] for i in range(2, 8)
+        ]
         assert "avg time/block:" in text
         assert "real-time at 10.000000 s/block arrival: yes" in text
         values = dict(line.split("\t") for line in out.read_text().splitlines())
         assert values["blocks"] == "7"
         assert float(values["avg_time_per_block"]) >= 0.0
+
+
+    def test_real_time_needs_a_mean_block_time_under_the_interval(self, monkeypatch, capsys):
+        outcome = cli.TrainOutcome(model=None, normalizer=None, block_rows=[4, 2],
+                                   block_times=[0.25, 0.75])
+        monkeypatch.setattr(cli, "run_train", lambda cfg: outcome)
+        argv = ["bench", "--data", "d.csv", "--labels", "1", "--hidden", "1",
+                "--init-block", "4", "--block", "2", "--arrival-interval"]
+        for interval, verdict in (("0.5", "no"), ("0.5000001", "yes")):
+            assert main([*argv, interval]) == EXIT_OK
+            assert f"real-time at {float(interval):.6f} s/block arrival: {verdict}\n" in (
+                capsys.readouterr().out
+            )
 
 
 class TestConfigFile:
@@ -433,6 +527,15 @@ class TestConfigFile:
         model1, _ = load_model(out1)
         model2, _ = load_model(out2)
         assert not np.array_equal(model1.hidden.weights, model2.hidden.weights)
+
+    def test_value_keeps_its_inner_whitespace(self, interpolating_csv, tmp_path):
+        config = tmp_path / "run.cfg"
+        out = tmp_path / "my model.txt"
+        config.write_text(f"out   {out}  # the path holds a space\n")
+        assert main(["train", "--config", str(config), "--data", str(interpolating_csv),
+                     "--labels", "3", "--hidden", "6", "--init-block", "6",
+                     "--block", "2"]) == EXIT_OK
+        assert out.exists()
 
     def test_unknown_config_key_is_usage_error(self, interpolating_csv, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -516,6 +619,7 @@ class TestUsage:
             ("cv", "folds", "1"),
             ("cv", "seed", "-1"),
             ("bench", "arrival_interval", "-1"),
+            ("bench", "arrival_interval", "0"),
             ("bench", "arrival_interval", "nan"),
             ("bench", "arrival_interval", "soon"),
         ],
@@ -633,9 +737,10 @@ class TestUsage:
 
 
 def test_sparse_input_runs_as_the_same_rows_in_csv(tmp_path, capsys):
-    # train streams the CSV file but loads the sparse one whole and cuts
-    # it, so equal model bytes also pin that both paths learn the same
-    # blocks: an init block of 20, then 10 blocks of 7 and a rest of 3.
+    # train reads both files one block at a time, each with its own
+    # format's chunk parser, so equal model bytes also pin that both learn
+    # the same blocks: an init block of 20, then 10 blocks of 7 and a
+    # rest of 3.
     ds = synthetic_stream(93, 5, 3, seed=95)
     csv, sparse = tmp_path / "d.csv", tmp_path / "d.sparse"
     write_csv(csv, ds)

@@ -14,6 +14,7 @@ from elmstream.data import (
     load_sparse,
     stream_blocks,
     stream_csv,
+    stream_sparse,
 )
 
 
@@ -155,6 +156,9 @@ class TestLoadCsv:
         p.write_text("1.0,2.0,1\n3.0,4.0,0\n")
         with pytest.raises(ValueError, match="^stream_csv reads rows in file order"):
             list(stream_csv(p, 1, StreamPlan(1, 1, shuffle_seed=0)))
+        p.write_text("1 1:1.0\n2:3.0\n")
+        with pytest.raises(ValueError, match="^stream_sparse reads rows in file order"):
+            list(stream_sparse(p, 2, 1, StreamPlan(1, 1, shuffle_seed=0)))
 
     def test_underscore_digits_load_as_python_floats(self, tmp_path):
         p = tmp_path / "digits.csv"
@@ -265,6 +269,46 @@ class TestLoadSparse:
         p.write_text("1 1:0.5\n")
         with pytest.raises(DataError, match="^feature_count and label_count must both be >= 1$"):
             load_sparse(p, *counts)
+
+    # Comment, blank and no-label lines around five data rows (lines 2, 4,
+    # 6, 9 and 10), so chunks of 1 to 3 rows end next to each of them.
+    EDGES = ["# comment", "1,3 1:0.5 4:-2", "", "2:1.5   # no labels", "  ", "2 3:0.25",
+             "# another", "", "1,2,3 1:1 2:2 3:3 4:4", "3 4:1e-3"]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    def test_chunks_read_as_the_whole_file(self, tmp_path, monkeypatch, chunk_rows):
+        # Each text is the edge file, or it with a duplicate index in one
+        # of its lines: the chunked reads give the dataset or the path:line
+        # message that one read of the whole file gives.
+        def outcome(read):
+            try:
+                ds = read()
+            except DataError as exc:
+                return str(exc)
+            return ds.features.tobytes(), ds.labels.tobytes(), ds.labels.shape
+
+        def streamed():
+            blocks = list(stream_sparse(p, 4, 3, StreamPlan(1, chunk_rows)))
+            return LabeledDataset(np.concatenate([b.features for b in blocks]),
+                                  np.concatenate([b.labels for b in blocks]))
+
+        p = tmp_path / "edges.sparse"
+        faults = ["1 2:0.5 2:0.7", "1,1 2:0.5", "3:1 3:2 # no labels"]
+        texts = [self.EDGES] + [
+            self.EDGES[:i] + [fault] + self.EDGES[i + 1 :]
+            for i in range(len(self.EDGES)) for fault in faults
+        ]
+        messages = set()
+        for lines in texts:
+            p.write_text("\n".join(lines) + "\n")
+            monkeypatch.setattr("elmstream.data._CHUNK_ROWS", 1000)
+            whole = outcome(lambda: load_sparse(p, 4, 3))
+            monkeypatch.setattr("elmstream.data._CHUNK_ROWS", chunk_rows)
+            assert outcome(lambda: load_sparse(p, 4, 3)) == whole
+            assert outcome(streamed) == whole
+            messages.add(whole if isinstance(whole, str) else None)
+        assert f"{p}:10: duplicate label index 1" in messages
+        assert f"{p}:1: duplicate feature index 3" in messages
 
     def test_unrepresentable_row_rejected(self, tmp_path):
         ds = LabeledDataset(
@@ -509,8 +553,9 @@ class TestFoldFile:
             ("0 1\n2 x 3\n", "folds.txt:2: fold indices must be integers"),
             ("# 0 1\n2 3\n", "folds.txt:1: fold indices must be integers"),
             ("0 1 2 3\n", "folds.txt: need at least two folds"),
+            ("0 1\n2 4\n", "folds.txt:2: fold index out of range 0..3"),
         ],
-        ids=["non_integer", "hash_is_not_a_comment", "single_fold"],
+        ids=["non_integer", "hash_is_not_a_comment", "single_fold", "index_is_the_row_count"],
     )
     def test_fault_text(self, tmp_path, text, message):
         p = tmp_path / "folds.txt"
@@ -541,6 +586,24 @@ def test_non_utf8_verdict_does_not_depend_on_file_size(tmp_path, load, first, ro
             load(p)
         verdicts.add(str(exc.value))
     assert len(verdicts) == 1
+
+
+@pytest.mark.parametrize(
+    "stream, text",
+    [(lambda p: stream_csv(p, 1, StreamPlan(2, 1)), "1.0,1\n2.0,0\n3.0,1\nx,1\n5.0,0\n"),
+     (lambda p: stream_sparse(p, 1, 1, StreamPlan(2, 1)),
+      "1 1:1.0\n1:2.0\n1 1:3.0\n1 x:4.0\n1:5.0\n")],
+    ids=["csv", "sparse"],
+)
+def test_stream_reads_one_block_ahead(tmp_path, stream, text):
+    # Row 4 is bad and sits in the third block: the first two blocks are
+    # handed out before it is read.
+    p = tmp_path / "ahead.txt"
+    p.write_text(text)
+    blocks = stream(p)
+    assert [next(blocks).n_samples, next(blocks).n_samples] == [2, 1]
+    with pytest.raises(DataError, match=r"ahead.txt:4: "):
+        next(blocks)
 
 
 def test_write_csv_round_trip(tmp_path):

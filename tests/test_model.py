@@ -81,6 +81,11 @@ class TestHiddenOutput:
         out = hidden_output(layer, np.random.default_rng(0).normal(size=(7, 6)))
         assert set(np.unique(out)) <= {0.0, 1.0}
 
+    def test_hardlim_is_zero_at_zero(self):
+        # The test is the strict z > 0; MATLAB's hardlim gives 1 at 0.
+        layer = HiddenLayer(weights=np.zeros((3, 2)), biases=np.zeros(3), activation="hardlim")
+        assert np.array_equal(hidden_output(layer, np.ones((2, 2))), np.zeros((2, 3)))
+
     def test_sine_range(self):
         layer = init_hidden(6, 10, "sine", seed=6)
         out = hidden_output(layer, np.random.default_rng(1).normal(size=(7, 6)))
@@ -978,6 +983,20 @@ class TestSerialization:
             p.write_bytes(data[:cut])
             with pytest.raises(DataError, match="m.txt"):
                 load_model(p)
+
+    def test_non_integer_count_text(self, tmp_path):
+        p = tmp_path / "m.txt"
+        save_model(p, self.make_model())
+        header, end, payload = p.read_bytes().partition(b"\nend\n")
+        lines = header.decode().split("\n")
+        lineno = next(n for n, line in enumerate(lines, 1) if line.startswith("samples_seen "))
+        lines[lineno - 1] = "samples_seen abc"
+        p.write_bytes("\n".join(lines).encode() + end + payload)
+        with pytest.raises(DataError) as exc:
+            load_model(p)
+        assert str(exc.value) == (
+            f"{p}:{lineno}: samples_seen must be an integer >= 1, got 'abc'"
+        )
 
     def test_version_1_file_rejected(self, tmp_path):
         p = tmp_path / "m.txt"
