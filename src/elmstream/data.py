@@ -24,12 +24,15 @@ join them into one dataset, ``stream_csv`` and ``stream_sparse`` hand them
 out as the blocks of a stream, so a fault in a later row raises when its
 block is read. ``cli``'s ``train`` and ``bench`` stream; ``eval``, ``cv``
 and a shuffled stream need every row first, so they load whole files.
+``stream_blocks`` cuts a loaded dataset into a plan's blocks as they are
+read: it holds the dataset's arrays and the plan, nothing per block, and
+each read of a block gives a new dataset of row views of those arrays.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -448,26 +451,84 @@ def _check_feasible(plan: StreamPlan, n: int) -> None:
         raise DataError(f"infeasible plan: init block {n0} plus block {b} exceeds {n} rows")
 
 
-def stream_blocks(ds: LabeledDataset, plan: StreamPlan) -> list[LabeledDataset]:
+def stream_blocks(ds: LabeledDataset, plan: StreamPlan) -> Sequence[LabeledDataset]:
     """Cut the dataset into the initial block followed by stream blocks.
 
     Stream blocks have ``plan.block_size`` rows except a final remainder
     block of at least one row. When the initial block covers the whole
     dataset the result is that single block. Concatenating the blocks in
     order reproduces the dataset, seeded-shuffled when ``shuffle_seed``
-    is set.
+    is set. The plan's feasibility is checked, and the shuffle made, here.
 
-    The blocks are row views, not copies, of ``ds``'s arrays or, with
-    ``shuffle_seed``, of one shuffled copy of them: writing to a block
-    writes to that array.
+    The result is a read-only sequence that holds the two arrays, the
+    plan's sizes and the range of block numbers it covers, and nothing
+    per block. A block is cut when it is read: each index, and each step
+    of an iteration, gives a new LabeledDataset whose arrays are row
+    views, not copies, of ``ds``'s arrays or, with ``shuffle_seed``, of
+    one shuffled copy of them, so writing to a block writes to that
+    array. A slice is a sequence of the same kind.
     """
     n = ds.n_samples
     _check_feasible(plan, n)
     if plan.shuffle_seed is not None:
         ds = ds.subset(np.random.default_rng(plan.shuffle_seed).permutation(n))
-    x, y = ds.features, ds.labels
-    bounds = [0, *range(plan.init_block_size, n, plan.block_size), n]
-    return [LabeledDataset(x[a:z], y[a:z]) for a, z in zip(bounds, bounds[1:])]
+    n0, b = plan.init_block_size, plan.block_size
+    return _Blocks(ds.features, ds.labels, n0, b, range(1 + -(-(n - n0) // b)))
+
+
+def _rows(features: np.ndarray, labels: np.ndarray) -> LabeledDataset:
+    """A dataset of rows of a dataset already checked: no __post_init__."""
+    ds = object.__new__(LabeledDataset)
+    ds.features = features
+    ds.labels = labels
+    return ds
+
+
+class _Blocks(Sequence):
+    """The blocks numbered by ``numbers`` of rows cut as an initial block of
+    ``n0`` rows, then blocks of ``b`` and a shorter last one: block 0 is
+    rows [0, n0), block k > 0 rows [n0 + (k - 1) b, n0 + k b)."""
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray, n0: int, b: int,
+                 numbers: range):
+        self._x, self._y, self._n0, self._b, self._numbers = features, labels, n0, b, numbers
+
+    def __len__(self) -> int:
+        return len(self._numbers)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _Blocks(self._x, self._y, self._n0, self._b, self._numbers[index])
+        return self._block(self._numbers[index])
+
+    def _block(self, k: int) -> LabeledDataset:
+        start = 0 if k == 0 else self._n0 + (k - 1) * self._b
+        stop = self._n0 + k * self._b
+        return _rows(self._x[start:stop], self._y[start:stop])
+
+    def __iter__(self) -> Iterator[LabeledDataset]:
+        numbers = self._numbers
+        if numbers.step != 1:
+            yield from map(self._block, numbers)
+            return
+        x, y, n0, b = self._x, self._y, self._n0, self._b
+        start, stop = numbers.start, numbers.stop
+        if start == 0 < stop:
+            yield self._block(0)
+            start = 1
+        # Blocks 1 .. full are full: their rows reshape, without a copy, into
+        # one (count, b, width) view per array, whose items are the blocks.
+        full = (len(x) - n0) // b
+        end = max(start, min(stop, full + 1))
+        first, last = n0 + (start - 1) * b, n0 + (end - 1) * b
+        new = object.__new__
+        for features, labels in zip(x[first:last].reshape(end - start, b, x.shape[1]),
+                                    y[first:last].reshape(end - start, b, y.shape[1])):
+            ds = new(LabeledDataset)  # _rows, inlined: this loop serves each arrival
+            ds.features = features
+            ds.labels = labels
+            yield ds
+        yield from map(self._block, range(end, stop))
 
 
 def load_fold_file(path, n_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -151,24 +151,42 @@ def _capacity(rows: int, hidden_count: int) -> int:
 # Pending rows are kept only while the fold is sure to be finite: with
 # |M0| <= m and the rows' squared norms summing to s, every entry of the
 # fold is at most m + s, which is held below half the largest float.
-_FOLD_LIMIT = np.finfo(float).max / 2
+_FOLD_LIMIT = float(np.finfo(float).max) / 2
 
 
-def _headroom(m: np.ndarray) -> float:
-    """_FOLD_LIMIT - max|m|: NaN or -inf when m is not finite."""
-    return _FOLD_LIMIT - max(m.max(), -m.min())  # no |m| temporary
+# Products of the hidden output with the state run without np.errstate
+# while two bounds keep them finite. Every activation maps into [-1, 1], so
+# a row h of hidden output has |h| <= sqrt(H). Let mu be max|M0| plus the
+# pending rows' squared norms (the model's _load: _FOLD_LIMIT - _room rounds
+# away any load below 2^971) and q = |beta|^2. Then every entry of h M,
+# pending rows included, is at most a = H mu; of h M h', at most H a; of
+# h beta, at most sqrt(H q); of Y - h beta, at most r = 1 + sqrt(H q). A
+# single row's S is at least 2^-53 once it passes the sign check, so V and
+# the weight step grow by at most 2^27, and V' step is at most 2^54 a r. For
+# a block, S >= I while M is positive semidefinite, as the learner keeps it,
+# and they grow by at most sqrt(B). M has H^2 entries, so H < 2^32, and with
+# mu <= 2^400 and q <= 2^800, H a r <= 2^881 and 2^54 a r <= 2^903: far
+# below the largest float, 2^1024. Past a bound the products run under
+# np.errstate, and the finiteness checks after them report the overflow.
+_LOAD_LIMIT = 2.0**400
+_BETA_LIMIT = 2.0**800
+
+
+def _peak(m: np.ndarray) -> float:
+    """max|m|: NaN or inf when m is not finite."""
+    return float(max(m.max(), -m.min()))  # no |m| temporary
 
 
 def _fold(base: np.ndarray, pending: np.ndarray) -> tuple[np.ndarray, float]:
-    """M0 - G'G in G'G's fresh buffer, and its headroom. numpy computes G'G
+    """M0 - G'G in G'G's fresh buffer, and its peak. numpy computes G'G
     with syrk, so the result is exactly symmetric when M0 is."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
         m = pending.T @ pending
         np.subtract(base, m, out=m)
-    room = _headroom(m)
-    if not np.isfinite(room):
+    peak = _peak(m)
+    if not math.isfinite(peak):
         raise NumericalError("inverse Gram matrix contains non-finite entries")
-    return m, room
+    return m, peak
 
 
 class OselmModel:
@@ -181,6 +199,12 @@ class OselmModel:
     state; assigning it sets M0 and drops the pending rows. ``copy.copy``
     gives a model with its own buffer for G, so the copy and the original
     can be updated apart.
+
+    Assigning ``gram_inv`` or ``beta`` also records max|M0| and |beta|^2,
+    the bounds under which ``update`` and ``predict_raw`` skip numpy's
+    overflow guard. Change the state by assignment: after a write into the
+    arrays in place, an overflow may show as numpy's warning before the
+    NumericalError.
 
     ``predict_raw`` on an arrival of 1 to 64 rows keeps one record of its
     projection: the hidden layer object, the rows' shape, a private copy of
@@ -219,7 +243,17 @@ class OselmModel:
         self._base = m  # M0
         self._downdates = np.empty((_capacity(1, len(m)), len(m)))  # G is its first rows
         self._pending = 0
-        self._room = _headroom(m)  # left for the pending rows' squared norms
+        self._load = _peak(m)  # plus the pending rows' squared norms
+        self._room = _FOLD_LIMIT - self._load  # left for those norms
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self._beta
+
+    @beta.setter
+    def beta(self, beta: np.ndarray) -> None:
+        self._beta = beta
+        self._beta_sq = float(np.vdot(beta, beta))  # |beta|^2, inf or NaN past a float
 
     def __copy__(self) -> OselmModel:
         twin = object.__new__(OselmModel)
@@ -329,10 +363,11 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     and lets go of it before the Woodbury step allocates its arrays. The
     model is left unchanged when the update raises: S that is not
     positive definite raises NumericalError, as do non-finite V, weights
-    or folded M0. A row whose fold could overflow is folded by the update
-    that brings it, so the pending rows always fold finitely: a read of
-    ``gram_inv``, such as ``save_model``'s, does not raise, and the update
-    that made M overflow is the one that raises.
+    or folded M0; a product that overflows is reported by these checks,
+    never as numpy's warning. A row whose fold could overflow is folded
+    by the update that brings it, so the pending rows always fold
+    finitely: a read of ``gram_inv``, such as ``save_model``'s, does not
+    raise, and the update that made M overflow is the one that raises.
     """
     projected, model._projected = model._projected, None
     if model.samples_seen < 1:
@@ -364,11 +399,44 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     # peak RSS between glibc's modes of about 154.9 and 170 MB, with the
     # allocation order.
     del projected
-    raw = h @ model.beta
+    load = model._load  # a NaN load or weight norm fails its bound too
+    if load <= _LOAD_LIMIT and model._beta_sq <= _BETA_LIMIT:
+        raw, v, norms, beta_new, beta_sq = _step(model, h, y)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the checks
+            raw, v, norms, beta_new, beta_sq = _step(model, h, y)
     base, buffer, pending, room = model._base, model._downdates, model._pending, model._room
+    # The model's state is replaced only after the fold's check.
+    if pending + rows <= len(buffer) and 2 * rows <= len(buffer) and norms <= room:
+        buffer[pending : pending + rows] = v
+        pending += rows
+        room -= norms
+        load += norms
+    else:
+        base, load = _fold(base, np.concatenate((buffer[:pending], v)))
+        room = _FOLD_LIMIT - load
+        pending = 0
+        capacity = _capacity(rows, len(base))
+        if len(buffer) != capacity:
+            buffer = np.empty((capacity, len(base)))
+    model._base, model._downdates, model._pending = base, buffer, pending
+    model._room, model._load = room, load
+    model._beta, model._beta_sq = beta_new, beta_sq
+    model.samples_seen += rows
+    model.blocks_seen += 1
+    return raw
+
+
+def _step(model: OselmModel, h: np.ndarray, y: np.ndarray):
+    """``update``'s Woodbury step on hidden output ``h`` and targets ``y``:
+    the raw outputs h beta, V, the sum of V's squared row norms, the new
+    weights and their squared norm. The model is not changed."""
+    rows = len(h)
+    raw = h @ model._beta
+    base, pending = model._base, model._pending
     hm = h @ base  # B x hidden_count, equal to (M0 H')' as M0 is symmetric
     if pending:
-        g = buffer[:pending]
+        g = model._downdates[:pending]
         hm -= (h @ g.T) @ g
     residual = y - raw
     if rows == 1:
@@ -378,6 +446,8 @@ def update(model: OselmModel, x, y) -> np.ndarray:
                 f"update denominator {denom:.3e} <= 0: inverse Gram matrix "
                 "lost positive-definiteness"
             )
+        if denom == math.inf:  # np.vdot overflows with no warning
+            raise NumericalError("update denominator overflowed: inverse Gram matrix too large")
         root = math.sqrt(denom)
         hm /= root
         v = hm
@@ -396,24 +466,11 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     # outer product, where matmul's own loop for this layout took 10-15 us
     # against 2 us at H = 300.
     beta_new = np.dot(v.T, step)
-    beta_new += model.beta
-    ensure_finite(beta_new, "output weights")
-    # The model's state is replaced only after the fold's check.
-    if pending + rows <= len(buffer) and 2 * rows <= len(buffer) and norms <= room:
-        buffer[pending : pending + rows] = v
-        pending += rows
-        room -= norms
-    else:
-        base, room = _fold(base, np.concatenate((buffer[:pending], v)))
-        pending = 0
-        capacity = _capacity(rows, len(base))
-        if len(buffer) != capacity:
-            buffer = np.empty((capacity, len(base)))
-    model._base, model._downdates, model._pending, model._room = base, buffer, pending, room
-    model.beta = beta_new
-    model.samples_seen += rows
-    model.blocks_seen += 1
-    return raw
+    beta_new += model._beta
+    beta_sq = float(np.vdot(beta_new, beta_new))
+    if not math.isfinite(beta_sq):  # as for norms
+        ensure_finite(beta_new, "output weights")
+    return raw, v, norms, beta_new, beta_sq
 
 
 def predict_raw(model: OselmModel, x) -> np.ndarray:
@@ -433,9 +490,14 @@ def predict_raw(model: OselmModel, x) -> np.ndarray:
     model._projected = None
     x = as_matrix(x, "input")
     h = hidden_output(model.hidden, x)
+    if model._beta_sq <= _BETA_LIMIT:
+        raw = ensure_finite(h @ model._beta, "raw outputs")
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
+            raw = ensure_finite(h @ model._beta, "raw outputs")
     if 1 <= len(x) <= _RECORD_ROWS:
         model._projected = (model.hidden, x.shape, x.tobytes(), h)
-    return ensure_finite(h @ model.beta, "raw outputs")
+    return raw
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from elmstream.data import (
 from elmstream.labels import calibrate_threshold, to_bipolar
 from elmstream.model import (
     ACTIVATIONS,
+    HiddenLayer,
     init_hidden,
     init_phase,
     load_model,
@@ -323,6 +324,24 @@ class TestEvalCommand:
         for name in ("hamming_loss", "accuracy", "precision", "recall", "f1",
                      "empty_prediction_rate"):
             assert values[name] == f"{getattr(report, name):.6f}"
+
+    def test_weights_that_overflow_exit_numeric_with_the_check_text(
+        self, interpolating_csv, tmp_path, capsys
+    ):
+        # Finite weights of 1e308 load, but h beta overflows on every row.
+        model_path = tmp_path / "model.txt"
+        assert main(train_args(interpolating_csv, model_path)) == EXIT_OK
+        model, norm = load_model(model_path)
+        model.beta = np.full_like(model.beta, 1e308)
+        model.hidden = HiddenLayer(np.ones_like(model.hidden.weights), model.hidden.biases,
+                                   "hardlim")
+        save_model(model_path, model, norm)
+        capsys.readouterr()
+        code = main(["eval", "--model", str(model_path), "--data", str(interpolating_csv),
+                     "--labels", "3"])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numerical error: raw outputs contains non-finite entries\n"
 
     def test_test_time_is_the_prediction_wall(self, interpolating_csv, tmp_path, monkeypatch):
         model = tmp_path / "model.txt"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -501,6 +503,112 @@ class TestStreamBlocks:
         ds = synthetic_stream(1500, 4, 3, seed=18)
         blocks = stream_blocks(ds, StreamPlan(100, 28))
         assert len(blocks) == 51
+
+
+def listed_blocks(ds, plan):
+    """The blocks of ``plan`` as a list, every one cut at once: the
+    reference ``stream_blocks`` is checked against."""
+    n = ds.n_samples
+    if plan.shuffle_seed is not None:
+        ds = ds.subset(np.random.default_rng(plan.shuffle_seed).permutation(n))
+    x, y = ds.features, ds.labels
+    bounds = [0, *range(plan.init_block_size, n, plan.block_size), n]
+    return [LabeledDataset(x[a:z], y[a:z]) for a, z in zip(bounds, bounds[1:])]
+
+
+def offset(a):
+    """Where ``a``'s first element sits in the array that owns its memory."""
+    return a.__array_interface__["data"][0] - a.base.__array_interface__["data"][0]
+
+
+def assert_same_blocks(got, want, shuffled):
+    """Same rows, cut at the same place of arrays laid out alike: the same
+    arrays unless ``shuffled``, where each side made its own copy."""
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is LabeledDataset
+        for name in ("features", "labels"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a.shape, a.strides, a.dtype, offset(a)) == (b.shape, b.strides, b.dtype,
+                                                                offset(b))
+            assert np.array_equal(a, b)
+            assert (a.base is b.base) != shuffled
+
+
+PLANS = {
+    "remainder": (23, StreamPlan(5, 4)),
+    "even": (11, StreamPlan(3, 2)),
+    "single_rows": (9, StreamPlan(3, 1)),
+    "init_is_every_row": (9, StreamPlan(9, 4)),
+    "shuffled": (23, StreamPlan(5, 4, shuffle_seed=2)),
+}
+BOUNDS = (None, -100, -7, -2, -1, 0, 1, 2, 5, 100)
+SLICES = [slice(a, b, step) for a in BOUNDS for b in BOUNDS for step in (None, 1, 2, 3, -1, -2)]
+
+
+@pytest.mark.parametrize("rows, plan", PLANS.values(), ids=PLANS)
+class TestLazyBlocks:
+    """stream_blocks cuts a block when it is read; every form of access
+    gives what a list of blocks cut at once gives."""
+
+    def test_length_and_indices(self, rows, plan):
+        ds = synthetic_stream(rows, 3, 2, seed=rows)
+        got, want = stream_blocks(ds, plan), listed_blocks(ds, plan)
+        assert len(got) == len(want)
+        shuffled = plan.shuffle_seed is not None
+        for i in range(-len(want), len(want)):
+            assert_same_blocks([got[i]], [want[i]], shuffled)
+            assert got[i] is not got[i]  # each read is a new dataset
+        for i in (-len(want) - 2, -len(want) - 1, len(want), len(want) + 1):
+            with pytest.raises(IndexError):
+                got[i]
+        with pytest.raises(TypeError):
+            got[1.0]
+        assert_same_blocks(got, want, shuffled)
+
+    def test_slices(self, rows, plan):
+        ds = synthetic_stream(rows, 3, 2, seed=rows)
+        got, want = stream_blocks(ds, plan), listed_blocks(ds, plan)
+        shuffled = plan.shuffle_seed is not None
+        for sl in SLICES:
+            part = got[sl]
+            assert type(part) is type(got) and len(part) == len(want[sl])
+            # Iterating a slice gives what indexing it gives.
+            assert_same_blocks(part, [part[i] for i in range(len(part))], False)
+            assert_same_blocks(part, want[sl], shuffled)
+            for inner in (slice(1, None), slice(None, None, -2), slice(-2, None)):
+                assert_same_blocks(part[inner], want[sl][inner], shuffled)
+        assert list(reversed(got))[0].n_samples == want[-1].n_samples
+
+    def test_writes_reach_the_dataset(self, rows, plan):
+        ds = synthetic_stream(rows, 3, 2, seed=rows)
+        blocks = stream_blocks(ds, plan)
+        for k, block in enumerate(blocks):
+            block.features[...] = k
+        blocks[-1].labels[-1, -1] = 7
+        if plan.shuffle_seed is None:
+            x, y = ds.features, ds.labels
+        else:
+            x, y = blocks[0].features.base, blocks[0].labels.base
+        numbers = np.concatenate([np.full(b.n_samples, k) for k, b in enumerate(blocks)])
+        assert np.array_equal(x, np.repeat(numbers[:, None], 3, axis=1))
+        assert y[-1, -1] == 7
+
+
+def test_stream_blocks_holds_nothing_per_block():
+    # The blocks are cut when read: the call allocates under 1 KB at 1,000
+    # and at 10,000 single-row blocks. Cutting the 10,000 at once, as a
+    # list, peaks at about 4 MB.
+    peaks = []
+    for rows in (1_000, 10_000):
+        ds = synthetic_stream(rows, 3, 2, seed=19)
+        tracemalloc.start()
+        blocks = stream_blocks(ds, StreamPlan(1, 1))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert len(blocks) == rows
+    assert max(peaks) < 1024
 
 
 class TestFoldFile:

@@ -7,6 +7,7 @@ from conftest import batch_beta, synthetic_stream
 from elmstream.data import DataError, Normalizer, StreamPlan, stream_blocks
 from elmstream.labels import to_bipolar
 from elmstream.model import (
+    _FOLD_LIMIT,
     _PENDING_ROWS,
     _capacity,
     HiddenLayer,
@@ -51,6 +52,18 @@ class TestInitHidden:
         layer = init_hidden(30, 200, "sigmoid", seed=4)
         assert layer.weights.min() >= -1.0 and layer.weights.max() <= 1.0
         assert layer.biases.min() >= 0.0 and layer.biases.max() <= 1.0
+
+    def test_ranges_are_reached(self):
+        # 200,000 weights and 20,000 biases: each documented end is approached.
+        layer = init_hidden(10, 20_000, "sigmoid", seed=5)
+        w, b = layer.weights, layer.biases
+        assert -1.0 <= w.min() < -0.999 and 0.999 < w.max() <= 1.0
+        assert 0.0 <= b.min() < 0.001 and 0.999 < b.max() <= 1.0
+
+    def test_one_input_feature(self):
+        layer = init_hidden(1, 4, "sigmoid", seed=0)
+        assert (layer.input_dim, layer.hidden_count) == (1, 4)
+        assert hidden_output(layer, [[0.5], [-0.5]]).shape == (2, 4)
 
     def test_zero_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -191,7 +204,8 @@ class TestInitPhase:
 
     def test_rejects_row_mismatch(self, square_init):
         layer, x0, y0 = square_init
-        with pytest.raises(ShapeError):
+        message = "^initial block has 5 feature rows but 6 target rows$"
+        with pytest.raises(ShapeError, match=message):
             init_phase(layer, x0[:-1], y0)
 
     def test_rejects_empty_block_with_ridge(self, square_init):
@@ -540,6 +554,34 @@ class TestDeferredDowndates:
         assert model._pending == 0
         assert np.max(np.abs(model.gram_inv - m)) <= 1e-12 * np.max(np.abs(m))
 
+    def test_a_row_that_fills_the_headroom_exactly_is_kept(self):
+        # x = 1 gives h = e_1: against 3 I, the row's squared norm is
+        # (3 / sqrt(1 + 3))^2 = 2.25 exactly.
+        model = hardlim_model([[-1.0], [1.0]] + [[-1.0]] * 6, 3.0 * np.eye(8), np.zeros((8, 1)))
+        model._room = 2.25
+        update(model, [[1.0]], [[1.0]])
+        assert (model._pending, model._room) == (1, 0.0)
+
+    def test_no_headroom_folds_every_row(self):
+        # max|M0| of _FOLD_LIMIT leaves no room for a pending row, and the
+        # downdates leave that entry as it is: every update folds.
+        m0 = np.diag([_FOLD_LIMIT] + [1.0] * 7)
+        model = hardlim_model([[-1.0]] + [[1.0]] * 7, m0, np.zeros((8, 1)))
+        for _ in range(3):
+            update(model, [[1.0]], [[1.0]])  # h = (0, 1, ..., 1)
+            assert (len(model._downdates), model._pending, model._room) == (2, 0, 0.0)
+
+    def test_load_is_max_m0_plus_the_pending_norms(self):
+        # The overflow bound reads the load: a bound on every entry of M.
+        layer, x, y = stream_fixture(seed=57, hidden=20)  # a buffer of 5 rows
+        model = init_phase(layer, x[:30], y[:30])
+        for i in range(30, 50):
+            update(model, x[i : i + 1], y[i : i + 1])
+            load = float(np.abs(model._base).max())
+            for g in model._downdates[: model._pending]:
+                load += float(np.vdot(g, g))
+            assert model._load == load >= np.abs(model.gram_inv).max()
+
     def test_copies_are_updated_apart(self):
         layer, x, y = stream_fixture(seed=53)
         model = init_phase(layer, x[:30], y[:30])
@@ -874,6 +916,86 @@ class TestPredictRaw:
         assert np.max(np.abs(predict_raw(model, x0) - y0)) <= 1e-6
 
 
+
+def hardlim_model(weights, gram_inv, beta):
+    """A model over a hardlim layer with the given weights and no biases."""
+    layer = HiddenLayer(weights=np.array(weights, dtype=float), biases=np.zeros(len(weights)),
+                        activation="hardlim")
+    return OselmModel(hidden=layer, gram_inv=gram_inv, beta=beta, samples_seen=5, blocks_seen=1)
+
+
+class TestOverflowIsChecked:
+    """A product with the state that overflows is reported by a check, as
+    NumericalError, not by numpy's warning, which the suite turns into an
+    error. Under the bound the products run with no np.errstate."""
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [([[1.0]], "inverse Gram matrix contains non-finite entries"),
+         ([[1.0], [1.0]], "coefficient matrix contains non-finite entries")],
+        ids=["row", "block"],
+    )
+    def test_gram_product_that_overflows(self, x, message):
+        # x = 1 gives h = (1, 1, 0), and h M0 adds two entries of 1e308.
+        m0 = np.array([[1.0, 0.0, 1e308], [0.0, 1.0, 1e308], [1e308, 1e308, 1.0]])
+        model = hardlim_model([[1.0], [1.0], [-1.0]], m0.copy(), np.zeros((3, 1)))
+        with pytest.raises(NumericalError) as exc:
+            update(model, x, np.ones((len(x), 1)))
+        assert str(exc.value) == message
+        assert model.gram_inv.tobytes() == m0.tobytes()
+        assert model.beta.tobytes() == np.zeros((3, 1)).tobytes()
+        assert (model.samples_seen, model.blocks_seen, model._pending) == (5, 1, 0)
+
+    def test_weight_product_that_overflows(self):
+        # x = 1 gives h = (1, 1, 1), and h beta adds three entries of 1e308.
+        beta = np.full((3, 2), 1e308)
+        model = hardlim_model([[1.0]] * 3, np.eye(3), beta.copy())
+        with pytest.raises(NumericalError) as exc:
+            predict_raw(model, [[1.0]])
+        assert str(exc.value) == "raw outputs contains non-finite entries"
+        assert model._projected is None  # a call that raises keeps no record
+        with pytest.raises(NumericalError) as exc:
+            update(model, [[1.0]], [[1.0, -1.0]])
+        assert str(exc.value) == "output weights contains non-finite entries"
+        assert model.beta.tobytes() == beta.tobytes()
+        assert model.gram_inv.tobytes() == np.eye(3).tobytes()
+        # x = -1 gives h = 0: the same weights are served without a fault.
+        assert np.array_equal(predict_raw(model, [[-1.0]]), np.zeros((1, 2)))
+
+    def test_single_row_denominator_that_overflows(self):
+        # np.vdot forms h M0 h' = 3e308 with no warning; the update would
+        # otherwise divide by inf and learn nothing.
+        m0 = np.diag([1e308] * 3)
+        model = hardlim_model([[1.0]] * 3, m0.copy(), np.zeros((3, 1)))
+        with pytest.raises(NumericalError) as exc:
+            update(model, [[1.0]], [[1.0]])
+        assert str(exc.value) == "update denominator overflowed: inverse Gram matrix too large"
+        assert model.gram_inv.tobytes() == m0.tobytes()
+        assert (model.samples_seen, model._pending) == (5, 0)
+
+    def test_zero_denominator(self):
+        model = hardlim_model([[1.0], [-1.0]], np.diag([-1.0, 1.0]), np.zeros((2, 1)))
+        with pytest.raises(NumericalError) as exc:
+            update(model, [[1.0]], [[1.0]])
+        assert str(exc.value) == ("update denominator 0.000e+00 <= 0: inverse Gram matrix "
+                                  "lost positive-definiteness")
+
+    def test_common_path_takes_no_errstate(self, monkeypatch):
+        # H = 140 gives a buffer of 32 rows: the 10 rows and the block of 4
+        # are appended without a fold, so hidden_output's projections take
+        # every np.errstate.
+        layer, x, y = stream_fixture(seed=56, hidden=140)
+        model = init_phase(layer, x[:30], y[:30], ridge=1.0)
+        errstate, taken = np.errstate, []
+        monkeypatch.setattr(np, "errstate", lambda **kw: taken.append(kw) or errstate(**kw))
+        for i in range(30, 40):
+            predict_raw(model, x[i : i + 1])
+            update(model, x[i : i + 1], y[i : i + 1])  # reuses the projection
+        update(model, x[40:44], y[40:44])
+        assert model._pending == 14
+        assert len(taken) == 11
+
+
 class TestStreamingAtYeastShape:
     def test_fifty_one_blocks_run(self):
         ds = synthetic_stream(1500, 103, 14, seed=41)
@@ -983,6 +1105,11 @@ class TestSerialization:
             p.write_bytes(data[:cut])
             with pytest.raises(DataError, match="m.txt"):
                 load_model(p)
+        # Arrays of 8 x 5 + 8 + 8 x 8 + 8 x 2 float64 entries follow the header.
+        p.write_bytes(data[:-8])
+        with pytest.raises(DataError) as exc:
+            load_model(p)
+        assert str(exc.value) == f"{p}: 1016 bytes of arrays, the header needs 1024"
 
     def test_non_integer_count_text(self, tmp_path):
         p = tmp_path / "m.txt"

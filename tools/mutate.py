@@ -66,6 +66,19 @@ EQUIVALENT = {
         "a declined chunk gets the per-line reader's dataset or error",
     "data.py:fit_normalizer: 1.0 -> 2.0 in `safe_span = np.where(constant, 1.0, span)`":
         "the placeholder span of a constant feature is masked out of scale and offset",
+    "data.py:__iter__: full + 1 -> full - 1 in `end = max(start, min(stop, full + 1))`":
+        "full blocks past end are cut one at a time by _block, into the same views",
+    "model.py:init_phase: ridge > 0.0 -> ridge >= 0.0 in `if ridge > 0.0:`":
+        "a ridge of 0.0 added to the Gram matrix's diagonal leaves it as it is",
+    "model.py:update: load <= _LOAD_LIMIT -> load < _LOAD_LIMIT"
+    " in `if load <= _LOAD_LIMIT and model._beta_sq <= _BETA_LIMIT:`":
+        "a load at its limit is as far below overflow as one under it",
+    "model.py:update: model._beta_sq <= _BETA_LIMIT -> model._beta_sq < _BETA_LIMIT"
+    " in `if load <= _LOAD_LIMIT and model._beta_sq <= _BETA_LIMIT:`":
+        "a weight norm at its limit is as far below overflow as one under it",
+    "model.py:predict_raw: model._beta_sq <= _BETA_LIMIT -> model._beta_sq < _BETA_LIMIT"
+    " in `if model._beta_sq <= _BETA_LIMIT:`":
+        "a weight norm at its limit is as far below overflow as one under it",
 }
 
 
