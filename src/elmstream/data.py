@@ -59,9 +59,10 @@ class DataError(ValueError):
     """Malformed dataset or fold file, or an infeasible stream plan."""
 
 
-@dataclass
+@dataclass(eq=False)
 class LabeledDataset:
-    """Feature matrix plus binary label matrix, rows aligned."""
+    """Feature matrix plus binary label matrix, rows aligned. Datasets
+    compare and hash by identity: == would compare their arrays."""
 
     features: np.ndarray  # N x D float64
     labels: np.ndarray  # N x M int8, entries 0/1
@@ -367,9 +368,10 @@ def _sparse_chunks(path: str, feature_count: int, label_count: int,
     return _chunks(path, sizes, parse, "#")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Normalizer:
-    """Frozen per-feature affine map x -> x * scale + offset."""
+    """Frozen per-feature affine map x -> x * scale + offset. Normalizers
+    compare and hash by identity, as datasets do."""
 
     scale: np.ndarray
     offset: np.ndarray
@@ -466,7 +468,9 @@ def stream_blocks(ds: LabeledDataset, plan: StreamPlan) -> Sequence[LabeledDatas
     of an iteration, gives a new LabeledDataset whose arrays are row
     views, not copies, of ``ds``'s arrays or, with ``shuffle_seed``, of
     one shuffled copy of them, so writing to a block writes to that
-    array. A slice is a sequence of the same kind.
+    array. A slice is a sequence of the same kind. As datasets compare by
+    identity, a block read earlier is not ``in`` the sequence, which
+    cuts a new one at each read.
     """
     n = ds.n_samples
     _check_feasible(plan, n)

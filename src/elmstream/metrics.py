@@ -73,8 +73,8 @@ def compute_report(pred, truth, train_time: float = 0.0, test_time: float = 0.0)
     union = n_pred + n_true - inter  # the integer (p | t).sum(axis=1) gives
     both_empty = union == 0
     accuracy = np.where(both_empty, 1.0, inter / np.maximum(union, 1))
-    precision = np.where(n_pred > 0, inter / np.maximum(n_pred, 1), both_empty * 1.0)
-    recall = np.where(n_true > 0, inter / np.maximum(n_true, 1), both_empty * 1.0)
+    precision = np.where(n_pred > 0, inter / np.maximum(n_pred, 1), both_empty)
+    recall = np.where(n_true > 0, inter / np.maximum(n_true, 1), both_empty)
     f1 = np.where(both_empty, 1.0, 2 * inter / np.maximum(n_pred + n_true, 1))
     return MetricsReport(
         hamming_loss=float(np.mean(p != t)),

@@ -66,13 +66,31 @@ ACTIVATIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HiddenLayer:
-    """Random input weights and biases, frozen after construction."""
+    """Random input weights and biases, frozen after construction.
+
+    Construction makes the two arrays read-only, so a write into them in
+    place raises numpy's ValueError, and records once whether the layer
+    is bounded: |W|^2 + |b|^2 <= 2^200, under which ``hidden_output``
+    skips numpy's overflow guard. Layers compare and hash by identity:
+    == would compare their arrays.
+    """
 
     weights: np.ndarray  # hidden_count x input_dim
     biases: np.ndarray  # hidden_count
     activation: str
+
+    def __post_init__(self):
+        self.weights.setflags(write=False)
+        self.biases.setflags(write=False)
+        norm = np.vdot(self.weights, self.weights) + np.vdot(self.biases, self.biases)
+        object.__setattr__(self, "_bounded", bool(norm <= _LAYER_LIMIT))  # NaN fails too
+
+    def __setstate__(self, state):
+        # copy.deepcopy and pickle give writable copies of the arrays.
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def input_dim(self) -> int:
@@ -101,24 +119,45 @@ def init_hidden(
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-1.0, 1.0, size=(hidden_count, input_dim))
     biases = rng.uniform(0.0, 1.0, size=hidden_count)
-    weights.setflags(write=False)
-    biases.setflags(write=False)
     return HiddenLayer(weights=weights, biases=biases, activation=activation)
 
 
+# hidden_output projects without np.errstate, which costs about 2 us a
+# call, while two bounds keep z = x W' + b finite. With |W|^2 + |b|^2 <=
+# 2^200 on the layer, every |w_i| and |b_i| is at most 2^100; with
+# s = |x|^2 <= 2^800 over the whole input, every |x_j| is at most 2^400. So
+# |z_ji| <= |w_i| |x_j| + |b_i| <= 2^500 + 2^100, and so is every partial
+# sum of the product: far below the largest float, 2^1024. Any other input
+# is projected under np.errstate and the finiteness check reports the
+# overflow.
+_LAYER_LIMIT = 2.0**200
+_INPUT_LIMIT = 2.0**800
+
+
 def hidden_output(layer: HiddenLayer, x) -> np.ndarray:
-    """Hidden-layer activations: entry (j, i) = g(w_i . x_j + b_i)."""
+    """Hidden-layer activations: entry (j, i) = g(w_i . x_j + b_i).
+
+    Overflow in the projection is reported as NumericalError, never as
+    numpy's warning. On a bounded layer (see ``HiddenLayer``) and an input
+    whose squared norm is at most 2^800 it cannot happen, and no check
+    runs; any other input is checked.
+    """
     x = as_matrix(x, "input")
     if x.shape[1] != layer.input_dim:
         raise ShapeError(
             f"input has {x.shape[1]} features, hidden layer expects {layer.input_dim}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Each activation maps finite input to finite output, so a finite z
+    # proves the activations finite too.
+    if layer._bounded and np.vdot(x, x) <= _INPUT_LIMIT:  # a NaN or inf sum fails
         z = x @ layer.weights.T
         z += layer.biases
-    # Overflow is reported by this check, not as a warning. It covers the
-    # activations too: each maps finite input to finite output.
-    ensure_finite(z, "hidden pre-activations")
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = x @ layer.weights.T
+            z += layer.biases
+        # Overflow is reported by this check, not as a warning.
+        ensure_finite(z, "hidden pre-activations")
     return ACTIVATIONS[layer.activation](z)
 
 
@@ -166,8 +205,9 @@ _FOLD_LIMIT = float(np.finfo(float).max) / 2
 # a block, S >= I while M is positive semidefinite, as the learner keeps it,
 # and they grow by at most sqrt(B). M has H^2 entries, so H < 2^32, and with
 # mu <= 2^400 and q <= 2^800, H a r <= 2^881 and 2^54 a r <= 2^903: far
-# below the largest float, 2^1024. Past a bound the products run under
-# np.errstate, and the finiteness checks after them report the overflow.
+# below the largest float, 2^1024. So predict_raw's h beta is not checked
+# while q <= 2^800. Past a bound the products run under np.errstate, and
+# the finiteness checks after them report the overflow.
 _LOAD_LIMIT = 2.0**400
 _BETA_LIMIT = 2.0**800
 
@@ -202,17 +242,22 @@ class OselmModel:
 
     Assigning ``gram_inv`` or ``beta`` also records max|M0| and |beta|^2,
     the bounds under which ``update`` and ``predict_raw`` skip numpy's
-    overflow guard. Change the state by assignment: after a write into the
-    arrays in place, an overflow may show as numpy's warning before the
-    NumericalError.
+    overflow guard. ``beta`` is read-only: assigning it stores a read-only
+    copy, ``update`` stores its fresh weights read-only, and a write into
+    them in place raises numpy's ValueError. Change M by assignment: after
+    a write into ``gram_inv`` in place, an overflow may show as numpy's
+    warning before the NumericalError.
 
     ``predict_raw`` on an arrival of 1 to 64 rows keeps one record of its
     projection: the hidden layer object, the rows' shape, a private copy of
-    their bytes and their hidden output. The next ``update`` takes the
-    record and drops it, and reuses that hidden output when it learns the
-    same rows, in the same shape, through the same layer. The record is
-    never saved, and ``copy.copy`` shares it: it is keyed by the layer and
-    the rows, not by the state.
+    their bytes, their hidden output, the weights object and a private
+    copy of the raw outputs. The next ``update`` takes the record and drops
+    it, and reuses that hidden output when it learns the same rows, in the
+    same shape, through the same layer, and those raw outputs too when the
+    model's ``beta`` is still the recorded object: read-only, it still
+    holds the values they were formed from. The record is never saved, and
+    ``copy.copy`` shares it: it is keyed by the layer, the rows and the
+    weights object, not by M.
     """
 
     def __init__(
@@ -230,7 +275,8 @@ class OselmModel:
         self.threshold = threshold
         self.samples_seen = samples_seen
         self.blocks_seen = blocks_seen
-        self._projected = None  # (layer, shape, bytes, hidden output) of predict_raw's rows
+        # (layer, shape, bytes, hidden output, beta, raw outputs) of predict_raw's rows
+        self._projected = None
 
     @property
     def gram_inv(self) -> np.ndarray:
@@ -252,6 +298,8 @@ class OselmModel:
 
     @beta.setter
     def beta(self, beta: np.ndarray) -> None:
+        beta = np.array(beta)  # a copy: the caller's array stays theirs
+        beta.setflags(write=False)
         self._beta = beta
         self._beta_sq = float(np.vdot(beta, beta))  # |beta|^2, inf or NaN past a float
 
@@ -260,6 +308,11 @@ class OselmModel:
         twin.__dict__.update(self.__dict__)
         twin._downdates = self._downdates.copy()  # update writes into it
         return twin
+
+    def __setstate__(self, state):
+        # copy.deepcopy and pickle give a writable copy of beta.
+        self.__dict__.update(state)
+        self._beta.setflags(write=False)
 
     @property
     def label_count(self) -> int:
@@ -358,16 +411,19 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     ``update`` on the same rows projects them once too: the update reuses
     the hidden output ``predict_raw`` recorded when it gets rows of the
     recorded shape whose bytes equal the recorded rows' and the model's
-    ``hidden`` is the layer that projected them. Any other update projects
-    its rows itself. Every update drops the record, also one that raises,
-    and lets go of it before the Woodbury step allocates its arrays. The
-    model is left unchanged when the update raises: S that is not
-    positive definite raises NumericalError, as do non-finite V, weights
-    or folded M0; a product that overflows is reported by these checks,
-    never as numpy's warning. A row whose fold could overflow is folded
-    by the update that brings it, so the pending rows always fold
-    finitely: a read of ``gram_inv``, such as ``save_model``'s, does not
-    raise, and the update that made M overflow is the one that raises.
+    ``hidden`` is the layer that projected them, and it reuses the
+    recorded raw outputs H beta too when the model's ``beta`` is the
+    recorded object. Any other update projects its rows, or multiplies
+    them by beta, itself. Every update drops the record, also one that
+    raises, and lets go of it before the Woodbury step allocates its
+    arrays. The new weights are stored read-only. The model is left
+    unchanged when the update raises: S that is not positive definite
+    raises NumericalError, as do non-finite V, weights or folded M0; a
+    product that overflows is reported by these checks, never as numpy's
+    warning. A row whose fold could overflow is folded by the update that
+    brings it, so the pending rows always fold finitely: a read of
+    ``gram_inv``, such as ``save_model``'s, does not raise, and the update
+    that made M overflow is the one that raises.
     """
     projected, model._projected = model._projected, None
     if model.samples_seen < 1:
@@ -383,7 +439,7 @@ def update(model: OselmModel, x, y) -> np.ndarray:
         raise ShapeError(
             f"targets have {y.shape[1]} labels, model expects {model.label_count}"
         )
-    # The layer is compared by identity: == would compare its arrays. The
+    # The layer and beta are compared by identity; both are read-only. The
     # shape is compared because another shape can hold the same bytes, and
     # the reused h skips hidden_output's feature-count check.
     if (
@@ -393,18 +449,20 @@ def update(model: OselmModel, x, y) -> np.ndarray:
         and projected[2] == x.tobytes()
     ):
         h = projected[3]
+        raw = projected[5] if projected[4] is model._beta else None
     else:
         h = hidden_output(model.hidden, x)
+        raw = None
     # Held until the update returned, the record moved a block_h1000 run's
     # peak RSS between glibc's modes of about 154.9 and 170 MB, with the
     # allocation order.
     del projected
     load = model._load  # a NaN load or weight norm fails its bound too
     if load <= _LOAD_LIMIT and model._beta_sq <= _BETA_LIMIT:
-        raw, v, norms, beta_new, beta_sq = _step(model, h, y)
+        raw, v, norms, beta_new, beta_sq = _step(model, h, y, raw)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the checks
-            raw, v, norms, beta_new, beta_sq = _step(model, h, y)
+            raw, v, norms, beta_new, beta_sq = _step(model, h, y, raw)
     base, buffer, pending, room = model._base, model._downdates, model._pending, model._room
     # The model's state is replaced only after the fold's check.
     if pending + rows <= len(buffer) and 2 * rows <= len(buffer) and norms <= room:
@@ -421,18 +479,21 @@ def update(model: OselmModel, x, y) -> np.ndarray:
             buffer = np.empty((capacity, len(base)))
     model._base, model._downdates, model._pending = base, buffer, pending
     model._room, model._load = room, load
+    beta_new.setflags(write=False)
     model._beta, model._beta_sq = beta_new, beta_sq
     model.samples_seen += rows
     model.blocks_seen += 1
     return raw
 
 
-def _step(model: OselmModel, h: np.ndarray, y: np.ndarray):
+def _step(model: OselmModel, h: np.ndarray, y: np.ndarray, raw: np.ndarray | None):
     """``update``'s Woodbury step on hidden output ``h`` and targets ``y``:
-    the raw outputs h beta, V, the sum of V's squared row norms, the new
-    weights and their squared norm. The model is not changed."""
+    the raw outputs h beta (``raw`` when given), V, the sum of V's squared
+    row norms, the new weights and their squared norm. The model is not
+    changed."""
     rows = len(h)
-    raw = h @ model._beta
+    if raw is None:
+        raw = h @ model._beta
     base, pending = model._base, model._pending
     hm = h @ base  # B x hidden_count, equal to (M0 H')' as M0 is symmetric
     if pending:
@@ -477,11 +538,15 @@ def predict_raw(model: OselmModel, x) -> np.ndarray:
     """Raw (unthresholded) output values: hidden activations times beta.
 
     On 1 to ``_RECORD_ROWS`` (64) rows the model keeps the layer, the
-    rows' shape, a private copy of their bytes and their hidden output, for
-    the ``update`` that learns the rows next: that update then does not
-    project them again. Rows changed in place in between no longer match
-    their copy and are projected again. Rows whose projection is not
-    finite raise before they are recorded, so a record never holds NaN.
+    rows' shape, a private copy of their bytes, their hidden output, the
+    weights object and a private copy of the raw outputs, for the
+    ``update`` that learns the rows next: that update then does not
+    project them again, and does not multiply them by beta again while
+    ``beta`` is the same read-only object. Rows changed in place in
+    between no longer match their copy and are projected again; weights
+    assigned in between are a new object, and the raw outputs are formed
+    again. Rows whose projection or raw outputs are not finite raise
+    before they are recorded, so a record never holds NaN.
     Every other call drops the record: one that raises, and one on no rows
     or on more than 64, such as a calibration or a test-set scoring, whose
     hidden output would stay alive until the next update. ``update``
@@ -491,12 +556,13 @@ def predict_raw(model: OselmModel, x) -> np.ndarray:
     x = as_matrix(x, "input")
     h = hidden_output(model.hidden, x)
     if model._beta_sq <= _BETA_LIMIT:
-        raw = ensure_finite(h @ model._beta, "raw outputs")
+        raw = h @ model._beta  # finite: see _LOAD_LIMIT
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
             raw = ensure_finite(h @ model._beta, "raw outputs")
     if 1 <= len(x) <= _RECORD_ROWS:
-        model._projected = (model.hidden, x.shape, x.tobytes(), h)
+        # raw is copied because the caller may write into what is returned.
+        model._projected = (model.hidden, x.shape, x.tobytes(), h, model._beta, raw.copy())
     return raw
 
 
@@ -602,8 +668,6 @@ def load_model(path) -> tuple[OselmModel, Normalizer | None]:
     )
     if not np.array_equal(gram_inv, gram_inv.T):
         raise DataError(f"{path}: gram_inv is not exactly symmetric")
-    weights.setflags(write=False)
-    biases.setflags(write=False)
     layer = HiddenLayer(weights=weights, biases=biases, activation=fields["activation"])
     model = OselmModel(
         hidden=layer,

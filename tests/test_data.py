@@ -467,6 +467,33 @@ class TestStreamBlocks:
             np.sort(cat, axis=0), np.sort(ds.features, axis=0)
         )
 
+    def test_datasets_compare_by_identity(self):
+        # == between dataclasses compares their fields, and == between
+        # arrays has no single truth value.
+        a, b = (LabeledDataset(np.ones((2, 2)), np.ones((2, 2), dtype=np.int8))
+                for _ in range(2))
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
+        norm = fit_normalizer(a)
+        assert norm == norm and norm != fit_normalizer(a)
+
+    def test_block_read_earlier_is_not_in_the_blocks(self):
+        blocks = stream_blocks(synthetic_stream(40, 2, 2, seed=16), StreamPlan(10, 10))
+        assert blocks[0] not in blocks  # each read cuts a new dataset
+        read = list(blocks)
+        assert read[2] in read and read.index(read[2]) == 2
+
+    def test_index_of_a_block_read_earlier_is_not_found(self):
+        blocks = stream_blocks(synthetic_stream(40, 2, 2, seed=17), StreamPlan(10, 10))
+        with pytest.raises(ValueError) as exc:
+            blocks.index(blocks[1])
+        assert "ambiguous" not in str(exc.value)
+
+    def test_count_of_a_block_read_earlier_is_zero(self):
+        blocks = stream_blocks(synthetic_stream(40, 2, 2, seed=18), StreamPlan(10, 10))
+        assert blocks.count(blocks[1]) == 0
+        assert blocks[1:].count(blocks[1]) == 0
+
     def test_single_block_when_init_covers_all(self):
         ds = synthetic_stream(20, 2, 2, seed=16)
         blocks = stream_blocks(ds, StreamPlan(20, 10))

@@ -64,12 +64,13 @@ class TestBipolar:
         "labels, message",
         [
             (np.array([0, 1], dtype=np.int8), "labels must be 2-D, got ndim=1"),
+            (np.zeros((2, 2, 2), dtype=np.int8), "labels must be 2-D, got ndim=3"),
             (np.zeros((0, 3), dtype=np.int8), "labels must have at least one row and one column"),
             ([[]], "labels must have at least one row and one column"),
             (np.array([[0.0, 0.5]]), "labels entries must all be 0 or 1"),
             (np.array([[0, 2]], dtype=np.int64), "labels entries must all be 0 or 1"),
         ],
-        ids=["1-D", "empty_int8", "empty_list", "float_half", "int64_two"],
+        ids=["1-D", "3-D", "empty_int8", "empty_list", "float_half", "int64_two"],
     )
     def test_other_inputs_keep_their_messages(self, labels, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

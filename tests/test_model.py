@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -80,6 +81,13 @@ class TestInitHidden:
         with pytest.raises(ValueError):
             layer.weights[0, 0] = 5.0
 
+    def test_layers_compare_and_hash_by_identity(self):
+        layer = init_hidden(3, 3, seed=0)
+        same_arrays = HiddenLayer(layer.weights, layer.biases, layer.activation)
+        assert layer == layer and layer != same_arrays
+        assert hash(layer) != hash(same_arrays)
+        assert len({layer, same_arrays, layer}) == 2
+
 
 class TestHiddenOutput:
     def test_zero_layer_sigmoid_gives_half(self):
@@ -134,6 +142,108 @@ class TestHiddenOutput:
         layer = HiddenLayer(weights=np.ones((2, 2)), biases=np.zeros(2), activation="sigmoid")
         with pytest.raises(NumericalError):
             hidden_output(layer, np.array([[1e308, 1e308]]))
+
+
+def errstate_counter(monkeypatch):
+    """The keyword arguments of every np.errstate entered from now on."""
+    errstate, taken = np.errstate, []
+    monkeypatch.setattr(np, "errstate", lambda **kw: taken.append(kw) or errstate(**kw))
+    return taken
+
+
+def layer_past_its_bound(tmp_path):
+    """A layer read back by load_model, with weights of 1e200: |W|^2 is inf."""
+    layer = HiddenLayer(weights=np.full((3, 2), 1e200), biases=np.zeros(3), activation="sigmoid")
+    save_model(tmp_path / "past.elm", OselmModel(layer, np.eye(3), np.zeros((3, 1)),
+                                                 samples_seen=5, blocks_seen=1))
+    return load_model(tmp_path / "past.elm")[0].hidden
+
+
+class TestProjectionBound:
+    """hidden_output projects with no np.errstate and no check while the
+    layer has |W|^2 + |b|^2 <= 2^200 and the input |x|^2 <= 2^800. Any
+    other input is projected under np.errstate and checked, so an
+    overflow raises NumericalError, not numpy's warning, which the suite
+    turns into an error."""
+
+    MESSAGE = "hidden pre-activations contains non-finite entries"
+
+    def test_drawn_layer_is_bounded(self):
+        assert init_hidden(103, 300, seed=0)._bounded
+        assert init_hidden(294, 1000, seed=0)._bounded
+
+    @pytest.mark.parametrize(
+        "weights, biases, bounded",
+        [([[2.0**99, 2.0**99]], [2.0**99], True),
+         ([[2.0**100, 2.0**90]], [0.0], False),
+         ([[1.0, 1.0]], [2.0**101], False),
+         ([[1.0, 1.0]], [np.inf], False),
+         ([[1.0, np.nan]], [0.0], False)],
+        ids=["under", "weights_over", "biases_over", "inf_bias", "nan_weight"],
+    )
+    def test_layer_bound_counts_weights_and_biases(self, weights, biases, bounded):
+        layer = HiddenLayer(np.array(weights), np.array(biases), "sigmoid")
+        assert layer._bounded is bounded
+
+    def test_bounded_input_takes_no_errstate(self, monkeypatch):
+        layer = init_hidden(3, 4, seed=1)
+        taken = errstate_counter(monkeypatch)
+        x = np.full((2, 3), 2.0**398)  # |x|^2 = 6 * 2^796 <= 2^800
+        out = hidden_output(layer, x)
+        assert np.isfinite(out).all() and taken == []
+
+    @pytest.mark.parametrize(
+        "layer, x",
+        [(init_hidden(3, 4, seed=1), np.full((1, 3), 1e300)),
+         (init_hidden(3, 4, seed=1), np.full((2, 3), 2.0**399)),
+         # x's first feature is 0, so the 1e200 weights add nothing and the
+         # biases show in every value.
+         (HiddenLayer(np.array([[1e200, 0.5], [1e200, -0.25]]), np.array([0.5, 0.125]),
+                      "sigmoid"), np.array([[0.0, 0.5], [0.0, -1.0]]))],
+        ids=["input_1e300", "input_over_by_a_bit", "layer_over"],
+    )
+    def test_past_a_bound_is_checked_and_served(self, monkeypatch, layer, x):
+        taken = errstate_counter(monkeypatch)
+        out = hidden_output(layer, x)
+        assert np.isfinite(out).all() and len(taken) == 1
+        z = x @ layer.weights.T + layer.biases
+        assert np.array_equal(out, (np.tanh(z * 0.5) + 1.0) * 0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, value):
+        layer = init_hidden(3, 4, seed=1)
+        x = np.array([[0.5, value, 0.25]])
+        with pytest.raises(NumericalError) as exc:
+            hidden_output(layer, x)
+        assert str(exc.value) == self.MESSAGE
+
+    def test_infinite_bias_raises(self):
+        # tanh would saturate an infinite pre-activation to a finite 1.0.
+        layer = HiddenLayer(np.ones((2, 2)), np.array([0.0, np.inf]), "sigmoid")
+        with pytest.raises(NumericalError) as exc:
+            hidden_output(layer, [[0.5, 0.5]])
+        assert str(exc.value) == self.MESSAGE
+
+    def test_loaded_layer_past_its_bound_is_checked(self, tmp_path, monkeypatch):
+        layer = layer_past_its_bound(tmp_path)
+        assert not layer._bounded
+        taken = errstate_counter(monkeypatch)
+        # A small input gives pre-activations of about 2e197, served as 1.0.
+        assert np.array_equal(hidden_output(layer, [[1e-3, 1e-3]]), np.ones((1, 3)))
+        assert len(taken) == 1
+        with pytest.raises(NumericalError) as exc:  # |x|^2 = 2e220 is under its bound
+            hidden_output(layer, [[1e110, 1e110]])
+        assert str(exc.value) == self.MESSAGE
+
+    def test_loaded_layer_past_its_bound_through_predict_and_update(self, tmp_path):
+        model = OselmModel(layer_past_its_bound(tmp_path), np.eye(3), np.zeros((3, 1)),
+                           samples_seen=5, blocks_seen=1)
+        for call in (lambda: predict_raw(model, [[1e110, 1e110]]),
+                     lambda: update(model, [[1e110, 1e110]], [[1.0]])):
+            with pytest.raises(NumericalError) as exc:
+                call()
+            assert str(exc.value) == self.MESSAGE
+        assert model._projected is None and model.samples_seen == 5
 
 
 @pytest.fixture
@@ -817,6 +927,43 @@ class TestProjectionReuse:
         update(model, x[30:31], y[30:31])
         assert projections == [1]
 
+    @pytest.mark.parametrize("rows", [1, 50])
+    def test_raw_outputs_are_reused(self, rows):
+        layer, x, y = stream_fixture(seed=75, hidden=140)
+        served, reference = (init_phase(layer, x[:30], y[:30], ridge=1.0) for _ in range(2))
+        for s in range(30, 30 + 3 * rows, rows):
+            xb, yb = x[s : s + rows], y[s : s + rows]
+            predict_raw(served, xb)
+            recorded = served._projected[5]
+            raw = update(served, xb, yb)
+            assert raw is recorded  # no second h beta
+            assert raw.tobytes() == update(reference, xb, yb).tobytes()
+            assert served.beta.tobytes() == reference.beta.tobytes()
+            assert served.gram_inv.tobytes() == reference.gram_inv.tobytes()
+
+    def test_assigned_beta_is_multiplied_again(self, projections):
+        layer, x, y = stream_fixture(seed=76)
+        served, reference = (init_phase(layer, x[:30], y[:30]) for _ in range(2))
+        predicted = predict_raw(served, x[30:31])
+        served.beta = reference.beta = served.beta * 2.0
+        projections.clear()
+        raw = update(served, x[30:31], y[30:31])
+        assert projections == []  # the hidden output is still reused
+        assert raw.tobytes() == update(reference, x[30:31], y[30:31]).tobytes()
+        assert not np.array_equal(raw, predicted)
+        assert served.beta.tobytes() == reference.beta.tobytes()
+
+    def test_written_prediction_does_not_reach_the_update(self):
+        layer, x, y = stream_fixture(seed=77)
+        served, reference = (init_phase(layer, x[:30], y[:30]) for _ in range(2))
+        predicted = predict_raw(served, x[30:31])
+        expected = predicted.copy()
+        predicted -= 0.5
+        raw = update(served, x[30:31], y[30:31])
+        assert raw.tobytes() == expected.tobytes()
+        update(reference, x[30:31], y[30:31])
+        assert served.beta.tobytes() == reference.beta.tobytes()
+
     def test_record_is_not_saved(self, tmp_path):
         layer, x, y = stream_fixture(seed=67)
         model = init_phase(layer, x[:30], y[:30])
@@ -825,6 +972,53 @@ class TestProjectionReuse:
         save_model(tmp_path / "after.elm", model)
         assert (tmp_path / "before.elm").read_bytes() == (tmp_path / "after.elm").read_bytes()
         assert load_model(tmp_path / "after.elm")[0]._projected is None
+
+
+class TestReadOnlyState:
+    """The layer's arrays and the model's beta are read-only, so a write
+    into them in place raises instead of leaving the projection record,
+    which is keyed by their identity, stale."""
+
+    @staticmethod
+    def sources(tmp_path):
+        layer, x, y = stream_fixture(seed=78)
+        model = init_phase(layer, x[:30], y[:30])
+        assigned = copy.copy(model)
+        assigned.beta = np.ones_like(model.beta)
+        updated = copy.copy(model)
+        update(updated, x[30:32], y[30:32])
+        save_model(tmp_path / "model.elm", model)
+        return {
+            "init_phase": model,
+            "assigned": assigned,
+            "updated": updated,
+            "loaded": load_model(tmp_path / "model.elm")[0],
+            "deepcopy": copy.deepcopy(model),
+            "pickle": pickle.loads(pickle.dumps(model)),
+        }
+
+    def test_beta_and_layer_arrays_reject_writes(self, tmp_path):
+        for name, model in self.sources(tmp_path).items():
+            for array in (model.beta, model.hidden.weights, model.hidden.biases):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+            assert model.hidden._bounded, name
+
+    def test_constructed_layer_is_read_only(self):
+        weights, biases = np.ones((2, 3)), np.zeros(2)
+        HiddenLayer(weights, biases, "sigmoid")
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            biases[0] = 2.0
+
+    def test_assigned_beta_is_a_copy(self):
+        layer, x, y = stream_fixture(seed=79)
+        model = init_phase(layer, x[:30], y[:30])
+        beta = np.ones_like(model.beta)
+        model.beta = beta
+        beta[0, 0] = 5.0  # the caller's array stays writable and theirs
+        assert np.array_equal(model.beta, np.ones_like(beta))
 
 
 class TestIllConditionedStream:
@@ -982,18 +1176,17 @@ class TestOverflowIsChecked:
 
     def test_common_path_takes_no_errstate(self, monkeypatch):
         # H = 140 gives a buffer of 32 rows: the 10 rows and the block of 4
-        # are appended without a fold, so hidden_output's projections take
-        # every np.errstate.
+        # are appended without a fold, and the layer and the inputs are
+        # within hidden_output's bounds.
         layer, x, y = stream_fixture(seed=56, hidden=140)
         model = init_phase(layer, x[:30], y[:30], ridge=1.0)
-        errstate, taken = np.errstate, []
-        monkeypatch.setattr(np, "errstate", lambda **kw: taken.append(kw) or errstate(**kw))
+        taken = errstate_counter(monkeypatch)
         for i in range(30, 40):
             predict_raw(model, x[i : i + 1])
             update(model, x[i : i + 1], y[i : i + 1])  # reuses the projection
         update(model, x[40:44], y[40:44])
         assert model._pending == 14
-        assert len(taken) == 11
+        assert taken == []
 
 
 class TestStreamingAtYeastShape:

@@ -76,13 +76,22 @@ class TestCholeskySpd:
         with pytest.raises(SingularMatrixError, match="pivot"):
             cholesky_spd(np.diag([1.0, 1e-14]))
 
+    def test_pivot_at_the_tolerance_raises(self):
+        # sqrt(1e-12) squared is 1e-12 again: the pivot equals the
+        # tolerance, and a pivot must exceed it.
+        with pytest.raises(SingularMatrixError) as exc:
+            cholesky_spd(np.diag([1.0, 1e-12]))
+        assert str(exc.value) == ("pivot 1.000e-12 at column 1 is at or below tolerance "
+                                  "1.000e-12; matrix is singular or indefinite")
+
     def test_rank_one_raises(self):
         with pytest.raises(SingularMatrixError, match="pivot"):
             cholesky_spd(np.ones((3, 3)))
 
     def test_non_square_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError) as exc:
             cholesky_spd(np.ones((2, 3)))
+        assert str(exc.value) == "coefficient matrix must be square, got 2x3"
 
 
 def graded_factor(n, seed):

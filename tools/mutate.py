@@ -68,8 +68,24 @@ EQUIVALENT = {
         "the placeholder span of a constant feature is masked out of scale and offset",
     "data.py:__iter__: full + 1 -> full - 1 in `end = max(start, min(stop, full + 1))`":
         "full blocks past end are cut one at a time by _block, into the same views",
+    "metrics.py:compute_report: 1 -> 2"
+    " in `f1 = np.where(both_empty, 1.0, 2 * inter / np.maximum(n_pred + n_true, 1))`":
+        "a row whose counts sum to 1 has no common label: 0 / 1 and 0 / 2 are both 0",
+    "numerics.py:invert_lower: 0 -> 1 in `n = lower.shape[0]`":
+        "the factor is square",
+    "numerics.py:invert_lower: n <= _INVERT_BASE_ROWS -> n < _INVERT_BASE_ROWS"
+    " in `if n <= _INVERT_BASE_ROWS:`":
+        "a 64-row factor inverted by halves is the same inverse up to rounding",
+    "numerics.py:invert_lower: 2 -> 3 in `half = n // 2`":
+        "any split point gives the same inverse up to rounding; halves are a speed choice",
     "model.py:init_phase: ridge > 0.0 -> ridge >= 0.0 in `if ridge > 0.0:`":
         "a ridge of 0.0 added to the Gram matrix's diagonal leaves it as it is",
+    "model.py:__post_init__: norm <= _LAYER_LIMIT -> norm < _LAYER_LIMIT"
+    " in `object.__setattr__(self, \"_bounded\", bool(norm <= _LAYER_LIMIT))  # NaN fails too`":
+        "a layer at its limit is as far below overflow as one under it",
+    "model.py:hidden_output: np.vdot(x, x) <= _INPUT_LIMIT -> np.vdot(x, x) < _INPUT_LIMIT"
+    " in `if layer._bounded and np.vdot(x, x) <= _INPUT_LIMIT:  # a NaN or inf sum fails`":
+        "an input at its limit is as far below overflow as one under it",
     "model.py:update: load <= _LOAD_LIMIT -> load < _LOAD_LIMIT"
     " in `if load <= _LOAD_LIMIT and model._beta_sq <= _BETA_LIMIT:`":
         "a load at its limit is as far below overflow as one under it",
