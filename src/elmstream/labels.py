@@ -99,7 +99,10 @@ def calibrate_threshold(raw, truth) -> ThresholdCalibration:
 
     flat = raw.ravel()
     tflat = truth.ravel()
-    order = np.argsort(flat, kind="stable")
+    # Equal raw values form one group whose label counts are summed, and
+    # -0.0 and 0.0 give the same candidates, so the order within a group
+    # does not matter: the default sort is about 5x faster than a stable one.
+    order = np.argsort(flat)
     sorted_vals = flat[order]
     sorted_truth = tflat[order].astype(np.int64)
 

@@ -175,11 +175,21 @@ _PENDING_ROWS = 32
 # predict_raw keeps the hidden output of an arrival of at most _RECORD_ROWS
 # rows for the update that learns it next: 0.5 MB at H = 1000. Arrivals of 1
 # to 50 rows fit; calibrations and test-set scorings of 600 to 1500 rows do
-# not. Kept too, the init block's calibration (12 MB at H = 1000) and a
-# 1196-row scoring (9.6 MB) stayed alive until the next update and raised a
-# block_h1000 run's peak RSS from 154.9 MB to 177 MB; records of at most 64
-# rows read 154.4-155.0 MB.
+# not. Kept too, the hidden outputs of a calibration on the init block
+# (12 MB at H = 1000) and of a 1196-row scoring (9.6 MB) stayed alive until
+# the next update and raised a block_h1000 run's peak RSS from 154.9 MB to
+# 177 MB; records of at most 64 rows read 154.4-155.0 MB.
 _RECORD_ROWS = 64
+
+# init_phase records the raw outputs of an initial block, and no hidden
+# output, for the calibration on it when the block's hidden output h0, held
+# through the inverse, and the record's copy of the rows take at most
+# _INIT_RECORD_BYTES: 1.9 MB for 600 rows of 103 features at H = 300, where
+# the calibration's second projection took about 13% of prequential_b1's
+# set-up. block_h1000's 1500 x 294 block at H = 1000 (15.5 MB) stays over
+# it: holding its 12 MB h0 raised a run's peak RSS from 154.2 MB to
+# 171.1 MB, and under a 4 MiB bound it read 154.1 MB.
+_INIT_RECORD_BYTES = 4 * 2**20
 
 
 def _capacity(rows: int, hidden_count: int) -> int:
@@ -255,9 +265,12 @@ class OselmModel:
     it, and reuses that hidden output when it learns the same rows, in the
     same shape, through the same layer, and those raw outputs too when the
     model's ``beta`` is still the recorded object: read-only, it still
-    holds the values they were formed from. The record is never saved, and
-    ``copy.copy`` shares it: it is keyed by the layer, the rows and the
-    weights object, not by M.
+    holds the values they were formed from. ``init_phase`` leaves a record
+    of a small enough initial block that holds its raw outputs and no
+    hidden output, for the ``predict_raw`` that calibrates the threshold.
+    The record is never saved, and ``copy.copy`` shares it: it is keyed by
+    the layer, the rows and the weights object, not by M. ``copy.deepcopy``
+    and pickle leave it out, since a copied layer is a new object.
     """
 
     def __init__(
@@ -275,7 +288,8 @@ class OselmModel:
         self.threshold = threshold
         self.samples_seen = samples_seen
         self.blocks_seen = blocks_seen
-        # (layer, shape, bytes, hidden output, beta, raw outputs) of predict_raw's rows
+        # (layer, shape, bytes, hidden output, beta, raw outputs) of the rows
+        # predict_raw or init_phase (with no hidden output) projected last
         self._projected = None
 
     @property
@@ -309,10 +323,17 @@ class OselmModel:
         twin._downdates = self._downdates.copy()  # update writes into it
         return twin
 
+    def __getstate__(self):
+        # A copied record could never match: its layer is a new object.
+        state = self.__dict__.copy()
+        del state["_projected"]
+        return state
+
     def __setstate__(self, state):
         # copy.deepcopy and pickle give a writable copy of beta.
         self.__dict__.update(state)
         self._beta.setflags(write=False)
+        self._projected = None
 
     @property
     def label_count(self) -> int:
@@ -334,6 +355,14 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
     will keep updating. With ridge = 0 the block must have at least as
     many rows as there are hidden neurons, else the Gram matrix is
     singular and SingularMatrixError is raised.
+
+    When the block's hidden output and a copy of its rows take at most
+    ``_INIT_RECORD_BYTES`` (4 MiB), the hidden output is kept until the
+    weights are formed, multiplied by the model's ``beta`` and freed. The
+    model then holds a projection record of the block with those raw
+    outputs and no hidden output, so ``predict_raw`` on the same rows,
+    as a threshold calibration makes, does not project them again. The
+    ``update`` after it projects its rows itself.
     """
     x0 = as_matrix(x0, "initial features")
     y0 = _check_bipolar(y0, "initial targets")
@@ -348,10 +377,11 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
     h0 = hidden_output(layer, x0)
     gram = h0.T @ h0  # numpy computes A'A with syrk: exactly symmetric
     hty = h0.T @ y0
-    # h0 (N0 x H) is freed before the inverse's buffers are allocated: kept
-    # alive, it raised the peak RSS of a stream run at H = 1000, N0 = 1500
-    # by 15 MB.
-    del h0
+    # A large h0 (N0 x H) is freed before the inverse's buffers are
+    # allocated: kept alive, it raised the peak RSS of a stream run at
+    # H = 1000, N0 = 1500 by 15 MB. See _INIT_RECORD_BYTES.
+    if h0.nbytes + x0.nbytes > _INIT_RECORD_BYTES:
+        h0 = None
     if ridge > 0.0:
         gram[np.diag_indices_from(gram)] += ridge
     l_inv = invert_lower(cholesky_spd(gram))
@@ -361,13 +391,18 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
     ensure_finite(gram_inv, "inverse Gram matrix")
     beta = gram_inv @ hty
     ensure_finite(beta, "initial output weights")
-    return OselmModel(
+    model = OselmModel(
         hidden=layer,
         gram_inv=gram_inv,
         beta=beta,
         samples_seen=x0.shape[0],
         blocks_seen=1,
     )
+    if h0 is not None and model._beta_sq <= _BETA_LIMIT:
+        raw = h0 @ model._beta  # finite: see _LOAD_LIMIT
+        del h0
+        model._projected = (layer, x0.shape, x0.tobytes(), None, model._beta, raw)
+    return model
 
 
 def update(model: OselmModel, x, y) -> np.ndarray:
@@ -411,7 +446,8 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     ``update`` on the same rows projects them once too: the update reuses
     the hidden output ``predict_raw`` recorded when it gets rows of the
     recorded shape whose bytes equal the recorded rows' and the model's
-    ``hidden`` is the layer that projected them, and it reuses the
+    ``hidden`` is the layer that projected them (``init_phase``'s record
+    holds no hidden output and is never reused), and it reuses the
     recorded raw outputs H beta too when the model's ``beta`` is the
     recorded object. Any other update projects its rows, or multiplies
     them by beta, itself. Every update drops the record, also one that
@@ -444,6 +480,7 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     # the reused h skips hidden_output's feature-count check.
     if (
         projected is not None
+        and projected[3] is not None
         and projected[0] is model.hidden
         and projected[1] == x.shape
         and projected[2] == x.tobytes()
@@ -547,13 +584,30 @@ def predict_raw(model: OselmModel, x) -> np.ndarray:
     assigned in between are a new object, and the raw outputs are formed
     again. Rows whose projection or raw outputs are not finite raise
     before they are recorded, so a record never holds NaN.
-    Every other call drops the record: one that raises, and one on no rows
-    or on more than 64, such as a calibration or a test-set scoring, whose
-    hidden output would stay alive until the next update. ``update``
-    always drops the record, and ``save_model`` never writes it.
+
+    A call on rows that match the record, through the same layer object,
+    in the same shape, with equal bytes and while ``beta`` is the recorded
+    object, keeps the record and returns a copy of its raw outputs with no
+    projection: so a threshold calibration on the initial block reuses
+    the raw outputs ``init_phase`` recorded. Every other call drops the
+    record: one that raises, and one on no rows or on more than 64, such
+    as a calibration on other rows or a test-set scoring, whose hidden
+    output would stay alive until the next update. ``update`` always drops
+    the record, and ``save_model`` never writes it.
     """
-    model._projected = None
+    projected, model._projected = model._projected, None
     x = as_matrix(x, "input")
+    # The layer and beta are compared by identity; both are read-only.
+    if (
+        projected is not None
+        and projected[0] is model.hidden
+        and projected[4] is model._beta
+        and projected[1] == x.shape
+        and projected[2] == x.tobytes()
+    ):
+        model._projected = projected
+        return projected[5].copy()  # the caller may write into what is returned
+    del projected
     h = hidden_output(model.hidden, x)
     if model._beta_sq <= _BETA_LIMIT:
         raw = h @ model._beta  # finite: see _LOAD_LIMIT

@@ -205,6 +205,24 @@ class TestCalibrateThreshold:
         assert cal.threshold == 1.0
         assert cal.training_hamming == 0.0
 
+    @pytest.mark.parametrize("decimals", [1, 2])
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_unstable_sort_matches_a_stable_one(self, monkeypatch, decimals, seed):
+        # Tie-heavy raw values of a 600 x 14 calibration block, with -0.0 and
+        # 0.0 mixed: the order within a run of equal values must not matter.
+        rng = np.random.default_rng(seed)
+        raw = np.round(rng.normal(scale=0.3, size=(600, 14)), decimals)
+        zeros = raw == 0.0
+        raw[zeros] = np.where(rng.integers(0, 2, zeros.sum()) == 1, -0.0, 0.0)
+        assert np.signbit(raw[zeros]).any() and not np.signbit(raw[zeros]).all()
+        truth = (raw + rng.normal(scale=0.2, size=raw.shape) > 0).astype(np.int8)
+        cal = calibrate_threshold(raw, truth)
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a: argsort(a, kind="stable"))
+        reference = calibrate_threshold(raw, truth)
+        assert repr(cal.threshold) == repr(reference.threshold)
+        assert cal.training_hamming == reference.training_hamming
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             calibrate_threshold(np.array([[np.inf]]), np.array([[1]]))

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import pickle
 
@@ -972,6 +973,101 @@ class TestProjectionReuse:
         save_model(tmp_path / "after.elm", model)
         assert (tmp_path / "before.elm").read_bytes() == (tmp_path / "after.elm").read_bytes()
         assert load_model(tmp_path / "after.elm")[0]._projected is None
+
+    @staticmethod
+    def initial_block(seed):
+        """A model after init_phase on a transform of its initial rows, those
+        rows, a second transform of them (equal bytes in another array, as
+        the README's calibration presents them), and the stream."""
+        layer, x, y = stream_fixture(seed=seed)
+        norm = Normalizer(scale=np.linspace(0.5, 1.5, 10), offset=np.full(10, 0.1))
+        x_init = norm.transform(x[:30])
+        model = init_phase(layer, x_init, y[:30])
+        return model, x_init, norm.transform(x[:30]), x, y
+
+    def test_initial_block_is_projected_once_for_its_calibration(self, projections):
+        model, _, x0, _, _ = self.initial_block(seed=80)
+        assert projections == [30]
+        fresh = hidden_output(model.hidden, x0) @ model.beta
+        first = predict_raw(model, x0)
+        first -= 1.0  # the caller's copy: the record keeps its own
+        second = predict_raw(model, x0)
+        assert projections == [30]
+        assert second.tobytes() == fresh.tobytes()
+        assert model._projected[3] is None
+
+    @pytest.mark.parametrize("change", ["rows", "beta", "hidden", "other_rows"])
+    def test_initial_block_is_projected_again_after_a_change(self, change, projections):
+        model, x_init, x0, _, _ = self.initial_block(seed=81)
+        if change == "rows":
+            x0 = x_init
+            x0[4, 2] += 0.25
+        elif change == "beta":
+            model.beta = model.beta  # equal values in a new object
+        elif change == "hidden":
+            model.hidden = HiddenLayer(model.hidden.weights, model.hidden.biases, "sigmoid")
+        else:
+            x0 = x0[:29]
+        projections.clear()
+        raw = predict_raw(model, x0)
+        assert projections == [len(x0)]
+        assert raw.tobytes() == (hidden_output(model.hidden, x0) @ model.beta).tobytes()
+
+    def test_update_on_the_initial_rows_projects_them(self, projections):
+        model, x0, _, _, y = self.initial_block(seed=82)
+        reference = copy.copy(model)
+        reference._projected = None
+        projections.clear()
+        raw = update(model, x0, y[:30])
+        assert projections == [30]
+        assert model._projected is None
+        assert raw.tobytes() == update(reference, x0, y[:30]).tobytes()
+        assert model.beta.tobytes() == reference.beta.tobytes()
+        assert model.gram_inv.tobytes() == reference.gram_inv.tobytes()
+
+    @pytest.mark.parametrize("spare, projected", [(0, [30]), (-1, [30, 30])])
+    def test_initial_block_over_the_bound_is_projected_twice(
+        self, monkeypatch, projections, spare, projected
+    ):
+        # 30 x 20 hidden outputs and 30 x 10 rows: 7200 bytes.
+        monkeypatch.setattr("elmstream.model._INIT_RECORD_BYTES", 7200 + spare)
+        model, _, x0, _, _ = self.initial_block(seed=83)
+        assert (model._projected is None) == (spare < 0)
+        predict_raw(model, x0)
+        assert projections == projected
+
+    def test_initial_block_past_the_weight_bound_is_not_recorded(self, monkeypatch):
+        monkeypatch.setattr("elmstream.model._BETA_LIMIT", 0.0)
+        model = self.initial_block(seed=84)[0]
+        assert model._projected is None
+
+    @pytest.mark.parametrize("twin", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["deepcopy", "pickle"])
+    def test_copied_model_has_no_record(self, twin):
+        model, _, x0, _, _ = self.initial_block(seed=86)
+        copied = twin(model)
+        assert model._projected is not None
+        assert copied._projected is None
+        assert predict_raw(copied, x0).tobytes() == predict_raw(model, x0).tobytes()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, x0, x, y: update(m, x[30:31], y[30:31]),
+            lambda m, x0, x, y: predict_raw(m, x[30:31]),
+            lambda m, x0, x, y: predict_raw(m, x[30:90]),
+            lambda m, x0, x, y: predict_raw(m, x0[:, :5]),
+        ],
+        ids=["update", "predict_raw_row", "predict_raw_block", "predict_raw_rejected"],
+    )
+    def test_any_other_call_drops_the_initial_record(self, call, projections):
+        model, _, x0, x, y = self.initial_block(seed=85)
+        with contextlib.suppress(ShapeError):
+            call(model, x0, x, y)
+        assert model._projected is None or model._projected[3] is not None
+        projections.clear()
+        predict_raw(model, x0)
+        assert projections == [30]
 
 
 class TestReadOnlyState:

@@ -86,6 +86,9 @@ EQUIVALENT = {
     "model.py:hidden_output: np.vdot(x, x) <= _INPUT_LIMIT -> np.vdot(x, x) < _INPUT_LIMIT"
     " in `if layer._bounded and np.vdot(x, x) <= _INPUT_LIMIT:  # a NaN or inf sum fails`":
         "an input at its limit is as far below overflow as one under it",
+    "model.py:init_phase: model._beta_sq <= _BETA_LIMIT -> model._beta_sq < _BETA_LIMIT"
+    " in `if h0 is not None and model._beta_sq <= _BETA_LIMIT:`":
+        "a weight norm at its limit is as far below overflow as one under it",
     "model.py:update: load <= _LOAD_LIMIT -> load < _LOAD_LIMIT"
     " in `if load <= _LOAD_LIMIT and model._beta_sq <= _BETA_LIMIT:`":
         "a load at its limit is as far below overflow as one under it",
