@@ -21,9 +21,8 @@ from .numerics import (
     ShapeError,
     all_finite,
     as_matrix,
-    cholesky_spd,
     ensure_finite,
-    invert_lower,
+    inverse_factor,
 )
 
 __all__ = [
@@ -384,7 +383,7 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
         h0 = None
     if ridge > 0.0:
         gram[np.diag_indices_from(gram)] += ridge
-    l_inv = invert_lower(cholesky_spd(gram))
+    l_inv = inverse_factor(gram)
     # M = L^-T L^-1 by syrk is exactly symmetric, as update() needs M: its
     # downdates keep M only as symmetric as they find it.
     gram_inv = l_inv.T @ l_inv
@@ -554,7 +553,7 @@ def _step(model: OselmModel, h: np.ndarray, y: np.ndarray, raw: np.ndarray | Non
     else:
         s = np.eye(rows) + hm @ h.T
         s = (s + s.T) / 2.0
-        l_inv = invert_lower(cholesky_spd(s))
+        l_inv = inverse_factor(s)
         v = l_inv @ hm
         step = l_inv @ residual
     norms = float(np.vdot(v, v))  # the sum of V's squared row norms

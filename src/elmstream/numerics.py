@@ -3,14 +3,14 @@
 Matrices are 2-D float64 numpy arrays in row-major (C) order. Public
 functions validate shapes on entry and guarantee finite entries on exit,
 so numerical breakdown surfaces here instead of in callers. The
-learner's one batch solve, the ridge-regularized normal equations of
-``model.init_phase``, is certified positive definite by ``cholesky_spd``,
-and the factor it certifies is the one inverted: ``invert_lower``
-inverts it in place, and the inverse is L^-T L^-1. The Woodbury matrix
-of a block update takes the same two steps. ``invert_lower`` alone
-leaves the finiteness check to its callers, which make it on what they
-form from the inverse. Every symmetric matrix the learner builds is
-symmetric by construction, so symmetry is checked exactly.
+learner's two linear systems, the ridge-regularized normal equations of
+``model.init_phase`` and the Woodbury matrix of a block update, take one
+call each: ``inverse_factor`` certifies the matrix positive definite by
+its Cholesky factor L and returns L^-1, inverted in place, so the
+inverse is L^-T L^-1. It alone leaves finiteness to its callers, which
+check what they form from the inverse. Every symmetric matrix the
+learner builds is symmetric by construction, so symmetry is checked
+exactly.
 """
 
 from __future__ import annotations
@@ -26,15 +26,14 @@ __all__ = [
     "as_matrix",
     "all_finite",
     "ensure_finite",
-    "cholesky_spd",
-    "invert_lower",
+    "inverse_factor",
 ]
 
 # Pivot tolerance for the SPD factorization, relative to the largest
 # diagonal entry of the coefficient matrix.
 PIVOT_RTOL = 1e-12
 
-# invert_lower hands blocks of at most this many rows to LAPACK's general
+# _invert_lower hands blocks of at most this many rows to LAPACK's general
 # inverse; larger ones it splits in halves.
 _INVERT_BASE_ROWS = 64
 
@@ -77,13 +76,16 @@ def ensure_finite(a: np.ndarray, what: str = "result") -> np.ndarray:
     return a
 
 
-def cholesky_spd(a) -> np.ndarray:
-    """Lower Cholesky factor L, with L @ L.T == a, of a certified SPD matrix.
+def inverse_factor(a) -> np.ndarray:
+    """Inverse L^-1 of the lower Cholesky factor L, with L @ L.T == a, of a
+    certified SPD matrix; ``a`` is left unchanged.
 
     ``a`` must be square, finite and exactly symmetric; every caller
     builds it so. The squared diagonal of L holds the pivots of the
     factorization; each must exceed ``PIVOT_RTOL`` times the largest
-    diagonal entry of ``a``.
+    diagonal entry of ``a``. The factor is then inverted in place, so the
+    result is exactly lower triangular and a^-1 = L^-T L^-1. Its
+    finiteness is left to the caller, which checks what it forms from it.
 
     Raises:
         ShapeError: non-square ``a``.
@@ -114,19 +116,17 @@ def cholesky_spd(a) -> np.ndarray:
                 f"pivot {pivots[j]:.3e} at column {j} is at or below tolerance "
                 f"{tol:.3e}; matrix is singular or indefinite"
             )
-    return lower
+    return _invert_lower(lower)
 
 
-def invert_lower(lower: np.ndarray) -> np.ndarray:
+def _invert_lower(lower: np.ndarray) -> np.ndarray:
     """Invert a lower triangular matrix in place and return it.
 
     ``lower`` is a writable float64 matrix, lower triangular with a
-    non-zero diagonal, such as the factor ``cholesky_spd`` returns. With
-    L = [[A, 0], [B, C]] the inverse is [[A^-1, 0], [-C^-1 B A^-1, C^-1]]:
-    the two diagonal blocks are inverted in place, recursively, and the
-    off-diagonal block with two gemms. The result is exactly lower
-    triangular. Finiteness is left to the caller, which checks what it
-    forms from the inverse.
+    non-zero diagonal. With L = [[A, 0], [B, C]] the inverse is
+    [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: the two diagonal blocks are
+    inverted in place, recursively, and the off-diagonal block with two
+    gemms. The result is exactly lower triangular.
     """
     n = lower.shape[0]
     if n <= _INVERT_BASE_ROWS:
@@ -134,8 +134,8 @@ def invert_lower(lower: np.ndarray) -> np.ndarray:
         lower[...] = np.tril(np.linalg.inv(lower))
         return lower
     half = n // 2
-    a_inv = invert_lower(lower[:half, :half])
-    c_inv = invert_lower(lower[half:, half:])
+    a_inv = _invert_lower(lower[:half, :half])
+    c_inv = _invert_lower(lower[half:, half:])
     b = lower[half:, :half]
     b[...] = -(c_inv @ (b @ a_inv))
     return lower

@@ -352,7 +352,8 @@ class TestInitPhase:
 
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
     def test_gram_inv_past_the_inverse_base_case(self, ridge):
-        # H = 150 is past invert_lower's 64-row base case, so its recursion runs.
+        # H = 150 is past the triangular inverse's 64-row base case, so its
+        # recursion runs.
         self.check_gram_inv(ridge, features=50, hidden=150, rows=400)
 
 
@@ -386,7 +387,8 @@ class TestUpdate:
         assert np.max(np.abs(blocked.beta - chained.beta)) <= 1e-8
 
     def test_block_past_the_inverse_base_case_matches_batch(self):
-        # B = 130 rows take invert_lower's recursion on the Woodbury factor.
+        # B = 130 rows take the triangular inverse's recursion on the
+        # Woodbury factor.
         layer, x, y = stream_fixture(seed=41, n=630, d=60, hidden=400)
         model = init_phase(layer, x[:500], y[:500])
         update(model, x[500:], y[500:])

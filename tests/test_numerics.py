@@ -1,18 +1,20 @@
+import ast
+import pathlib
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+import elmstream.numerics as numerics
 from elmstream.labels import calibrate_threshold, decode
 from elmstream.model import OselmModel, init_hidden, update
 from elmstream.numerics import (
     NumericalError,
     ShapeError,
     SingularMatrixError,
-    cholesky_spd,
     ensure_finite,
-    invert_lower,
+    inverse_factor,
 )
 
 
@@ -57,76 +59,101 @@ class TestFinitenessProof:
 
 
 class TestCholeskySpd:
+    """The certification inverse_factor makes on its Cholesky factor."""
+
     def test_factor_reproduces_matrix(self):
+        # L^-1 a L^-T is the identity exactly when L L' is a.
         a = random_spd(np.random.default_rng(5), 7)
-        lower = cholesky_spd(a)
-        assert np.array_equal(lower, np.tril(lower))
-        assert np.max(np.abs(lower @ lower.T - a)) <= 1e-12
+        l_inv = inverse_factor(a)
+        assert np.max(np.abs(l_inv @ a @ l_inv.T - np.eye(7))) <= 1e-12
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            cholesky_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            inverse_factor(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_indefinite_raises(self):
         with pytest.raises(SingularMatrixError):
-            cholesky_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            inverse_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_pivot_below_relative_tolerance_raises(self):
         # LAPACK factors this matrix; the 1e-12 relative tolerance rejects it.
         with pytest.raises(SingularMatrixError, match="pivot"):
-            cholesky_spd(np.diag([1.0, 1e-14]))
+            inverse_factor(np.diag([1.0, 1e-14]))
 
     def test_pivot_at_the_tolerance_raises(self):
         # sqrt(1e-12) squared is 1e-12 again: the pivot equals the
         # tolerance, and a pivot must exceed it.
         with pytest.raises(SingularMatrixError) as exc:
-            cholesky_spd(np.diag([1.0, 1e-12]))
+            inverse_factor(np.diag([1.0, 1e-12]))
         assert str(exc.value) == ("pivot 1.000e-12 at column 1 is at or below tolerance "
                                   "1.000e-12; matrix is singular or indefinite")
 
     def test_rank_one_raises(self):
         with pytest.raises(SingularMatrixError, match="pivot"):
-            cholesky_spd(np.ones((3, 3)))
+            inverse_factor(np.ones((3, 3)))
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError) as exc:
-            cholesky_spd(np.ones((2, 3)))
+            inverse_factor(np.ones((2, 3)))
         assert str(exc.value) == "coefficient matrix must be square, got 2x3"
 
 
-def graded_factor(n, seed):
-    """Cholesky factor of an SPD matrix with eigenvalues from 1 down to 1e-4.
-    LU pivots on such a factor, so a general inverse of it leaves rounding
+def graded_spd(n, seed):
+    """SPD matrix with eigenvalues from 1 down to 1e-4. LU pivots on its
+    Cholesky factor, so a general inverse of the factor leaves rounding
     above the diagonal."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     b = q * np.sqrt(np.logspace(0, -4, n))
-    return cholesky_spd(b @ b.T)
+    return b @ b.T
 
 
-class TestInvertLower:
-    # Sizes around the 64-row base case and splits into odd halves.
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 300])
-    def test_inverts_in_place_and_stays_lower(self, n):
-        lower = graded_factor(n, seed=n)
-        factor = lower.copy()
-        inverse = invert_lower(lower)
-        assert inverse is lower
-        assert np.array_equal(inverse, np.tril(inverse))
-        assert np.max(np.abs(factor @ inverse - np.eye(n))) <= 1e-10
+# One and 64 rows take the base case; 65 and 150 split into halves.
+@pytest.mark.parametrize("n", [1, 64, 65, 150])
+class TestInverseFactor:
+    def test_result_is_lower_triangular(self, n):
+        l_inv = inverse_factor(graded_spd(n, seed=n))
+        assert np.array_equal(l_inv, np.tril(l_inv))
+
+    def test_result_inverts_the_cholesky_factor(self, n):
+        a = graded_spd(n, seed=n)
+        assert np.max(np.abs(inverse_factor(a) @ np.linalg.cholesky(a) - np.eye(n))) <= 1e-10
+
+    def test_matrix_is_left_unchanged(self, n):
+        a = graded_spd(n, seed=n)
+        before = a.copy()
+        inverse_factor(a)
+        assert np.array_equal(a, before)
+
+
+def test_every_public_name_has_a_caller():
+    """Each name numerics exports is imported by another module of the
+    package, so its public API is the one the learner uses."""
+    package = pathlib.Path(numerics.__file__).parent
+    imported = set()
+    for path in package.glob("*.py"):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                (node.level == 1 and node.module == "numerics")
+                or (node.level == 0 and node.module == "elmstream.numerics")
+            ):
+                imported.update(alias.name for alias in node.names)
+    assert set(numerics.__all__) - imported == set()
 
 
 class TestSolveSpd:
     """The learner's SPD solves: init_phase on its Gram matrix and update on
-    S = I + H M H'. Each is certified by cholesky_spd before it inverts, so
+    S = I + H M H'. Each is certified by inverse_factor before it inverts, so
     the rejections an SPD solve must make are checked here at their bounds."""
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.5, 1.0]])
-        cholesky_spd(a)
+        inverse_factor(a)
         for gap in (1e-11, 1e-9):
             with pytest.raises(ValueError, match="symmetric"):
-                cholesky_spd(a + np.array([[0.0, 0.0], [gap, 0.0]]))
+                inverse_factor(a + np.array([[0.0, 0.0], [gap, 0.0]]))
 
     def test_indefinite_raises(self):
         # M = -10 I makes S = I + H M H' indefinite for this block.
@@ -144,14 +171,14 @@ class TestSolveSpd:
     def test_pivot_below_relative_tolerance_raises(self):
         # The tolerance scales with the largest diagonal entry: the same
         # positive pivot passes beside 1.0 and fails beside 1e6.
-        cholesky_spd(np.diag([1.0, 1e-7]))
+        inverse_factor(np.diag([1.0, 1e-7]))
         with pytest.raises(SingularMatrixError, match="pivot"):
-            cholesky_spd(np.diag([1e6, 1e-7]))
+            inverse_factor(np.diag([1e6, 1e-7]))
 
 
 class TestSymmetryCheck:
     """Every symmetric matrix the learner factors is symmetric by
-    construction, so cholesky_spd accepts a matrix only when it equals its
+    construction, so inverse_factor accepts a matrix only when it equals its
     transpose bit for bit."""
 
     N = 263
@@ -166,12 +193,12 @@ class TestSymmetryCheck:
         a = self.spd()
         a[row, col] = np.nextafter(a[row, col], np.inf)
         with pytest.raises(ValueError, match="symmetric"):
-            cholesky_spd(a)
+            inverse_factor(a)
 
     def test_equal_to_transpose_accepted(self):
         a = self.spd()
         assert np.array_equal(a, a.T)
-        assert cholesky_spd(a).shape == a.shape
+        assert inverse_factor(a).shape == a.shape
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (1, 2)], ids=["diagonal", "off_diagonal"])
@@ -181,12 +208,12 @@ class TestSymmetryCheck:
         a = self.spd()
         a[where] = a[where[::-1]] = value
         with pytest.raises(NumericalError, match="non-finite"):
-            cholesky_spd(a)
+            inverse_factor(a)
 
     @pytest.mark.parametrize("n", [1, 5, 128, N])
     def test_same_decision_as_the_dense_check(self, n):
         # Accepted exactly when no entry differs from its mirror, by an
-        # elementwise comparison independent of cholesky_spd's own.
+        # elementwise comparison independent of inverse_factor's own.
         rng = np.random.default_rng(n)
         for value in (0.0, 1e-300, 1e-11, 1e308):
             a = random_spd(rng, n, shift=float(n))
@@ -195,6 +222,6 @@ class TestSymmetryCheck:
                 b = np.ascontiguousarray(b)
                 if any(b[i, j] != b[j, i] for i in range(n) for j in range(i)):
                     with pytest.raises(ValueError, match="symmetric"):
-                        cholesky_spd(b)
+                        inverse_factor(b)
                 else:
-                    cholesky_spd(b)
+                    inverse_factor(b)

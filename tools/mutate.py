@@ -71,12 +71,12 @@ EQUIVALENT = {
     "metrics.py:compute_report: 1 -> 2"
     " in `f1 = np.where(both_empty, 1.0, 2 * inter / np.maximum(n_pred + n_true, 1))`":
         "a row whose counts sum to 1 has no common label: 0 / 1 and 0 / 2 are both 0",
-    "numerics.py:invert_lower: 0 -> 1 in `n = lower.shape[0]`":
+    "numerics.py:_invert_lower: 0 -> 1 in `n = lower.shape[0]`":
         "the factor is square",
-    "numerics.py:invert_lower: n <= _INVERT_BASE_ROWS -> n < _INVERT_BASE_ROWS"
+    "numerics.py:_invert_lower: n <= _INVERT_BASE_ROWS -> n < _INVERT_BASE_ROWS"
     " in `if n <= _INVERT_BASE_ROWS:`":
         "a 64-row factor inverted by halves is the same inverse up to rounding",
-    "numerics.py:invert_lower: 2 -> 3 in `half = n // 2`":
+    "numerics.py:_invert_lower: 2 -> 3 in `half = n // 2`":
         "any split point gives the same inverse up to rounding; halves are a speed choice",
     "model.py:init_phase: ridge > 0.0 -> ridge >= 0.0 in `if ridge > 0.0:`":
         "a ridge of 0.0 added to the Gram matrix's diagonal leaves it as it is",
