@@ -464,13 +464,13 @@ def stream_blocks(ds: LabeledDataset, plan: StreamPlan) -> Sequence[LabeledDatas
 
     The result is a read-only sequence that holds the two arrays, the
     plan's sizes and the range of block numbers it covers, and nothing
-    per block. A block is cut when it is read: each index, and each step
-    of an iteration, gives a new LabeledDataset whose arrays are row
-    views, not copies, of ``ds``'s arrays or, with ``shuffle_seed``, of
-    one shuffled copy of them, so writing to a block writes to that
-    array. A slice is a sequence of the same kind. As datasets compare by
-    identity, a block read earlier is not ``in`` the sequence, which
-    cuts a new one at each read.
+    per block. A block is cut when it is read, and an iteration reads
+    each block as an index does: each read gives a new LabeledDataset
+    whose arrays are row views, not copies, of ``ds``'s arrays or, with
+    ``shuffle_seed``, of one shuffled copy of them, so writing to a block
+    writes to that array. A slice is a sequence of the same kind. As
+    datasets compare by identity, a block read earlier is not ``in`` the
+    sequence, which cuts a new one at each read.
     """
     n = ds.n_samples
     _check_feasible(plan, n)
@@ -511,28 +511,7 @@ class _Blocks(Sequence):
         return _rows(self._x[start:stop], self._y[start:stop])
 
     def __iter__(self) -> Iterator[LabeledDataset]:
-        numbers = self._numbers
-        if numbers.step != 1:
-            yield from map(self._block, numbers)
-            return
-        x, y, n0, b = self._x, self._y, self._n0, self._b
-        start, stop = numbers.start, numbers.stop
-        if start == 0 < stop:
-            yield self._block(0)
-            start = 1
-        # Blocks 1 .. full are full: their rows reshape, without a copy, into
-        # one (count, b, width) view per array, whose items are the blocks.
-        full = (len(x) - n0) // b
-        end = max(start, min(stop, full + 1))
-        first, last = n0 + (start - 1) * b, n0 + (end - 1) * b
-        new = object.__new__
-        for features, labels in zip(x[first:last].reshape(end - start, b, x.shape[1]),
-                                    y[first:last].reshape(end - start, b, y.shape[1])):
-            ds = new(LabeledDataset)  # _rows, inlined: this loop serves each arrival
-            ds.features = features
-            ds.labels = labels
-            yield ds
-        yield from map(self._block, range(end, stop))
+        return map(self._block, self._numbers)
 
 
 def load_fold_file(path, n_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -180,14 +180,14 @@ _PENDING_ROWS = 32
 # 177 MB; records of at most 64 rows read 154.4-155.0 MB.
 _RECORD_ROWS = 64
 
-# init_phase records the raw outputs of an initial block, and no hidden
-# output, for the calibration on it when the block's hidden output h0, held
-# through the inverse, and the record's copy of the rows take at most
-# _INIT_RECORD_BYTES: 1.9 MB for 600 rows of 103 features at H = 300, where
-# the calibration's second projection took about 13% of prequential_b1's
-# set-up. block_h1000's 1500 x 294 block at H = 1000 (15.5 MB) stays over
-# it: holding its 12 MB h0 raised a run's peak RSS from 154.2 MB to
-# 171.1 MB, and under a 4 MiB bound it read 154.1 MB.
+# init_phase records an initial block for the calibration on it when the
+# block's hidden output h0, held through the inverse and then by the record,
+# and the record's copy of the rows take at most _INIT_RECORD_BYTES: 1.9 MB
+# for 600 rows of 103 features at H = 300, where the calibration's second
+# projection took about 13% of prequential_b1's set-up. block_h1000's
+# 1500 x 294 block at H = 1000 (15.5 MB) stays over it: holding its 12 MB h0
+# raised a run's peak RSS from 154.2 MB to 171.1 MB, and under a 4 MiB
+# bound it read 154.1 MB.
 _INIT_RECORD_BYTES = 4 * 2**20
 
 
@@ -205,8 +205,8 @@ _FOLD_LIMIT = float(np.finfo(float).max) / 2
 # Products of the hidden output with the state run without np.errstate
 # while two bounds keep them finite. Every activation maps into [-1, 1], so
 # a row h of hidden output has |h| <= sqrt(H). Let mu be max|M0| plus the
-# pending rows' squared norms (the model's _load: _FOLD_LIMIT - _room rounds
-# away any load below 2^971) and q = |beta|^2. Then every entry of h M,
+# pending rows' squared norms (the model's _load, which update keeps as
+# this sum) and q = |beta|^2. Then every entry of h M,
 # pending rows included, is at most a = H mu; of h M h', at most H a; of
 # h beta, at most sqrt(H q); of Y - h beta, at most r = 1 + sqrt(H q). A
 # single row's S is at least 2^-53 once it passes the sign check, so V and
@@ -257,19 +257,18 @@ class OselmModel:
     a write into ``gram_inv`` in place, an overflow may show as numpy's
     warning before the NumericalError.
 
-    ``predict_raw`` on an arrival of 1 to 64 rows keeps one record of its
-    projection: the hidden layer object, the rows' shape, a private copy of
-    their bytes, their hidden output, the weights object and a private
-    copy of the raw outputs. The next ``update`` takes the record and drops
-    it, and reuses that hidden output when it learns the same rows, in the
-    same shape, through the same layer, and those raw outputs too when the
-    model's ``beta`` is still the recorded object: read-only, it still
-    holds the values they were formed from. ``init_phase`` leaves a record
-    of a small enough initial block that holds its raw outputs and no
-    hidden output, for the ``predict_raw`` that calibrates the threshold.
-    The record is never saved, and ``copy.copy`` shares it: it is keyed by
-    the layer, the rows and the weights object, not by M. ``copy.deepcopy``
-    and pickle leave it out, since a copied layer is a new object.
+    ``predict_raw`` on an arrival of 1 to 64 rows keeps one record of the
+    rows and their hidden output h: the hidden layer object, the rows'
+    shape, a private copy of their bytes, h and a private copy of the raw
+    outputs h beta. The record is valid until ``beta`` is written:
+    assigning ``beta`` drops it, and so does every ``update``. The next
+    ``update`` reuses h and the raw outputs when it learns the same rows,
+    in the same shape, through the same layer. ``init_phase`` leaves a
+    record of a small enough initial block, for the ``predict_raw`` that
+    calibrates the threshold. The record is never saved, and ``copy.copy``
+    shares it: it is keyed by the layer and the rows, under the shared
+    ``beta``, not by M. ``copy.deepcopy`` and pickle leave it out, since a
+    copied layer is a new object.
     """
 
     def __init__(
@@ -287,9 +286,6 @@ class OselmModel:
         self.threshold = threshold
         self.samples_seen = samples_seen
         self.blocks_seen = blocks_seen
-        # (layer, shape, bytes, hidden output, beta, raw outputs) of the rows
-        # predict_raw or init_phase (with no hidden output) projected last
-        self._projected = None
 
     @property
     def gram_inv(self) -> np.ndarray:
@@ -303,7 +299,6 @@ class OselmModel:
         self._downdates = np.empty((_capacity(1, len(m)), len(m)))  # G is its first rows
         self._pending = 0
         self._load = _peak(m)  # plus the pending rows' squared norms
-        self._room = _FOLD_LIMIT - self._load  # left for those norms
 
     @property
     def beta(self) -> np.ndarray:
@@ -315,6 +310,9 @@ class OselmModel:
         beta.setflags(write=False)
         self._beta = beta
         self._beta_sq = float(np.vdot(beta, beta))  # |beta|^2, inf or NaN past a float
+        # (layer, shape, row bytes, h, raw outputs) of the rows predict_raw or
+        # init_phase projected last: valid under this beta only
+        self._projected = None
 
     def __copy__(self) -> OselmModel:
         twin = object.__new__(OselmModel)
@@ -355,13 +353,12 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
     many rows as there are hidden neurons, else the Gram matrix is
     singular and SingularMatrixError is raised.
 
-    When the block's hidden output and a copy of its rows take at most
-    ``_INIT_RECORD_BYTES`` (4 MiB), the hidden output is kept until the
-    weights are formed, multiplied by the model's ``beta`` and freed. The
-    model then holds a projection record of the block with those raw
-    outputs and no hidden output, so ``predict_raw`` on the same rows,
-    as a threshold calibration makes, does not project them again. The
-    ``update`` after it projects its rows itself.
+    When the block's hidden output h0 and a copy of its rows take at most
+    ``_INIT_RECORD_BYTES`` (4 MiB), h0 is kept until the weights are
+    formed, and the model then holds a record of the rows, h0 and
+    h0 beta, valid until ``beta`` is written, as ``predict_raw`` leaves
+    one. So ``predict_raw`` on the same rows, as a threshold calibration
+    makes, does not project them again, nor does an ``update`` on them.
     """
     x0 = as_matrix(x0, "initial features")
     y0 = _check_bipolar(y0, "initial targets")
@@ -398,9 +395,8 @@ def init_phase(layer: HiddenLayer, x0, y0, ridge: float = 0.0) -> OselmModel:
         blocks_seen=1,
     )
     if h0 is not None and model._beta_sq <= _BETA_LIMIT:
-        raw = h0 @ model._beta  # finite: see _LOAD_LIMIT
-        del h0
-        model._projected = (layer, x0.shape, x0.tobytes(), None, model._beta, raw)
+        # h0 beta is finite: see _LOAD_LIMIT
+        model._projected = (layer, x0.shape, x0.tobytes(), h0, h0 @ model._beta)
     return model
 
 
@@ -442,23 +438,21 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     the new rows are returned: bit for bit what ``predict_raw`` gave just
     before the call, so ``decode(update(model, x, y), threshold)`` is a
     test-then-train step with one hidden projection. ``predict_raw`` then
-    ``update`` on the same rows projects them once too: the update reuses
-    the hidden output ``predict_raw`` recorded when it gets rows of the
-    recorded shape whose bytes equal the recorded rows' and the model's
-    ``hidden`` is the layer that projected them (``init_phase``'s record
-    holds no hidden output and is never reused), and it reuses the
-    recorded raw outputs H beta too when the model's ``beta`` is the
-    recorded object. Any other update projects its rows, or multiplies
-    them by beta, itself. Every update drops the record, also one that
-    raises, and lets go of it before the Woodbury step allocates its
-    arrays. The new weights are stored read-only. The model is left
-    unchanged when the update raises: S that is not positive definite
-    raises NumericalError, as do non-finite V, weights or folded M0; a
-    product that overflows is reported by these checks, never as numpy's
-    warning. A row whose fold could overflow is folded by the update that
-    brings it, so the pending rows always fold finitely: a read of
-    ``gram_inv``, such as ``save_model``'s, does not raise, and the update
-    that made M overflow is the one that raises.
+    ``update`` on the same rows projects them once too: the model's record
+    of rows and their hidden output is valid until ``beta`` is written, and
+    the update reuses its hidden output and raw outputs H beta when it gets
+    rows of the recorded shape whose bytes equal the recorded rows' and the
+    model's ``hidden`` is the layer that projected them. Any other update
+    projects its rows and multiplies them by beta itself. Every update
+    drops the record, also one that raises, and lets go of it before the
+    Woodbury step allocates its arrays. The new weights are stored
+    read-only. The model is left unchanged when the update raises: S that
+    is not positive definite raises NumericalError, as do non-finite V,
+    weights or folded M0; a product that overflows is reported by these
+    checks, never as numpy's warning. A row whose fold could overflow is
+    folded by the update that brings it, so the pending rows always fold
+    finitely: a read of ``gram_inv``, such as ``save_model``'s, does not
+    raise, and the update that made M overflow is the one that raises.
     """
     projected, model._projected = model._projected, None
     if model.samples_seen < 1:
@@ -474,18 +468,8 @@ def update(model: OselmModel, x, y) -> np.ndarray:
         raise ShapeError(
             f"targets have {y.shape[1]} labels, model expects {model.label_count}"
         )
-    # The layer and beta are compared by identity; both are read-only. The
-    # shape is compared because another shape can hold the same bytes, and
-    # the reused h skips hidden_output's feature-count check.
-    if (
-        projected is not None
-        and projected[3] is not None
-        and projected[0] is model.hidden
-        and projected[1] == x.shape
-        and projected[2] == x.tobytes()
-    ):
-        h = projected[3]
-        raw = projected[5] if projected[4] is model._beta else None
+    if _recorded(projected, model, x):
+        h, raw = projected[3], projected[4]
     else:
         h = hidden_output(model.hidden, x)
         raw = None
@@ -499,22 +483,19 @@ def update(model: OselmModel, x, y) -> np.ndarray:
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the checks
             raw, v, norms, beta_new, beta_sq = _step(model, h, y, raw)
-    base, buffer, pending, room = model._base, model._downdates, model._pending, model._room
+    base, buffer, pending = model._base, model._downdates, model._pending
     # The model's state is replaced only after the fold's check.
-    if pending + rows <= len(buffer) and 2 * rows <= len(buffer) and norms <= room:
+    if pending + rows <= len(buffer) and 2 * rows <= len(buffer) and load + norms <= _FOLD_LIMIT:
         buffer[pending : pending + rows] = v
         pending += rows
-        room -= norms
         load += norms
     else:
         base, load = _fold(base, np.concatenate((buffer[:pending], v)))
-        room = _FOLD_LIMIT - load
         pending = 0
         capacity = _capacity(rows, len(base))
         if len(buffer) != capacity:
             buffer = np.empty((capacity, len(base)))
-    model._base, model._downdates, model._pending = base, buffer, pending
-    model._room, model._load = room, load
+    model._base, model._downdates, model._pending, model._load = base, buffer, pending, load
     beta_new.setflags(write=False)
     model._beta, model._beta_sq = beta_new, beta_sq
     model.samples_seen += rows
@@ -570,42 +551,46 @@ def _step(model: OselmModel, h: np.ndarray, y: np.ndarray, raw: np.ndarray | Non
     return raw, v, norms, beta_new, beta_sq
 
 
+def _recorded(projected, model: OselmModel, x: np.ndarray) -> bool:
+    """Whether the record ``projected`` holds the rows ``x`` as the model's
+    layer projects them. The layer is compared by identity, as it is
+    read-only. The shape is compared because another shape can hold the
+    same bytes, and a reused h skips hidden_output's feature-count check."""
+    return (
+        projected is not None
+        and projected[0] is model.hidden
+        and projected[1] == x.shape
+        and projected[2] == x.tobytes()
+    )
+
+
 def predict_raw(model: OselmModel, x) -> np.ndarray:
     """Raw (unthresholded) output values: hidden activations times beta.
 
-    On 1 to ``_RECORD_ROWS`` (64) rows the model keeps the layer, the
-    rows' shape, a private copy of their bytes, their hidden output, the
-    weights object and a private copy of the raw outputs, for the
-    ``update`` that learns the rows next: that update then does not
-    project them again, and does not multiply them by beta again while
-    ``beta`` is the same read-only object. Rows changed in place in
-    between no longer match their copy and are projected again; weights
-    assigned in between are a new object, and the raw outputs are formed
-    again. Rows whose projection or raw outputs are not finite raise
-    before they are recorded, so a record never holds NaN.
+    On 1 to ``_RECORD_ROWS`` (64) rows the model keeps a record of the rows
+    and their hidden output, valid until ``beta`` is written: the layer, the
+    rows' shape, a private copy of their bytes, the hidden output and a
+    private copy of the raw outputs. The ``update`` that learns the rows
+    next then neither projects them nor multiplies them by beta again.
+    Rows changed in place in between no longer match their copy and are
+    projected again; assigning ``beta`` drops the record. Rows whose
+    projection or raw outputs are not finite raise before they are
+    recorded, so a record never holds NaN.
 
     A call on rows that match the record, through the same layer object,
-    in the same shape, with equal bytes and while ``beta`` is the recorded
-    object, keeps the record and returns a copy of its raw outputs with no
-    projection: so a threshold calibration on the initial block reuses
-    the raw outputs ``init_phase`` recorded. Every other call drops the
-    record: one that raises, and one on no rows or on more than 64, such
-    as a calibration on other rows or a test-set scoring, whose hidden
-    output would stay alive until the next update. ``update`` always drops
-    the record, and ``save_model`` never writes it.
+    in the same shape and with equal bytes, keeps the record and returns a
+    copy of its raw outputs with no projection: so a threshold calibration
+    on the initial block reuses ``init_phase``'s record. Every other call
+    drops the record: one that raises, and one on no rows or on more than
+    64, such as a calibration on other rows or a test-set scoring, whose
+    hidden output would stay alive until the next update. ``update`` always
+    drops the record, and ``save_model`` never writes it.
     """
     projected, model._projected = model._projected, None
     x = as_matrix(x, "input")
-    # The layer and beta are compared by identity; both are read-only.
-    if (
-        projected is not None
-        and projected[0] is model.hidden
-        and projected[4] is model._beta
-        and projected[1] == x.shape
-        and projected[2] == x.tobytes()
-    ):
+    if _recorded(projected, model, x):
         model._projected = projected
-        return projected[5].copy()  # the caller may write into what is returned
+        return projected[4].copy()  # the caller may write into what is returned
     del projected
     h = hidden_output(model.hidden, x)
     if model._beta_sq <= _BETA_LIMIT:
@@ -615,7 +600,7 @@ def predict_raw(model: OselmModel, x) -> np.ndarray:
             raw = ensure_finite(h @ model._beta, "raw outputs")
     if 1 <= len(x) <= _RECORD_ROWS:
         # raw is copied because the caller may write into what is returned.
-        model._projected = (model.hidden, x.shape, x.tobytes(), h, model._beta, raw.copy())
+        model._projected = (model.hidden, x.shape, x.tobytes(), h, raw.copy())
     return raw
 
 
@@ -662,13 +647,20 @@ _HEADER = {
 
 
 def save_model(path, model: OselmModel, normalizer: Normalizer | None = None) -> None:
-    """Write the model (and the feature normalizer, if any) in format v2."""
+    """Write the model (and the feature normalizer, if any) in format v2.
+
+    A threshold that ``load_model`` would reject, one that is not a finite
+    number, raises ValueError before the file is opened.
+    """
+    threshold = float(model.threshold)  # str() gives the shortest exact form
+    if not math.isfinite(threshold):
+        raise ValueError(f"cannot save non-finite threshold {threshold}")
     fields = {
         "activation": model.hidden.activation,
         "input_dim": model.hidden.input_dim,
         "hidden_count": model.hidden.hidden_count,
         "label_count": model.label_count,
-        "threshold": float(model.threshold),  # str() gives the shortest exact form
+        "threshold": threshold,
         "samples_seen": model.samples_seen,
         "blocks_seen": model.blocks_seen,
         "normalizer": "none" if normalizer is None else "affine",

@@ -9,7 +9,6 @@ from conftest import batch_beta, synthetic_stream
 from elmstream.data import DataError, Normalizer, StreamPlan, stream_blocks
 from elmstream.labels import to_bipolar
 from elmstream.model import (
-    _FOLD_LIMIT,
     _PENDING_ROWS,
     _capacity,
     HiddenLayer,
@@ -648,7 +647,7 @@ class TestDeferredDowndates:
         update(model, [[-1.0]], [[1.0]])
         assert (model._pending, model.samples_seen) == (2, 6)
 
-    def test_pending_rows_spend_the_fold_headroom(self):
+    def test_pending_rows_spend_the_fold_headroom(self, monkeypatch):
         # Headroom for either of the first two rows but not for both: the
         # first is kept, the second folds though the buffer has room.
         layer, x, y = stream_fixture(seed=54)
@@ -660,29 +659,33 @@ class TestDeferredDowndates:
             norms.append((h @ m @ m @ h) / (1.0 + h @ m @ h))  # |g|^2
             m, _ = stepwise(m, model.beta, h[None], y[i : i + 1])
         assert min(norms) > 0.1 * max(norms)
-        model._room = 1.01 * max(norms)
+        monkeypatch.setattr("elmstream.model._FOLD_LIMIT", model._load + 1.01 * max(norms))
         update(model, x[30:31], y[30:31])
         assert model._pending == 1
         update(model, x[31:32], y[31:32])
         assert model._pending == 0
         assert np.max(np.abs(model.gram_inv - m)) <= 1e-12 * np.max(np.abs(m))
 
-    def test_a_row_that_fills_the_headroom_exactly_is_kept(self):
+    def test_a_row_that_fills_the_headroom_exactly_is_kept(self, monkeypatch):
         # x = 1 gives h = e_1: against 3 I, the row's squared norm is
-        # (3 / sqrt(1 + 3))^2 = 2.25 exactly.
-        model = hardlim_model([[-1.0], [1.0]] + [[-1.0]] * 6, 3.0 * np.eye(8), np.zeros((8, 1)))
-        model._room = 2.25
-        update(model, [[1.0]], [[1.0]])
-        assert (model._pending, model._room) == (1, 0.0)
+        # (3 / sqrt(1 + 3))^2 = 2.25 exactly, and the load 3 + 2.25 = 5.25.
+        # Under a limit one step below that, the same row folds.
+        for limit, state in ((5.25, (1, 5.25)), (np.nextafter(5.25, 0.0), (0, 3.0))):
+            model = hardlim_model([[-1.0], [1.0]] + [[-1.0]] * 6, 3.0 * np.eye(8),
+                                  np.zeros((8, 1)))
+            monkeypatch.setattr("elmstream.model._FOLD_LIMIT", limit)
+            update(model, [[1.0]], [[1.0]])
+            assert (model._pending, model._load) == state
 
-    def test_no_headroom_folds_every_row(self):
-        # max|M0| of _FOLD_LIMIT leaves no room for a pending row, and the
-        # downdates leave that entry as it is: every update folds.
-        m0 = np.diag([_FOLD_LIMIT] + [1.0] * 7)
-        model = hardlim_model([[-1.0]] + [[1.0]] * 7, m0, np.zeros((8, 1)))
+    def test_no_headroom_folds_every_row(self, monkeypatch):
+        # A limit of max|M0| leaves no room for a pending row, and the
+        # downdates leave that entry as it is: every update folds. (At
+        # max|M0| = _FOLD_LIMIT itself a row's norm would round away.)
+        model = hardlim_model([[-1.0]] + [[1.0]] * 7, np.diag([4.0] + [1.0] * 7), np.zeros((8, 1)))
+        monkeypatch.setattr("elmstream.model._FOLD_LIMIT", model._load)
         for _ in range(3):
             update(model, [[1.0]], [[1.0]])  # h = (0, 1, ..., 1)
-            assert (len(model._downdates), model._pending, model._room) == (2, 0, 0.0)
+            assert (len(model._downdates), model._pending, model._load) == (2, 0, 4.0)
 
     def test_load_is_max_m0_plus_the_pending_norms(self):
         # The overflow bound reads the load: a bound on every entry of M.
@@ -770,13 +773,13 @@ class TestSingleRowStep:
         model = init_phase(layer, x[:30], y[:30])
         for i in range(30, 33):
             update(model, x[i : i + 1], y[i : i + 1])
-        before = self.state_bytes(model), model._pending, model._room
+        before = self.state_bytes(model), model._pending, model._load
         xi, yi = x[33:34].copy(), y[33:34].copy()
         (xi if where == "features" else yi)[0, 1] = value
         error = NumericalError if where == "features" else ValueError
         with pytest.raises(error):
             update(model, xi, yi)
-        assert (self.state_bytes(model), model._pending, model._room) == before
+        assert (self.state_bytes(model), model._pending, model._load) == before
         assert (model.samples_seen, model.blocks_seen) == (33, 4)
 
 
@@ -937,21 +940,22 @@ class TestProjectionReuse:
         for s in range(30, 30 + 3 * rows, rows):
             xb, yb = x[s : s + rows], y[s : s + rows]
             predict_raw(served, xb)
-            recorded = served._projected[5]
+            recorded = served._projected[4]
             raw = update(served, xb, yb)
             assert raw is recorded  # no second h beta
             assert raw.tobytes() == update(reference, xb, yb).tobytes()
             assert served.beta.tobytes() == reference.beta.tobytes()
             assert served.gram_inv.tobytes() == reference.gram_inv.tobytes()
 
-    def test_assigned_beta_is_multiplied_again(self, projections):
+    def test_beta_assigned_between_predict_and_update_drops_the_record(self, projections):
         layer, x, y = stream_fixture(seed=76)
         served, reference = (init_phase(layer, x[:30], y[:30]) for _ in range(2))
         predicted = predict_raw(served, x[30:31])
         served.beta = reference.beta = served.beta * 2.0
+        assert served._projected is None
         projections.clear()
         raw = update(served, x[30:31], y[30:31])
-        assert projections == []  # the hidden output is still reused
+        assert projections == [1]
         assert raw.tobytes() == update(reference, x[30:31], y[30:31]).tobytes()
         assert not np.array_equal(raw, predicted)
         assert served.beta.tobytes() == reference.beta.tobytes()
@@ -996,7 +1000,7 @@ class TestProjectionReuse:
         second = predict_raw(model, x0)
         assert projections == [30]
         assert second.tobytes() == fresh.tobytes()
-        assert model._projected[3] is None
+        assert model._projected[3].tobytes() == hidden_output(model.hidden, x0).tobytes()
 
     @pytest.mark.parametrize("change", ["rows", "beta", "hidden", "other_rows"])
     def test_initial_block_is_projected_again_after_a_change(self, change, projections):
@@ -1015,13 +1019,13 @@ class TestProjectionReuse:
         assert projections == [len(x0)]
         assert raw.tobytes() == (hidden_output(model.hidden, x0) @ model.beta).tobytes()
 
-    def test_update_on_the_initial_rows_projects_them(self, projections):
+    def test_update_on_the_initial_rows_reuses_h0(self, projections):
         model, x0, _, _, y = self.initial_block(seed=82)
         reference = copy.copy(model)
         reference._projected = None
         projections.clear()
         raw = update(model, x0, y[:30])
-        assert projections == [30]
+        assert projections == []
         assert model._projected is None
         assert raw.tobytes() == update(reference, x0, y[:30]).tobytes()
         assert model.beta.tobytes() == reference.beta.tobytes()
@@ -1066,7 +1070,7 @@ class TestProjectionReuse:
         model, _, x0, x, y = self.initial_block(seed=85)
         with contextlib.suppress(ShapeError):
             call(model, x0, x, y)
-        assert model._projected is None or model._projected[3] is not None
+        assert model._projected is None or model._projected[2] != x0.tobytes()
         projections.clear()
         predict_raw(model, x0)
         assert projections == [30]
@@ -1075,7 +1079,8 @@ class TestProjectionReuse:
 class TestReadOnlyState:
     """The layer's arrays and the model's beta are read-only, so a write
     into them in place raises instead of leaving the projection record,
-    which is keyed by their identity, stale."""
+    which is keyed by the layer's identity and dropped when beta is
+    assigned, stale."""
 
     @staticmethod
     def sources(tmp_path):
@@ -1364,6 +1369,15 @@ class TestSerialization:
         assert norm is None
         save_model(p2, loaded, norm)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("threshold", [np.inf, -np.inf, np.nan])
+    def test_non_finite_threshold_is_not_saved(self, tmp_path, threshold):
+        # decode takes such a threshold, but load_model would reject the file.
+        model = self.make_model()
+        model.threshold = threshold
+        with pytest.raises(ValueError, match="non-finite threshold"):
+            save_model(tmp_path / "model.elm", model)
+        assert list(tmp_path.iterdir()) == []
 
     def test_identical_stream_gives_identical_bytes(self, tmp_path):
         p1 = tmp_path / "a.txt"

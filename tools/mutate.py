@@ -66,8 +66,6 @@ EQUIVALENT = {
         "a declined chunk gets the per-line reader's dataset or error",
     "data.py:fit_normalizer: 1.0 -> 2.0 in `safe_span = np.where(constant, 1.0, span)`":
         "the placeholder span of a constant feature is masked out of scale and offset",
-    "data.py:__iter__: full + 1 -> full - 1 in `end = max(start, min(stop, full + 1))`":
-        "full blocks past end are cut one at a time by _block, into the same views",
     "metrics.py:compute_report: 1 -> 2"
     " in `f1 = np.where(both_empty, 1.0, 2 * inter / np.maximum(n_pred + n_true, 1))`":
         "a row whose counts sum to 1 has no common label: 0 / 1 and 0 / 2 are both 0",
@@ -178,7 +176,10 @@ def passes(workdir: str, module: str) -> bool:
     paths = [own] if os.path.exists(os.path.join(workdir, own)) else []
     env = {**os.environ, "PYTHONPATH": os.path.join(workdir, "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *paths, "tests"]
+    # The allowlist's own guard reads the modules' text, which the probe
+    # rewrites with ast.unparse, so it is left out of the probe's runs.
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--ignore", os.path.join("tests", "test_mutate.py"), *paths, "tests"]
     try:
         return subprocess.run(cmd, cwd=workdir, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode == 0
