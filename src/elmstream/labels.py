@@ -85,8 +85,11 @@ def decode(raw, threshold: float) -> np.ndarray:
 def calibrate_threshold(raw, truth) -> ThresholdCalibration:
     """Pick the scalar threshold separating relevant from irrelevant outputs.
 
-    Candidates are the midpoints of consecutive distinct raw values plus
-    one candidate below the minimum and one above the maximum. The winner
+    Candidates are one value below the minimum, the midpoints of
+    consecutive distinct raw values and one value above the maximum; a
+    candidate that rounds onto the raw value above it is lowered to the
+    float below that value (-inf below the lowest float), so decode(raw, t)
+    puts every raw value on the side the count assumed. The winner
     minimizes hamming loss of decode(raw, t) against ``truth``; ties go to
     the candidate closest to 0, then the smallest.
     """
@@ -99,30 +102,25 @@ def calibrate_threshold(raw, truth) -> ThresholdCalibration:
 
     flat = raw.ravel()
     tflat = truth.ravel()
-    # Equal raw values form one group whose label counts are summed, and
-    # -0.0 and 0.0 give the same candidates, so the order within a group
-    # does not matter: the default sort is about 5x faster than a stable one.
-    order = np.argsort(flat)
-    sorted_vals = flat[order]
-    sorted_truth = tflat[order].astype(np.int64)
+    # Group equal raw values (-0.0 and 0.0 are one group); crossing a group
+    # flips its entries from predicted-1 to predicted-0 as the threshold
+    # rises past it, which changes the error count by its ones minus zeros.
+    distinct, group = np.unique(flat, return_inverse=True)
+    flips = 2 * np.bincount(group, weights=tflat) - np.bincount(group)
 
-    # Group equal raw values; crossing a group flips its entries from
-    # predicted-1 to predicted-0 as the threshold rises past it.
-    group_starts = np.r_[0, np.flatnonzero(np.diff(sorted_vals)) + 1]
-    distinct = sorted_vals[group_starts]
-    ones_per_group = np.add.reduceat(sorted_truth, group_starts)
-    sizes = np.diff(np.r_[group_starts, sorted_vals.size])
-    zeros_per_group = sizes - ones_per_group
-
-    total_zeros = int(tflat.size - tflat.sum())
-    # errors[0]: threshold below the minimum (everything predicted 1);
-    # errors[i]: after groups 1..i dropped out of the predicted set.
-    errors = np.concatenate(
-        ([total_zeros], total_zeros + np.cumsum(ones_per_group - zeros_per_group))
-    )
-    candidates = np.concatenate(
-        ([distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0])
-    )
+    # errors[0]: threshold below the minimum (everything predicted 1, so
+    # every zero is wrong); errors[i]: after the i smallest groups dropped
+    # out of the predicted set.
+    errors = np.cumsum(np.r_[tflat.size - tflat.sum(), flips])
+    # Halving before adding keeps the midpoints finite near the largest
+    # float, and for normal floats gives the same bits as (a + b) / 2.
+    candidates = np.r_[distinct[0] - 1.0, distinct[:-1] / 2 + distinct[1:] / 2, distinct[-1] + 1.0]
+    # Candidate i leaves distinct[i] predicted 1, so it must lie below it:
+    # the midpoint of two adjacent floats can round up onto the upper one,
+    # and distinct[0] - 1.0 rounds back onto distinct[0] past 2^53. Below
+    # the lowest float is -inf, which decode takes.
+    with np.errstate(over="ignore"):
+        candidates[:-1] = np.minimum(candidates[:-1], np.nextafter(distinct, -np.inf))
 
     best_errors = int(errors.min())
     tied = candidates[errors == best_errors]

@@ -196,12 +196,6 @@ def _capacity(rows: int, hidden_count: int) -> int:
     return capacity if 2 * rows <= capacity else 0
 
 
-# Pending rows are kept only while the fold is sure to be finite: with
-# |M0| <= m and the rows' squared norms summing to s, every entry of the
-# fold is at most m + s, which is held below half the largest float.
-_FOLD_LIMIT = float(np.finfo(float).max) / 2
-
-
 # Products of the hidden output with the state run without np.errstate
 # while two bounds keep them finite. Every activation maps into [-1, 1], so
 # a row h of hidden output has |h| <= sqrt(H). Let mu be max|M0| plus the
@@ -216,7 +210,9 @@ _FOLD_LIMIT = float(np.finfo(float).max) / 2
 # mu <= 2^400 and q <= 2^800, H a r <= 2^881 and 2^54 a r <= 2^903: far
 # below the largest float, 2^1024. So predict_raw's h beta is not checked
 # while q <= 2^800. Past a bound the products run under np.errstate, and
-# the finiteness checks after them report the overflow.
+# the finiteness checks after them report the overflow. Rows stay pending
+# only while mu stays at most 2^400 too, so every entry of their fold,
+# at most mu, is finite.
 _LOAD_LIMIT = 2.0**400
 _BETA_LIMIT = 2.0**800
 
@@ -249,13 +245,16 @@ class OselmModel:
     gives a model with its own buffer for G, so the copy and the original
     can be updated apart.
 
-    Assigning ``gram_inv`` or ``beta`` also records max|M0| and |beta|^2,
-    the bounds under which ``update`` and ``predict_raw`` skip numpy's
-    overflow guard. ``beta`` is read-only: assigning it stores a read-only
-    copy, ``update`` stores its fresh weights read-only, and a write into
-    them in place raises numpy's ValueError. Change M by assignment: after
-    a write into ``gram_inv`` in place, an overflow may show as numpy's
-    warning before the NumericalError.
+    Assigning ``gram_inv`` or ``beta`` also records max|M0| and |beta|^2.
+    One bound governs the load, max|M0| plus the pending rows' squared
+    norms: ``update`` keeps rows pending only while it is at most 2^400,
+    and under that bound, with |beta|^2 <= 2^800, ``update`` and
+    ``predict_raw`` skip numpy's overflow guard. ``beta`` is read-only:
+    assigning it stores a read-only copy, ``update`` stores its fresh
+    weights read-only, and a write into them in place raises numpy's
+    ValueError. Change M by assignment: after a write into ``gram_inv`` in
+    place, an overflow may show as numpy's warning before the
+    NumericalError.
 
     ``predict_raw`` on an arrival of 1 to 64 rows keeps one record of the
     rows and their hidden output h: the hidden layer object, the rows'
@@ -265,10 +264,9 @@ class OselmModel:
     ``update`` reuses h and the raw outputs when it learns the same rows,
     in the same shape, through the same layer. ``init_phase`` leaves a
     record of a small enough initial block, for the ``predict_raw`` that
-    calibrates the threshold. The record is never saved, and ``copy.copy``
-    shares it: it is keyed by the layer and the rows, under the shared
-    ``beta``, not by M. ``copy.deepcopy`` and pickle leave it out, since a
-    copied layer is a new object.
+    calibrates the threshold. The record belongs to the model that made
+    it: it is never saved, and no copy carries it, whether made by
+    ``copy.copy``, ``copy.deepcopy`` or pickle.
     """
 
     def __init__(
@@ -318,10 +316,11 @@ class OselmModel:
         twin = object.__new__(OselmModel)
         twin.__dict__.update(self.__dict__)
         twin._downdates = self._downdates.copy()  # update writes into it
+        twin._projected = None  # update hands out the record's raw outputs
         return twin
 
     def __getstate__(self):
-        # A copied record could never match: its layer is a new object.
+        # A record belongs to the model that made it, as in __copy__.
         state = self.__dict__.copy()
         del state["_projected"]
         return state
@@ -425,8 +424,9 @@ def update(model: OselmModel, x, y) -> np.ndarray:
 
     one pass over M0 plus O(B H K) for K pending rows. V's rows are
     appended while they fit in G's buffer, fill at most half of it, and
-    keep the fold finite (max|M0| plus the pending rows' squared norms
-    stays below half the largest float). Otherwise G and V are folded in,
+    keep the load, max|M0| plus the pending rows' squared norms, at most
+    2^400, the bound under which the products skip numpy's overflow guard
+    and every entry of the fold is finite. Otherwise G and V are folded in,
     M0 <- M0 - [G; V]'[G; V], with one syrk: exactly symmetric, so M stays
     exactly symmetric. The buffer then holds 32 rows, or 4 B for a block
     of B rows, but at most H / 4; a block of more than about H / 8 rows
@@ -485,7 +485,7 @@ def update(model: OselmModel, x, y) -> np.ndarray:
             raw, v, norms, beta_new, beta_sq = _step(model, h, y, raw)
     base, buffer, pending = model._base, model._downdates, model._pending
     # The model's state is replaced only after the fold's check.
-    if pending + rows <= len(buffer) and 2 * rows <= len(buffer) and load + norms <= _FOLD_LIMIT:
+    if pending + rows <= len(buffer) and 2 * rows <= len(buffer) and load + norms <= _LOAD_LIMIT:
         buffer[pending : pending + rows] = v
         pending += rows
         load += norms
@@ -649,9 +649,12 @@ _HEADER = {
 def save_model(path, model: OselmModel, normalizer: Normalizer | None = None) -> None:
     """Write the model (and the feature normalizer, if any) in format v2.
 
-    A threshold that ``load_model`` would reject, one that is not a finite
-    number, raises ValueError before the file is opened.
+    What ``load_model`` would reject raises ValueError before the file is
+    opened: a model that has not been initialized (``samples_seen`` or
+    ``blocks_seen`` below 1), or a threshold that is not a finite number.
     """
+    if model.samples_seen < 1 or model.blocks_seen < 1:
+        raise ValueError("model has not been initialized")
     threshold = float(model.threshold)  # str() gives the shortest exact form
     if not math.isfinite(threshold):
         raise ValueError(f"cannot save non-finite threshold {threshold}")

@@ -207,21 +207,58 @@ class TestCalibrateThreshold:
 
     @pytest.mark.parametrize("decimals", [1, 2])
     @pytest.mark.parametrize("seed", [5, 6, 7])
-    def test_unstable_sort_matches_a_stable_one(self, monkeypatch, decimals, seed):
+    def test_unstable_sort_matches_a_stable_one(self, decimals, seed):
         # Tie-heavy raw values of a 600 x 14 calibration block, with -0.0 and
-        # 0.0 mixed: the order within a run of equal values must not matter.
+        # 0.0 mixed. np.unique groups them with an unstable sort, so the order
+        # within a run of equal values is arbitrary: the same (raw, truth)
+        # pairs in another order, with the zeros' signs drawn again, must
+        # give the same bits.
         rng = np.random.default_rng(seed)
         raw = np.round(rng.normal(scale=0.3, size=(600, 14)), decimals)
-        zeros = raw == 0.0
-        raw[zeros] = np.where(rng.integers(0, 2, zeros.sum()) == 1, -0.0, 0.0)
-        assert np.signbit(raw[zeros]).any() and not np.signbit(raw[zeros]).all()
         truth = (raw + rng.normal(scale=0.2, size=raw.shape) > 0).astype(np.int8)
-        cal = calibrate_threshold(raw, truth)
-        argsort = np.argsort
-        monkeypatch.setattr(np, "argsort", lambda a: argsort(a, kind="stable"))
-        reference = calibrate_threshold(raw, truth)
+
+        def mix_zero_signs(a):
+            zeros = a == 0.0
+            a[zeros] = np.where(rng.integers(0, 2, zeros.sum()) == 1, -0.0, 0.0)
+            assert np.signbit(a[zeros]).any() and not np.signbit(a[zeros]).all()
+            return a
+
+        cal = calibrate_threshold(mix_zero_signs(raw), truth)
+        order = rng.permutation(raw.size)
+        shuffled = mix_zero_signs(raw.ravel()[order].reshape(raw.shape))
+        reference = calibrate_threshold(shuffled, truth.ravel()[order].reshape(raw.shape))
         assert repr(cal.threshold) == repr(reference.threshold)
         assert cal.training_hamming == reference.training_hamming
+
+    @pytest.mark.parametrize("pair", [(1.7e308, 1.75e308), (-1.75e308, -1.7e308)])
+    def test_midpoint_near_the_largest_float_is_finite(self, pair):
+        # (a + b) / 2 overflows here; the suite turns numpy's warning into
+        # an error.
+        cal = calibrate_threshold(np.array([pair]), np.array([[0, 1]]))
+        assert pair[0] < cal.threshold < pair[1]
+        assert cal.training_hamming == 0.0
+
+    @pytest.mark.parametrize(
+        "raw, truth",
+        [
+            # adjacent floats, the lower one odd: the midpoint ties to the upper
+            ([[1.0000000000000002, 1.0000000000000004]], [[0, 1]]),
+            ([[-1.0000000000000007, -1.0000000000000004]], [[0, 1]]),
+            ([[5e-324, 1e-323]], [[0, 1]]),  # the same in subnormals
+            ([[-5e-324, 0.0]], [[0, 1]]),
+            # min - 1.0 rounds back onto the minimum
+            ([[1e300, 2e300]], [[1, 1]]),
+            ([[2.0**60, 2.0**61, 2.0**62]], [[1, 1, 1]]),
+            ([[-1.7976931348623157e308, 0.0]], [[1, 1]]),  # only -inf is lower
+        ],
+        ids=["adjacent", "adjacent_negative", "subnormal", "below_zero", "huge", "past_2_53",
+             "lowest_float"],
+    )
+    def test_threshold_decodes_to_the_hamming_it_reports(self, raw, truth):
+        raw, truth = np.array(raw), np.array(truth)
+        cal = calibrate_threshold(raw, truth)
+        assert cal.training_hamming == 0.0
+        assert hamming_loss(decode(raw, cal.threshold), truth) == 0.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

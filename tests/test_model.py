@@ -622,12 +622,19 @@ class TestDeferredDowndates:
             assert a.beta.tobytes() == b.beta.tobytes()
             assert a.gram_inv.tobytes() == b.gram_inv.tobytes()
 
-    def test_overflowing_row_raises_at_once_and_the_model_stays_usable(self, tmp_path):
+    def test_overflowing_row_raises_at_once_and_the_model_stays_usable(
+        self, tmp_path, monkeypatch
+    ):
         # hardlim with unit weights gives h = 0 for x = -1, a zero downdate
         # row, and h = (1, ..., 1) for x = 1. Against the corrupted,
         # indefinite M0 below, h = (1, ..., 1) has a positive denominator
         # and a finite row g, but g_1^2 overflows. That row fits in the
         # buffer, yet the update that brings it folds at once and raises.
+        # A load under 2^400 cannot make such a row, and past it every row
+        # folds at once, so _LOAD_LIMIT is raised to half the largest float
+        # to keep the zero row pending. On this path only np.vdot, which
+        # warns of nothing, and the fold, under np.errstate, overflow.
+        monkeypatch.setattr("elmstream.model._LOAD_LIMIT", float(np.finfo(float).max) / 2)
         layer = HiddenLayer(weights=np.ones((8, 1)), biases=np.zeros(8), activation="hardlim")
         m0 = np.diag([-8e307, 8.5e307, 0, 0, 0, 0, 0, 0])
         model = OselmModel(hidden=layer, gram_inv=m0, beta=np.zeros((8, 1)),
@@ -659,7 +666,7 @@ class TestDeferredDowndates:
             norms.append((h @ m @ m @ h) / (1.0 + h @ m @ h))  # |g|^2
             m, _ = stepwise(m, model.beta, h[None], y[i : i + 1])
         assert min(norms) > 0.1 * max(norms)
-        monkeypatch.setattr("elmstream.model._FOLD_LIMIT", model._load + 1.01 * max(norms))
+        monkeypatch.setattr("elmstream.model._LOAD_LIMIT", model._load + 1.01 * max(norms))
         update(model, x[30:31], y[30:31])
         assert model._pending == 1
         update(model, x[31:32], y[31:32])
@@ -673,19 +680,23 @@ class TestDeferredDowndates:
         for limit, state in ((5.25, (1, 5.25)), (np.nextafter(5.25, 0.0), (0, 3.0))):
             model = hardlim_model([[-1.0], [1.0]] + [[-1.0]] * 6, 3.0 * np.eye(8),
                                   np.zeros((8, 1)))
-            monkeypatch.setattr("elmstream.model._FOLD_LIMIT", limit)
+            monkeypatch.setattr("elmstream.model._LOAD_LIMIT", limit)
             update(model, [[1.0]], [[1.0]])
             assert (model._pending, model._load) == state
 
     def test_no_headroom_folds_every_row(self, monkeypatch):
-        # A limit of max|M0| leaves no room for a pending row, and the
-        # downdates leave that entry as it is: every update folds. (At
-        # max|M0| = _FOLD_LIMIT itself a row's norm would round away.)
-        model = hardlim_model([[-1.0]] + [[1.0]] * 7, np.diag([4.0] + [1.0] * 7), np.zeros((8, 1)))
-        monkeypatch.setattr("elmstream.model._FOLD_LIMIT", model._load)
-        for _ in range(3):
-            update(model, [[1.0]], [[1.0]])  # h = (0, 1, ..., 1)
-            assert (len(model._downdates), model._pending, model._load) == (2, 0, 4.0)
+        # A limit of max|M0| leaves no room for a pending row, nor does a
+        # load past _LOAD_LIMIT, and the downdates leave that entry as it
+        # is: every update folds. (At max|M0| = _LOAD_LIMIT itself a row's
+        # norm would round away.)
+        for peak, limit in ((2.0**401, None), (4.0, 4.0)):
+            model = hardlim_model([[-1.0]] + [[1.0]] * 7, np.diag([peak] + [1.0] * 7),
+                                  np.zeros((8, 1)))
+            if limit is not None:
+                monkeypatch.setattr("elmstream.model._LOAD_LIMIT", limit)
+            for _ in range(3):
+                update(model, [[1.0]], [[1.0]])  # h = (0, 1, ..., 1)
+                assert (len(model._downdates), model._pending, model._load) == (2, 0, peak)
 
     def test_load_is_max_m0_plus_the_pending_norms(self):
         # The overflow bound reads the load: a bound on every entry of M.
@@ -1021,8 +1032,7 @@ class TestProjectionReuse:
 
     def test_update_on_the_initial_rows_reuses_h0(self, projections):
         model, x0, _, _, y = self.initial_block(seed=82)
-        reference = copy.copy(model)
-        reference._projected = None
+        reference = copy.copy(model)  # no record: it projects the rows
         projections.clear()
         raw = update(model, x0, y[:30])
         assert projections == []
@@ -1047,14 +1057,29 @@ class TestProjectionReuse:
         model = self.initial_block(seed=84)[0]
         assert model._projected is None
 
-    @pytest.mark.parametrize("twin", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
-                             ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize(
+        "twin", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
     def test_copied_model_has_no_record(self, twin):
         model, _, x0, _, _ = self.initial_block(seed=86)
         copied = twin(model)
         assert model._projected is not None
         assert copied._projected is None
         assert predict_raw(copied, x0).tobytes() == predict_raw(model, x0).tobytes()
+
+    def test_writing_into_what_update_returned_leaves_a_copy_as_it_was(self):
+        # update hands out the record's own raw outputs; a copy made after
+        # predict_raw must not see a write into them.
+        layer, x, y = stream_fixture(seed=87)
+        model = init_phase(layer, x[:30], y[:30])
+        xi = x[30:31]
+        predict_raw(model, xi)
+        twin = copy.copy(model)
+        raw = update(model, xi, y[30:31])
+        raw += 100.0
+        fresh = hidden_output(layer, xi) @ twin.beta
+        assert predict_raw(twin, xi).tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize(
         "call",
@@ -1376,6 +1401,15 @@ class TestSerialization:
         model = self.make_model()
         model.threshold = threshold
         with pytest.raises(ValueError, match="non-finite threshold"):
+            save_model(tmp_path / "model.elm", model)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("samples, blocks", [(0, 0), (0, 1), (1, 0)])
+    def test_uninitialized_model_is_not_saved(self, tmp_path, samples, blocks):
+        # load_model would reject the file: both counts must be at least 1.
+        model = OselmModel(init_hidden(3, 4, seed=1), np.eye(4), np.zeros((4, 2)),
+                           samples_seen=samples, blocks_seen=blocks)
+        with pytest.raises(ValueError, match="model has not been initialized"):
             save_model(tmp_path / "model.elm", model)
         assert list(tmp_path.iterdir()) == []
 
