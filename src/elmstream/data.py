@@ -19,14 +19,19 @@ a line names its ``path:line``.
 
 Every reader checks that the whole file is UTF-8 before it reads the
 first line, then reads it line by line; no reader holds the file's text.
-Both formats are parsed in chunks of rows: ``load_csv`` and ``load_sparse``
-join them into one dataset, ``stream_csv`` and ``stream_sparse`` hand them
-out as the blocks of a stream, so a fault in a later row raises when its
-block is read. ``cli``'s ``train`` and ``bench`` stream; ``eval``, ``cv``
-and a shuffled stream need every row first, so they load whole files.
-``stream_blocks`` cuts a loaded dataset into a plan's blocks as they are
-read: it holds the dataset's arrays and the plan, nothing per block, and
-each read of a block gives a new dataset of row views of those arrays.
+As the file is read twice, it must be a regular file: a pipe raises
+DataError naming it before anything is read from it.
+Both formats are parsed in chunks of rows, each into one feature array
+and one label array: ``load_csv`` and ``load_sparse`` join them into one
+dataset, ``stream_csv`` and ``stream_sparse`` hand them out as the blocks
+of a stream, so a fault in a later row raises when its block is read.
+``cli``'s ``train`` and ``bench`` stream; ``eval``, ``cv`` and a shuffled
+stream need every row first, so they load whole files. ``stream_blocks``
+cuts a loaded dataset into a plan's blocks as they are read: it holds the
+dataset's arrays and the plan, nothing per block, and each read of a
+block gives a new dataset of row views of those arrays. Every dataset, a
+block included, is made by the ``LabeledDataset`` constructor, which
+checks its arrays' shapes.
 """
 
 from __future__ import annotations
@@ -121,8 +126,12 @@ def _text_lines(path: str, comment: str | None = None) -> Iterator[tuple[int, st
     The whole file is decoded first, 64 K characters at a time, so bytes
     that are not UTF-8 raise DataError naming the file before the first
     line is returned, wherever they sit and whatever the file's size.
+    A file that cannot be read twice, such as a pipe, raises DataError
+    before it is read.
     """
     with open(path, encoding="utf-8") as fh:
+        if not fh.seekable():
+            raise DataError(f"{path}: cannot be read twice, a regular file is needed")
         try:
             while fh.read(_CHECK_CHARS):
                 pass
@@ -277,7 +286,7 @@ def _csv_by_line(rows: Iterable[tuple[int, str]], path: str, label_count: int,
     the first row.
     """
     feature_rows: list[list[float]] = []
-    label_rows: list[list[int]] = []
+    label_rows: list[list[bool]] = []
     for lineno, line in rows:
         fields = [f.strip() for f in line.split(",")]
         if width is None:
@@ -296,16 +305,12 @@ def _csv_by_line(rows: Iterable[tuple[int, str]], path: str, label_count: int,
         feats = [
             _finite_float(f, path, lineno, "feature") for f in fields[:-label_count]
         ]
-        labs = []
-        for f in fields[-label_count:]:
-            if f == "0":
-                labs.append(0)
-            elif f == "1":
-                labs.append(1)
-            else:
+        labs = fields[-label_count:]
+        for f in labs:
+            if f not in ("0", "1"):
                 raise DataError(f"{path}:{lineno}: label field {f!r} is not 0 or 1")
         feature_rows.append(feats)
-        label_rows.append(labs)
+        label_rows.append([f == "1" for f in labs])
     if not feature_rows:
         raise DataError(f"{path}: no data rows")
     return LabeledDataset(
@@ -331,39 +336,30 @@ def _index(text: str, count: int, seen: set, what: str, path: str, lineno: int) 
 
 def _sparse_chunks(path: str, feature_count: int, label_count: int,
                    sizes: Iterable[int]) -> Iterator[LabeledDataset]:
-    """The ``_chunks`` of a sparse file, each read line by line."""
+    """The ``_chunks`` of a sparse file, each read line by line into one
+    zeroed feature array and one label array."""
     if feature_count < 1 or label_count < 1:
         raise DataError("feature_count and label_count must both be >= 1")
 
     def parse(rows, width):
-        feature_rows: list[np.ndarray] = []
-        label_rows: list[np.ndarray] = []
-        for lineno, line in rows:
+        if not rows:
+            raise DataError(f"{path}: no data rows")
+        features = np.zeros((len(rows), feature_count))
+        labels = np.zeros((len(rows), label_count), dtype=np.int8)
+        for r, (lineno, line) in enumerate(rows):
             tokens = line.split()
-            feats = np.zeros(feature_count, dtype=float)
-            labs = np.zeros(label_count, dtype=np.int8)
-            start = 0
             if ":" not in tokens[0]:
-                start = 1
                 seen = set()
-                for part in tokens[0].split(","):
-                    labs[_index(part, label_count, seen, "label", path, lineno)] = 1
+                for part in tokens.pop(0).split(","):
+                    labels[r, _index(part, label_count, seen, "label", path, lineno)] = 1
             seen = set()
-            for token in tokens[start:]:
+            for token in tokens:
                 idx_text, sep, val_text = token.partition(":")
                 if not sep:
-                    raise DataError(
-                        f"{path}:{lineno}: expected index:value, got {token!r}"
-                    )
+                    raise DataError(f"{path}:{lineno}: expected index:value, got {token!r}")
                 col = _index(idx_text, feature_count, seen, "feature", path, lineno)
-                feats[col] = _finite_float(val_text, path, lineno, "feature value")
-            feature_rows.append(feats)
-            label_rows.append(labs)
-        if not feature_rows:
-            raise DataError(f"{path}: no data rows")
-        return LabeledDataset(
-            features=np.vstack(feature_rows), labels=np.vstack(label_rows)
-        )
+                features[r, col] = _finite_float(val_text, path, lineno, "feature value")
+        return LabeledDataset(features=features, labels=labels)
 
     return _chunks(path, sizes, parse, "#")
 
@@ -397,13 +393,14 @@ def fit_normalizer(ds: LabeledDataset) -> Normalizer:
     x = ds.features
     if x.size == 0:
         raise DataError("cannot fit a normalizer on an empty dataset")
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    span = hi - lo
-    constant = span == 0
-    safe_span = np.where(constant, 1.0, span)
-    scale = np.where(constant, 0.0, 2.0 / safe_span)
-    offset = np.where(constant, 0.0, -(hi + lo) / safe_span)
+    # Halved first: hi - lo and hi + lo may overflow, their halves cannot.
+    lo = x.min(axis=0) / 2
+    hi = x.max(axis=0) / 2
+    half = hi - lo
+    constant = half == 0
+    safe_half = np.where(constant, 1.0, half)
+    scale = np.where(constant, 0.0, 1.0 / safe_half)
+    offset = np.where(constant, 0.0, -(hi + lo) / safe_half)
     return Normalizer(scale=scale, offset=offset)
 
 
@@ -480,14 +477,6 @@ def stream_blocks(ds: LabeledDataset, plan: StreamPlan) -> Sequence[LabeledDatas
     return _Blocks(ds.features, ds.labels, n0, b, range(1 + -(-(n - n0) // b)))
 
 
-def _rows(features: np.ndarray, labels: np.ndarray) -> LabeledDataset:
-    """A dataset of rows of a dataset already checked: no __post_init__."""
-    ds = object.__new__(LabeledDataset)
-    ds.features = features
-    ds.labels = labels
-    return ds
-
-
 class _Blocks(Sequence):
     """The blocks numbered by ``numbers`` of rows cut as an initial block of
     ``n0`` rows, then blocks of ``b`` and a shorter last one: block 0 is
@@ -508,7 +497,7 @@ class _Blocks(Sequence):
     def _block(self, k: int) -> LabeledDataset:
         start = 0 if k == 0 else self._n0 + (k - 1) * self._b
         stop = self._n0 + k * self._b
-        return _rows(self._x[start:stop], self._y[start:stop])
+        return LabeledDataset(self._x[start:stop], self._y[start:stop])
 
     def __iter__(self) -> Iterator[LabeledDataset]:
         return map(self._block, self._numbers)
@@ -521,14 +510,14 @@ def load_fold_file(path, n_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
     seen = np.zeros(n_samples, dtype=bool)
     for lineno, line in _text_lines(path):
         try:
-            idx = np.array([int(tok) for tok in line.split()], dtype=np.int64)
+            ints = sorted(int(tok) for tok in line.split())
         except ValueError:
             raise DataError(f"{path}:{lineno}: fold indices must be integers") from None
-        if idx.min() < 0 or idx.max() >= n_samples:
+        if ints[0] < 0 or ints[-1] >= n_samples:  # before an int64 could overflow
             raise DataError(
                 f"{path}:{lineno}: fold index out of range 0..{n_samples - 1}"
             )
-        idx.sort()
+        idx = np.array(ints, dtype=np.int64)
         repeated = idx[1:][np.diff(idx) == 0]
         if repeated.size:
             raise DataError(f"{path}:{lineno}: index {repeated[0]} repeated within the fold")

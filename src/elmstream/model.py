@@ -651,16 +651,22 @@ def save_model(path, model: OselmModel, normalizer: Normalizer | None = None) ->
 
     What ``load_model`` would reject raises ValueError before the file is
     opened: a model that has not been initialized (``samples_seen`` or
-    ``blocks_seen`` below 1), or a threshold that is not a finite number.
+    ``blocks_seen`` below 1), a threshold that is not a finite number, or
+    a normalizer whose scale or offset is not ``input_dim`` finite entries.
     """
     if model.samples_seen < 1 or model.blocks_seen < 1:
         raise ValueError("model has not been initialized")
     threshold = float(model.threshold)  # str() gives the shortest exact form
     if not math.isfinite(threshold):
         raise ValueError(f"cannot save non-finite threshold {threshold}")
+    dim = model.hidden.input_dim
+    if normalizer is not None and not all(
+        np.size(a) == dim and all_finite(a) for a in (normalizer.scale, normalizer.offset)
+    ):
+        raise ValueError(f"cannot save a normalizer that is not {dim} finite scales and offsets")
     fields = {
         "activation": model.hidden.activation,
-        "input_dim": model.hidden.input_dim,
+        "input_dim": dim,
         "hidden_count": model.hidden.hidden_count,
         "label_count": model.label_count,
         "threshold": threshold,

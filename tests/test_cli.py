@@ -408,6 +408,20 @@ class TestCvCommand:
                      "--init-block", "3", "--block", "3"])
         assert code == EXIT_OK
 
+    def test_fold_index_past_int64_is_a_data_error(self, tmp_path, capsys):
+        ds = synthetic_stream(4, 3, 2, seed=62)
+        data = tmp_path / "cv.csv"
+        write_csv(data, ds)
+        fold_file = tmp_path / "folds.txt"
+        fold_file.write_text("0 1\n2 99999999999999999999\n")
+        code = main(["cv", "--data", str(data), "--labels", "2",
+                     "--fold-file", str(fold_file), "--hidden", "2",
+                     "--init-block", "1", "--block", "1"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {fold_file}:2: fold index out of range 0..3\n"
+        )
+
     def test_report_file(self, tmp_path):
         ds = synthetic_stream(40, 3, 2, seed=63)
         data = tmp_path / "cv.csv"

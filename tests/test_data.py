@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -81,6 +82,20 @@ class TestLoadCsv:
         p.write_bytes(b"1.0,2.0,1\n1.0,\xff2.0,1\n")
         with pytest.raises(DataError, match=r"latin1.csv: not UTF-8"):
             load_csv(p, label_count=1)
+
+    def test_pipe_is_refused_before_it_is_read(self):
+        # The UTF-8 check reads the file once and the rows a second time.
+        r, w = os.pipe()
+        try:
+            os.write(w, b"1.0,2.0,1\n3.0,4.0,0\n")
+            os.close(w)
+            path = f"/dev/fd/{r}"
+            with pytest.raises(DataError) as exc:
+                load_csv(path, label_count=1)
+            assert str(exc.value) == f"{path}: cannot be read twice, a regular file is needed"
+            assert os.read(r, 100) == b"1.0,2.0,1\n3.0,4.0,0\n"  # nothing was read
+        finally:
+            os.close(r)
 
     def test_yeast_shaped_dims(self, yeast_excerpt):
         assert yeast_excerpt.n_features == 103
@@ -352,6 +367,20 @@ class TestNormalizer:
         )
         norm = fit_normalizer(ds.subset(range(2)))
         assert norm.transform(np.array([[100.0]]))[0, 0] == pytest.approx(19.0)
+
+    @pytest.mark.parametrize(
+        "lo, hi, scale, offset",
+        [(-1e308, 1e308, 1e-308, 0.0), (1e308, 1.7e308, 1 / 0.35e308, -1.35 / 0.35)],
+        ids=["span_past_the_largest_float", "sum_past_the_largest_float"],
+    )
+    def test_finite_features_near_the_largest_float(self, lo, hi, scale, offset):
+        ds = LabeledDataset(
+            features=np.array([[lo], [hi]]), labels=np.zeros((2, 1), dtype=np.int8)
+        )
+        norm = fit_normalizer(ds)
+        assert norm.scale[0] == pytest.approx(scale, rel=1e-15)
+        assert norm.offset[0] == pytest.approx(offset, rel=1e-15, abs=1e-15)
+        assert np.allclose(norm.transform(ds.features), [[-1.0], [1.0]], atol=1e-15)
 
     def test_empty_range_rejected(self):
         ds = synthetic_stream(5, 2, 2, seed=6)
@@ -689,8 +718,11 @@ class TestFoldFile:
             ("# 0 1\n2 3\n", "folds.txt:1: fold indices must be integers"),
             ("0 1 2 3\n", "folds.txt: need at least two folds"),
             ("0 1\n2 4\n", "folds.txt:2: fold index out of range 0..3"),
+            ("0 1\n2 99999999999999999999\n", "folds.txt:2: fold index out of range 0..3"),
+            ("0 1\n2 -99999999999999999999\n", "folds.txt:2: fold index out of range 0..3"),
         ],
-        ids=["non_integer", "hash_is_not_a_comment", "single_fold", "index_is_the_row_count"],
+        ids=["non_integer", "hash_is_not_a_comment", "single_fold", "index_is_the_row_count",
+             "index_past_int64", "index_below_int64"],
     )
     def test_fault_text(self, tmp_path, text, message):
         p = tmp_path / "folds.txt"

@@ -1404,6 +1404,19 @@ class TestSerialization:
             save_model(tmp_path / "model.elm", model)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "scale, offset",
+        [(np.ones(4), np.zeros(5)), (np.ones(5), np.zeros(4)),
+         (np.r_[1.0, np.nan, 1.0, 1.0, 1.0], np.zeros(5)),
+         (np.ones(5), np.r_[0.0, 0.0, np.inf, 0.0, 0.0])],
+        ids=["short_scale", "short_offset", "nan_scale", "inf_offset"],
+    )
+    def test_normalizer_load_model_would_reject_is_not_saved(self, tmp_path, scale, offset):
+        # The model takes 5 features; load_model reads 5 finite entries of each.
+        with pytest.raises(ValueError, match="^cannot save a normalizer that is not 5 finite"):
+            save_model(tmp_path / "model.elm", self.make_model(), Normalizer(scale, offset))
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("samples, blocks", [(0, 0), (0, 1), (1, 0)])
     def test_uninitialized_model_is_not_saved(self, tmp_path, samples, blocks):
         # load_model would reject the file: both counts must be at least 1.

@@ -28,9 +28,11 @@ from elmstream.data import (  # noqa: E402
     DataError,
     LabeledDataset,
     Normalizer,
+    StreamPlan,
     _csv_by_line,
     load_csv,
     load_sparse,
+    stream_sparse,
 )
 from elmstream.labels import to_bipolar  # noqa: E402
 from elmstream.model import (  # noqa: E402
@@ -226,6 +228,17 @@ def test_sparse_round_trip_is_exact(sparse_path, ds):
     assert np.array_equal(loaded.features, ds.features)
     assert np.array_equal(loaded.labels, ds.labels)
     assert loaded.labels.dtype == np.int8
+    # Streamed in blocks of 1 to 3 rows, each read as a chunk of its own,
+    # the file gives the same arrays, bit for bit.
+    n = ds.n_samples
+    for rows in (1, 2, 3):
+        plan = StreamPlan(1 if 1 + rows <= n else n, rows)
+        blocks = list(stream_sparse(sparse_path, ds.n_features, ds.n_labels, plan))
+        for whole, parts in [(loaded.features, [b.features for b in blocks]),
+                             (loaded.labels, [b.labels for b in blocks])]:
+            joined = np.concatenate(parts)
+            assert joined.dtype == whole.dtype and joined.shape == whole.shape
+            assert joined.tobytes() == whole.tobytes()
 
 
 SPARSE_WIDTHS = (5, 3)  # features, labels of the reference sparse file
