@@ -366,11 +366,24 @@ def _sparse_chunks(path: str, feature_count: int, label_count: int,
 
 @dataclass(frozen=True, eq=False)
 class Normalizer:
-    """Frozen per-feature affine map x -> x * scale + offset. Normalizers
+    """Frozen per-feature affine map x -> x * scale + offset. Construction,
+    and unpickling, raise DataError unless scale and offset are 1-D arrays
+    of one size, so neither is broadcast over the features. Normalizers
     compare and hash by identity, as datasets do."""
 
     scale: np.ndarray
     offset: np.ndarray
+
+    def __post_init__(self):
+        if self.scale.ndim != 1 or self.scale.shape != self.offset.shape:
+            raise DataError(
+                f"scale and offset must be 1-D arrays of one size, got {self.scale.shape} "
+                f"and {self.offset.shape}"
+            )
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -386,9 +399,10 @@ class Normalizer:
 def fit_normalizer(ds: LabeledDataset) -> Normalizer:
     """Fit the map sending each feature's observed [min, max] to [-1, 1].
 
-    Constant features map to 0. Values outside the fitted range pass
-    through the affine map unchanged (no clamping), so they may land
-    outside [-1, 1].
+    Constant features map to 0, and so does a feature whose half-span is
+    too small to invert, below about 5.6e-309: no finite affine map sends
+    it to [-1, 1]. Values outside the fitted range pass through the affine
+    map unchanged (no clamping), so they may land outside [-1, 1].
     """
     x = ds.features
     if x.size == 0:
@@ -397,10 +411,12 @@ def fit_normalizer(ds: LabeledDataset) -> Normalizer:
     lo = x.min(axis=0) / 2
     hi = x.max(axis=0) / 2
     half = hi - lo
-    constant = half == 0
-    safe_half = np.where(constant, 1.0, half)
-    scale = np.where(constant, 0.0, 1.0 / safe_half)
-    offset = np.where(constant, 0.0, -(hi + lo) / safe_half)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # masked below
+        inverse = 1.0 / half
+        offset = -(hi + lo) / half
+    constant = np.isinf(inverse)  # a zero half-span, or one whose inverse overflows
+    scale = np.where(constant, 0.0, inverse)
+    offset = np.where(constant, 0.0, offset)
     return Normalizer(scale=scale, offset=offset)
 
 

@@ -69,11 +69,15 @@ ACTIVATIONS = {
 class HiddenLayer:
     """Random input weights and biases, frozen after construction.
 
-    Construction makes the two arrays read-only, so a write into them in
-    place raises numpy's ValueError, and records once whether the layer
-    is bounded: |W|^2 + |b|^2 <= 2^200, under which ``hidden_output``
-    skips numpy's overflow guard. Layers compare and hash by identity:
-    == would compare their arrays.
+    Construction, and unpickling, check the layer: an activation not in
+    ``ACTIVATIONS`` raises ValueError, and weights that are not 2-D or
+    biases that are not one entry per neuron raise ShapeError, so one bias
+    is never broadcast over every neuron. Construction makes the two
+    arrays read-only, so a write into them in place raises numpy's
+    ValueError, and records once whether the layer is bounded:
+    |W|^2 + |b|^2 <= 2^200, under which ``hidden_output`` skips numpy's
+    overflow guard. Layers compare and hash by identity: == would compare
+    their arrays.
     """
 
     weights: np.ndarray  # hidden_count x input_dim
@@ -81,6 +85,15 @@ class HiddenLayer:
     activation: str
 
     def __post_init__(self):
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(
+                f"unknown activation {self.activation!r}; choose from {sorted(ACTIVATIONS)}"
+            )
+        if self.weights.ndim != 2 or self.biases.shape != self.weights.shape[:1]:
+            raise ShapeError(
+                f"weights must be 2-D with one bias per row, got shapes {self.weights.shape} "
+                f"and {self.biases.shape}"
+            )
         self.weights.setflags(write=False)
         self.biases.setflags(write=False)
         norm = np.vdot(self.weights, self.weights) + np.vdot(self.biases, self.biases)
@@ -110,10 +123,6 @@ def init_hidden(
     if input_dim < 1 or hidden_count < 1:
         raise ValueError(
             f"input_dim and hidden_count must be >= 1, got {input_dim}, {hidden_count}"
-        )
-    if activation not in ACTIVATIONS:
-        raise ValueError(
-            f"unknown activation {activation!r}; choose from {sorted(ACTIVATIONS)}"
         )
     rng = np.random.default_rng(seed)
     weights = rng.uniform(-1.0, 1.0, size=(hidden_count, input_dim))
@@ -608,7 +617,10 @@ def predict_raw(model: OselmModel, x) -> np.ndarray:
 # Serialization, format v2: a UTF-8 text header (the tag line, one "key value"
 # line per _HEADER entry, an "end" line), then weights, biases, gram_inv, beta
 # and, with a normalizer, scale and offset as raw little-endian float64. The
-# header counts fix every shape, and raw floats round-trip bit for bit.
+# header counts fix every shape (_shapes), and raw floats round-trip bit for
+# bit. One decoder, _decode, holds every rule a file must keep: load_model
+# runs it on the file's bytes, and save_model on the bytes it is about to
+# write, so it writes no file that load_model would reject.
 
 _FORMAT_TAG = "elmstream-model"
 _FORMAT_VERSION = "2"
@@ -646,50 +658,21 @@ _HEADER = {
 }
 
 
-def save_model(path, model: OselmModel, normalizer: Normalizer | None = None) -> None:
-    """Write the model (and the feature normalizer, if any) in format v2.
-
-    What ``load_model`` would reject raises ValueError before the file is
-    opened: a model that has not been initialized (``samples_seen`` or
-    ``blocks_seen`` below 1), a threshold that is not a finite number, or
-    a normalizer whose scale or offset is not ``input_dim`` finite entries.
-    """
-    if model.samples_seen < 1 or model.blocks_seen < 1:
-        raise ValueError("model has not been initialized")
-    threshold = float(model.threshold)  # str() gives the shortest exact form
-    if not math.isfinite(threshold):
-        raise ValueError(f"cannot save non-finite threshold {threshold}")
-    dim = model.hidden.input_dim
-    if normalizer is not None and not all(
-        np.size(a) == dim and all_finite(a) for a in (normalizer.scale, normalizer.offset)
-    ):
-        raise ValueError(f"cannot save a normalizer that is not {dim} finite scales and offsets")
-    fields = {
-        "activation": model.hidden.activation,
-        "input_dim": dim,
-        "hidden_count": model.hidden.hidden_count,
-        "label_count": model.label_count,
-        "threshold": threshold,
-        "samples_seen": model.samples_seen,
-        "blocks_seen": model.blocks_seen,
-        "normalizer": "none" if normalizer is None else "affine",
-    }
-    header = [f"{_FORMAT_TAG} {_FORMAT_VERSION}"]
-    header += [f"{key} {fields[key]}" for key in _HEADER] + ["end"]
-    arrays = [model.hidden.weights, model.hidden.biases, model.gram_inv, model.beta]
-    if normalizer is not None:
-        arrays += [normalizer.scale, normalizer.offset]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("utf-8"))
-        for a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+def _shapes(fields: dict) -> list[tuple[int, ...]]:
+    """The shapes of the arrays that follow the header, in file order."""
+    dim, hidden, labels = fields["input_dim"], fields["hidden_count"], fields["label_count"]
+    shapes = [(hidden, dim), (hidden,), (hidden, hidden), (hidden, labels)]
+    if fields["normalizer"] == "affine":
+        shapes += [(dim,), (dim,)]
+    return shapes
 
 
-def load_model(path) -> tuple[OselmModel, Normalizer | None]:
-    """Read a model file written by save_model."""
-    with open(path, "rb") as fh:
-        head = [fh.readline() for _ in range(len(_HEADER) + 2)]
-        payload = fh.read()
+def _decode(path, head: list[bytes], payload) -> tuple[dict, list[np.ndarray]]:
+    """The header fields and the arrays of a model file whose header lines
+    are ``head`` and whose arrays are the bytes ``payload`` (a bytes-like
+    object whose len is its byte count). The arrays are views of
+    ``payload``, read-only when it is. The first fault raises DataError
+    naming ``path``."""
     try:
         lines = [line.decode("utf-8").rstrip("\n") for line in head]
     except UnicodeDecodeError as exc:
@@ -704,24 +687,70 @@ def load_model(path) -> tuple[OselmModel, Normalizer | None]:
         fields[key] = _HEADER[key](text, path, lineno, key)
     if lines[-1] != "end":
         raise DataError(f"{path}: missing end marker")
-    dim, hidden, labels = fields["input_dim"], fields["hidden_count"], fields["label_count"]
-    shapes = [(hidden, dim), (hidden,), (hidden, hidden), (hidden, labels)]
-    if fields["normalizer"] == "affine":
-        shapes += [(dim,), (dim,)]
+    shapes = _shapes(fields)
     sizes = [math.prod(shape) for shape in shapes]
-    if len(payload) != 8 * sum(sizes):
-        raise DataError(
-            f"{path}: {len(payload)} bytes of arrays, the header needs {8 * sum(sizes)}"
-        )
+    needed = 8 * sum(sizes)
+    if len(payload) != needed:
+        raise DataError(f"{path}: {len(payload)} bytes of arrays, the header needs {needed}")
     flat = np.frombuffer(payload, dtype="<f8")
     if not all_finite(flat):
         raise DataError(f"{path}: non-finite array value")
-    weights, biases, gram_inv, beta, *norm = (
-        part.reshape(shape).astype(float)
-        for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)
-    )
-    if not np.array_equal(gram_inv, gram_inv.T):
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    arrays = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    if not np.array_equal(arrays[2], arrays[2].T):
         raise DataError(f"{path}: gram_inv is not exactly symmetric")
+    return fields, arrays
+
+
+def save_model(path, model: OselmModel, normalizer: Normalizer | None = None) -> None:
+    """Write the model (and the feature normalizer, if any) in format v2.
+
+    The arrays are reshaped to the shapes the header's counts give, into
+    one buffer, and the header lines and that buffer go through
+    ``load_model``'s decoder before the file is opened. So whatever
+    ``load_model`` would reject raises ValueError and writes nothing: an
+    array of another size (numpy's ValueError), and, as DataError naming
+    ``path``, a non-finite threshold or array entry, a ``gram_inv`` that
+    is not exactly symmetric, a ``samples_seen`` or ``blocks_seen`` that
+    is not an integer of at least 1, an unknown activation, or a header
+    value with a newline in it.
+    """
+    fields = {
+        "activation": model.hidden.activation,
+        "input_dim": model.hidden.input_dim,
+        "hidden_count": model.hidden.hidden_count,
+        "label_count": model.label_count,
+        "threshold": float(model.threshold),  # str() gives the shortest exact form
+        "samples_seen": model.samples_seen,
+        "blocks_seen": model.blocks_seen,
+        "normalizer": "none" if normalizer is None else "affine",
+    }
+    head = "".join(f"{key} {fields[key]}\n" for key in _HEADER)
+    head = f"{_FORMAT_TAG} {_FORMAT_VERSION}\n{head}end\n".encode()
+    arrays = [model.hidden.weights, model.hidden.biases, model.gram_inv, model.beta]
+    if normalizer is not None:
+        arrays += [normalizer.scale, normalizer.offset]
+    # One buffer of the arrays' bytes, decoded and then written as it is.
+    payload = np.concatenate(
+        [np.reshape(a, shape).ravel() for a, shape in zip(arrays, _shapes(fields))], dtype="<f8"
+    ).view(np.uint8)
+    # Cut the header where load_model's readline calls would. A value with a
+    # newline in it shifts the lines after it, and the last piece, which also
+    # holds what those calls would leave for the arrays, is then not "end".
+    _decode(path, head.split(b"\n", len(_HEADER) + 1), payload)
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.write(payload)
+
+
+def load_model(path) -> tuple[OselmModel, Normalizer | None]:
+    """Read a model file written by ``save_model``; a file it would not
+    write raises DataError naming ``path``. The layer's arrays, ``gram_inv``
+    and the normalizer's arrays are read-only views of the file's bytes."""
+    with open(path, "rb") as fh:
+        head = [fh.readline() for _ in range(len(_HEADER) + 2)]
+        payload = fh.read()
+    fields, (weights, biases, gram_inv, beta, *norm) = _decode(path, head, payload)
     layer = HiddenLayer(weights=weights, biases=biases, activation=fields["activation"])
     model = OselmModel(
         hidden=layer,

@@ -1,4 +1,5 @@
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from conftest import save_sparse, synthetic_stream, write_csv
 from elmstream.data import (
     DataError,
     LabeledDataset,
+    Normalizer,
     StreamPlan,
     _csv_in_bulk,
     fit_normalizer,
@@ -345,11 +347,20 @@ class TestNormalizer:
         out = norm.transform(ds.features)
         assert np.allclose(out, [[-1.0], [1.0]], atol=1e-15)
 
-    def test_constant_feature_maps_to_zero(self):
+    @pytest.mark.parametrize(
+        "low, high",
+        [(7.0, 7.0), (np.finfo(float).tiny, np.finfo(float).tiny + 4 * 5e-324)],
+        ids=["constant", "span_too_small_to_invert"],
+    )
+    def test_constant_feature_maps_to_zero(self, low, high):
+        # No finite affine map sends a half-span below 1 / 1.8e308 to
+        # [-1, 1]: its inverse overflows, which the suite turns into an error.
         ds = LabeledDataset(
-            features=np.full((3, 2), 7.0), labels=np.zeros((3, 1), dtype=np.int8)
+            features=np.array([[low, 7.0], [high, 7.0], [low, 7.0]]),
+            labels=np.zeros((3, 1), dtype=np.int8),
         )
         norm = fit_normalizer(ds)
+        assert np.array_equal(norm.scale, [0.0, 0.0]) and np.array_equal(norm.offset, [0.0, 0.0])
         assert np.array_equal(norm.transform(ds.features), np.zeros((3, 2)))
 
     def test_out_of_range_values_pass_through_affine(self):
@@ -386,6 +397,23 @@ class TestNormalizer:
         ds = synthetic_stream(5, 2, 2, seed=6)
         with pytest.raises(DataError, match="empty"):
             fit_normalizer(ds.subset(np.arange(0)))
+
+    @pytest.mark.parametrize(
+        "scale, offset",
+        [((3,), (1,)), ((1,), (3,)), ((3,), (4,)), ((1, 3), (1, 3)), ((), ())],
+        ids=["one_offset", "one_scale", "sizes_differ", "two_dimensional", "scalars"],
+    )
+    def test_arrays_that_would_broadcast_are_refused(self, scale, offset):
+        # Normalizer(np.ones(3), np.array([0.5])) would add 0.5 to every feature.
+        message = "^scale and offset must be 1-D arrays of one size"
+        with pytest.raises(DataError, match=message):
+            Normalizer(np.ones(scale), np.full(offset, 0.5))
+        # Unpickling checks the arrays as construction does.
+        norm = Normalizer(np.ones(3), np.zeros(3))
+        object.__setattr__(norm, "scale", np.ones(scale))
+        object.__setattr__(norm, "offset", np.full(offset, 0.5))
+        with pytest.raises(DataError, match=message):
+            pickle.loads(pickle.dumps(norm))
 
     def test_transform_of_another_width_rejected(self):
         norm = fit_normalizer(synthetic_stream(5, 2, 2, seed=6))

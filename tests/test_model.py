@@ -76,6 +76,27 @@ class TestInitHidden:
         with pytest.raises(ValueError, match="activation"):
             init_hidden(3, 3, "relu")
 
+    @pytest.mark.parametrize(
+        "weights, biases, activation, error, message",
+        [((4, 3), (1,), "sigmoid", ShapeError, r"got shapes \(4, 3\) and \(1,\)$"),
+         ((4, 3), (4, 1), "sigmoid", ShapeError, r"got shapes \(4, 3\) and \(4, 1\)$"),
+         ((4, 3), (3,), "sigmoid", ShapeError, r"got shapes \(4, 3\) and \(3,\)$"),
+         ((12,), (12,), "sigmoid", ShapeError, r"got shapes \(12,\) and \(12,\)$"),
+         ((4, 3), (4,), "tanh", ValueError, "^unknown activation 'tanh'; choose from")],
+        ids=["one_bias", "column_of_biases", "short_biases", "one_dimensional_weights",
+             "unknown_activation"],
+    )
+    def test_malformed_layer_is_refused(self, weights, biases, activation, error, message):
+        with pytest.raises(error, match=message):
+            HiddenLayer(np.ones(weights), np.full(biases, 0.25), activation)
+        # Unpickling checks the layer as construction does.
+        layer = init_hidden(3, 4, seed=0)
+        object.__setattr__(layer, "biases", np.full(biases, 0.25))
+        object.__setattr__(layer, "weights", np.ones(weights))
+        object.__setattr__(layer, "activation", activation)
+        with pytest.raises(error, match=message):
+            pickle.loads(pickle.dumps(layer))
+
     def test_weights_are_frozen(self):
         layer = init_hidden(3, 3, seed=0)
         with pytest.raises(ValueError):
@@ -1351,6 +1372,19 @@ def _replace_float(at, change):
     return corrupt
 
 
+def _set(model, **attributes):
+    """Assign ``attributes`` to ``model``, and return no normalizer."""
+    for name, value in attributes.items():
+        setattr(model, name, value)
+
+
+def _nudged(a, at, value=None):
+    """A copy of ``a`` whose entry ``at`` is ``value``, or one ulp above it."""
+    a = a.copy()
+    a[at] = np.nextafter(a[at], np.inf) if value is None else value
+    return a
+
+
 # Float offsets in the payload of TestSerialization's model (8 hidden
 # neurons, 5 features, 2 labels): weights 0-39, biases 40-47, gram_inv
 # 48-111, beta 112-127, normalizer scale 128-132 and offset 133-137.
@@ -1395,35 +1429,57 @@ class TestSerialization:
         save_model(p2, loaded, norm)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("threshold", [np.inf, -np.inf, np.nan])
-    def test_non_finite_threshold_is_not_saved(self, tmp_path, threshold):
-        # decode takes such a threshold, but load_model would reject the file.
-        model = self.make_model()
-        model.threshold = threshold
-        with pytest.raises(ValueError, match="non-finite threshold"):
-            save_model(tmp_path / "model.elm", model)
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize(
-        "scale, offset",
-        [(np.ones(4), np.zeros(5)), (np.ones(5), np.zeros(4)),
-         (np.r_[1.0, np.nan, 1.0, 1.0, 1.0], np.zeros(5)),
-         (np.ones(5), np.r_[0.0, 0.0, np.inf, 0.0, 0.0])],
-        ids=["short_scale", "short_offset", "nan_scale", "inf_offset"],
+        "fault, message",
+        [
+            (lambda m: _set(m, threshold=np.inf), r":6: non-finite threshold 'inf'$"),
+            (lambda m: _set(m, threshold=-np.inf), r":6: non-finite threshold '-inf'$"),
+            (lambda m: _set(m, threshold=np.nan), r":6: non-finite threshold 'nan'$"),
+            (lambda m: Normalizer(np.ones(4), np.zeros(4)), r"size 4 into shape \(5,\)$"),
+            (lambda m: Normalizer(np.ones(6), np.zeros(6)), r"size 6 into shape \(5,\)$"),
+            (lambda m: Normalizer(np.r_[1.0, np.nan, 1.0, 1.0, 1.0], np.zeros(5)),
+             ": non-finite array value$"),
+            (lambda m: Normalizer(np.ones(5), np.r_[0.0, 0.0, np.inf, 0.0, 0.0]),
+             ": non-finite array value$"),
+            (lambda m: _set(m, samples_seen=0, blocks_seen=0),
+             ":7: samples_seen must be an integer >= 1, got '0'$"),
+            (lambda m: _set(m, samples_seen=0, blocks_seen=1),
+             ":7: samples_seen must be an integer >= 1, got '0'$"),
+            (lambda m: _set(m, samples_seen=1, blocks_seen=0),
+             ":8: blocks_seen must be an integer >= 1, got '0'$"),
+            (lambda m: _set(m, gram_inv=_nudged(m.gram_inv, (0, 1))),
+             ": gram_inv is not exactly symmetric$"),
+            (lambda m: _set(m, beta=_nudged(m.beta, (3, 1), np.nan)), ": non-finite array value$"),
+            (lambda m: _set(m, hidden=HiddenLayer(_nudged(m.hidden.weights, (2, 4), np.inf),
+                                                  m.hidden.biases, m.hidden.activation)),
+             ": non-finite array value$"),
+            (lambda m: _set(m, samples_seen=5.5),
+             ":7: samples_seen must be an integer >= 1, got '5.5'$"),
+            (lambda m: _set(m, samples_seen=True),
+             ":7: samples_seen must be an integer >= 1, got 'True'$"),
+            (lambda m: _set(m, beta=np.vstack([m.beta, m.beta[:1]])),
+             r"size 18 into shape \(8, ?2\)$"),
+            (lambda m: object.__setattr__(m.hidden, "activation", "tanh"),
+             ":2: unknown activation 'tanh'$"),
+            (lambda m: _set(m, samples_seen="5\n"),
+             ": expected 'blocks_seen <value>' at line 8$"),
+            (lambda m: _set(m, samples_seen="5\nblocks_seen 1\nnormalizer none\nend"),
+             ": missing end marker$"),
+        ],
+        ids=["inf_threshold", "minus_inf_threshold", "nan_threshold",
+             "short_normalizer", "long_normalizer", "nan_scale", "inf_offset",
+             "no_samples_no_blocks", "no_samples", "no_blocks",
+             "asymmetric_gram_inv", "nan_beta", "inf_weight",
+             "fractional_samples_seen", "boolean_samples_seen", "beta_rows",
+             "unknown_activation", "newline_in_samples_seen",
+             "header_lines_in_samples_seen"],
     )
-    def test_normalizer_load_model_would_reject_is_not_saved(self, tmp_path, scale, offset):
-        # The model takes 5 features; load_model reads 5 finite entries of each.
-        with pytest.raises(ValueError, match="^cannot save a normalizer that is not 5 finite"):
-            save_model(tmp_path / "model.elm", self.make_model(), Normalizer(scale, offset))
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("samples, blocks", [(0, 0), (0, 1), (1, 0)])
-    def test_uninitialized_model_is_not_saved(self, tmp_path, samples, blocks):
-        # load_model would reject the file: both counts must be at least 1.
-        model = OselmModel(init_hidden(3, 4, seed=1), np.eye(4), np.zeros((4, 2)),
-                           samples_seen=samples, blocks_seen=blocks)
-        with pytest.raises(ValueError, match="model has not been initialized"):
-            save_model(tmp_path / "model.elm", model)
+    def test_what_load_model_would_reject_is_not_saved(self, tmp_path, fault, message):
+        # The model has 8 neurons, 5 features and 2 labels; a fault returns
+        # the normalizer to save, or changes the model and returns None.
+        model = self.make_model()
+        with pytest.raises(ValueError, match=message):
+            save_model(tmp_path / "model.elm", model, fault(model))
         assert list(tmp_path.iterdir()) == []
 
     def test_identical_stream_gives_identical_bytes(self, tmp_path):

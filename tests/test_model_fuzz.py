@@ -1,9 +1,12 @@
 """Property-based tests of the file codecs (the model file and the sparse
 dataset format) and of the model's test-then-train path.
 
-A saved model must load back bit for bit, and a corrupted file must either
-raise DataError or load a model whose arrays match the header and are
-finite: never another exception, never a silently inconsistent model.
+A model ``save_model`` writes must load back bit for bit, and one it
+refuses, with a fault such as a NaN, an asymmetric ``gram_inv`` or a
+count that is not a positive integer, must leave no file. A corrupted
+file must either raise DataError or load a model whose arrays match the
+header and are finite: never another exception, never a silently
+inconsistent model.
 Likewise a sparse file written by the test-side writer must load back
 exactly, and a corrupted one must raise DataError or load a dataset of the
 declared widths with finite features and 0/1 labels. A dense CSV text,
@@ -95,20 +98,65 @@ def models(draw):
     return model, normalizer
 
 
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+bad_counts = st.sampled_from([0, -1, 5.5, True])
+one_off = st.sampled_from([-1, 1])
+faults = st.sampled_from(["weights", "gram_inv", "beta", "asymmetry", "diagonal", "beta_rows",
+                          "threshold", "samples_seen", "blocks_seen", "activation",
+                          "normalizer_width", "normalizer_entry"])
+
+
+def with_entry(draw, a, value=None):
+    """A copy of ``a`` whose drawn entry is ``value``, or one ulp above what it was."""
+    a = np.array(a)
+    at = draw(st.integers(0, a.size - 1))
+    with np.errstate(over="ignore"):  # one ulp above the largest float is inf
+        a.flat[at] = np.nextafter(a.flat[at], np.inf) if value is None else value
+    return a
+
+
+@st.composite
+def faulty_models(draw):
+    """A drawn model and normalizer, and a copy of the two with one drawn
+    fault. Some faults leave a model that may be saved, such as a diagonal
+    entry of gram_inv moved one ulp, which mostly keeps it finite and
+    symmetric."""
+    model, normalizer = draw(models())
+    bad, bad_normalizer = copy.copy(model), normalizer
+    layer, dim = model.hidden, model.hidden.input_dim
+    fault = draw(faults)
+    if fault == "weights":
+        weights = with_entry(draw, layer.weights, draw(non_finite))
+        bad.hidden = HiddenLayer(weights, layer.biases, layer.activation)
+    elif fault in ("gram_inv", "beta"):
+        setattr(bad, fault, with_entry(draw, getattr(model, fault), draw(non_finite)))
+    elif fault == "asymmetry":
+        bad.gram_inv = with_entry(draw, model.gram_inv)
+    elif fault == "diagonal":
+        bad.gram_inv = np.array(model.gram_inv)
+        np.fill_diagonal(bad.gram_inv, with_entry(draw, np.diag(model.gram_inv)))
+    elif fault == "beta_rows":
+        bad.beta = np.vstack([model.beta, model.beta[:1]])
+    elif fault == "threshold":
+        bad.threshold = draw(non_finite)
+    elif fault in ("samples_seen", "blocks_seen"):
+        setattr(bad, fault, draw(bad_counts))
+    elif fault == "activation":
+        bad.hidden = HiddenLayer(layer.weights, layer.biases, layer.activation)
+        object.__setattr__(bad.hidden, "activation", "tanh")  # past the constructor's check
+    elif fault == "normalizer_width":
+        dim += draw(one_off)
+        bad_normalizer = Normalizer(np.ones(dim), np.zeros(dim))
+    elif fault == "normalizer_entry":
+        bad_normalizer = Normalizer(with_entry(draw, np.ones(dim), draw(non_finite)), np.zeros(dim))
+    return (model, normalizer), (bad, bad_normalizer)
+
+
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.fixture(scope="module")
-def path(tmp_path_factory):
-    return tmp_path_factory.mktemp("codec") / "model.txt"
-
-
-@settings(FUZZ, max_examples=100)
-@given(drawn=models())
-def test_save_load_round_trip_is_bit_exact(path, drawn):
-    model, normalizer = drawn
-    save_model(path, model, normalizer)
+def assert_loads_back(path, model, normalizer):
     loaded, norm_back = load_model(path)
     assert same_bits(loaded.hidden.weights, model.hidden.weights)
     assert same_bits(loaded.hidden.biases, model.hidden.biases)
@@ -126,6 +174,29 @@ def test_save_load_round_trip_is_bit_exact(path, drawn):
     else:
         assert same_bits(norm_back.scale, normalizer.scale)
         assert same_bits(norm_back.offset, normalizer.offset)
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec") / "model.txt"
+
+
+@settings(FUZZ, max_examples=200)
+@given(drawn=faulty_models())
+def test_save_load_round_trip_is_bit_exact(path, drawn):
+    # Every drawn model saves and loads back bit for bit. Its faulty copy
+    # is either refused with no file written or loads back bit for bit too.
+    (model, normalizer), (bad, bad_normalizer) = drawn
+    path.unlink(missing_ok=True)
+    save_model(path, model, normalizer)
+    assert_loads_back(path, model, normalizer)
+    path.unlink()
+    try:
+        save_model(path, bad, bad_normalizer)
+    except ValueError:
+        assert not path.exists()
+        return
+    assert_loads_back(path, bad, bad_normalizer)
 
 
 @pytest.fixture(scope="module")

@@ -58,7 +58,7 @@ class TestFinitenessProof:
                 check(view)
 
 
-class TestCholeskySpd:
+class TestFactorCertification:
     """The certification inverse_factor makes on its Cholesky factor."""
 
     def test_factor_reproduces_matrix(self):
@@ -143,17 +143,10 @@ def test_every_public_name_has_a_caller():
     assert set(numerics.__all__) - imported == set()
 
 
-class TestSolveSpd:
+class TestLearnerSolves:
     """The learner's SPD solves: init_phase on its Gram matrix and update on
     S = I + H M H'. Each is certified by inverse_factor before it inverts, so
     the rejections an SPD solve must make are checked here at their bounds."""
-
-    def test_asymmetric_rejected(self):
-        a = np.array([[1.0, 0.5], [0.5, 1.0]])
-        inverse_factor(a)
-        for gap in (1e-11, 1e-9):
-            with pytest.raises(ValueError, match="symmetric"):
-                inverse_factor(a + np.array([[0.0, 0.0], [gap, 0.0]]))
 
     def test_indefinite_raises(self):
         # M = -10 I makes S = I + H M H' indefinite for this block.
@@ -210,13 +203,14 @@ class TestSymmetryCheck:
         with pytest.raises(NumericalError, match="non-finite"):
             inverse_factor(a)
 
-    @pytest.mark.parametrize("n", [1, 5, 128, N])
+    @pytest.mark.parametrize("n", [1, 2, 5, 128, N])
     def test_same_decision_as_the_dense_check(self, n):
         # Accepted exactly when no entry differs from its mirror, by an
-        # elementwise comparison independent of inverse_factor's own.
+        # elementwise comparison independent of inverse_factor's own. Two
+        # rows take the matrix [[1, 0.5], [0.5, 1]].
         rng = np.random.default_rng(n)
-        for value in (0.0, 1e-300, 1e-11, 1e308):
-            a = random_spd(rng, n, shift=float(n))
+        for value in (0.0, 1e-300, 1e-11, 1e-9, 1e308):
+            a = np.array([[1.0, 0.5], [0.5, 1.0]]) if n == 2 else random_spd(rng, n, float(n))
             a[n - 1, 0] += value
             for b in (a, a.T):
                 b = np.ascontiguousarray(b)

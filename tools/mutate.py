@@ -64,8 +64,6 @@ EQUIVALENT = {
     "data.py:_csv_in_bulk: 2 * label_count > len(lines[0]) -> 2 * label_count >= len(lines[0])"
     " in `if not lines or 2 * label_count > len(lines[0]):`":
         "a declined chunk gets the per-line reader's dataset or error",
-    "data.py:fit_normalizer: 1.0 -> 2.0 in `safe_half = np.where(constant, 1.0, half)`":
-        "the placeholder half-span of a constant feature is masked out of scale and offset",
     "metrics.py:compute_report: 1 -> 2"
     " in `f1 = np.where(both_empty, 1.0, 2 * inter / np.maximum(n_pred + n_true, 1))`":
         "a row whose counts sum to 1 has no common label: 0 / 1 and 0 / 2 are both 0",
