@@ -12,12 +12,13 @@ whose keys, types and defaults are the RunConfig fields.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
-from typing import get_args, get_type_hints
+from typing import NoReturn, get_args, get_type_hints
 
 import numpy as np
 
@@ -483,5 +484,17 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
-if __name__ == "__main__":
+def entry() -> NoReturn:
+    """Run ``main`` on the process's arguments and exit with its code: the
+    process entry of ``python -m elmstream.cli`` and of the ``elmstream``
+    script. Every import is done by now, so the objects the imports made
+    (numpy's above all) are frozen out of the garbage collector, and the
+    collections that shut the interpreter down skip them (see README,
+    "What a CLI job costs"). ``main`` itself changes no process-wide state,
+    so a caller that runs it in its own process keeps its own GC."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -243,6 +243,21 @@ def _fold(base: np.ndarray, pending: np.ndarray) -> tuple[np.ndarray, float]:
     return m, peak
 
 
+def _check_gram_inv(m: np.ndarray, layer: HiddenLayer) -> None:
+    n = layer.hidden_count
+    if m.shape != (n, n):
+        raise ShapeError(f"gram_inv must have shape {(n, n)} for {n} neurons, got {m.shape}")
+
+
+def _check_beta(beta: np.ndarray, layer: HiddenLayer) -> None:
+    n = layer.hidden_count
+    if beta.ndim != 2 or beta.shape[0] != n or beta.shape[1] < 1:
+        raise ShapeError(
+            f"beta must have shape ({n}, labels) with labels >= 1 for {n} neurons, "
+            f"got {beta.shape}"
+        )
+
+
 class OselmModel:
     """Trained state: frozen hidden layer, running inverse Gram matrix,
     output weights, and the calibrated decode threshold.
@@ -253,6 +268,12 @@ class OselmModel:
     state; assigning it sets M0 and drops the pending rows. ``copy.copy``
     gives a model with its own buffer for G, so the copy and the original
     can be updated apart.
+
+    Assigning ``gram_inv`` or ``beta`` checks its shape against the hidden
+    layer, as unpickling does: M must be H x H and beta 2-D with H rows and
+    at least one column, for H neurons, else ShapeError names both shapes.
+    ``update`` writes its results past these checks, whose shapes are right
+    by construction, so no arrival pays for them.
 
     Assigning ``gram_inv`` or ``beta`` also records max|M0| and |beta|^2.
     One bound governs the load, max|M0| plus the pending rows' squared
@@ -302,6 +323,7 @@ class OselmModel:
 
     @gram_inv.setter
     def gram_inv(self, m: np.ndarray) -> None:
+        _check_gram_inv(m, self.hidden)
         self._base = m  # M0
         self._downdates = np.empty((_capacity(1, len(m)), len(m)))  # G is its first rows
         self._pending = 0
@@ -314,6 +336,7 @@ class OselmModel:
     @beta.setter
     def beta(self, beta: np.ndarray) -> None:
         beta = np.array(beta)  # a copy: the caller's array stays theirs
+        _check_beta(beta, self.hidden)
         beta.setflags(write=False)
         self._beta = beta
         self._beta_sq = float(np.vdot(beta, beta))  # |beta|^2, inf or NaN past a float
@@ -337,6 +360,8 @@ class OselmModel:
     def __setstate__(self, state):
         # copy.deepcopy and pickle give a writable copy of beta.
         self.__dict__.update(state)
+        _check_gram_inv(self._base, self.hidden)
+        _check_beta(self._beta, self.hidden)
         self._beta.setflags(write=False)
         self._projected = None
 
@@ -615,12 +640,13 @@ def predict_raw(model: OselmModel, x) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Serialization, format v2: a UTF-8 text header (the tag line, one "key value"
-# line per _HEADER entry, an "end" line), then weights, biases, gram_inv, beta
-# and, with a normalizer, scale and offset as raw little-endian float64. The
-# header counts fix every shape (_shapes), and raw floats round-trip bit for
-# bit. One decoder, _decode, holds every rule a file must keep: load_model
-# runs it on the file's bytes, and save_model on the bytes it is about to
-# write, so it writes no file that load_model would reject.
+# line per _HEADER entry, the value as str() spells it, an "end" line), then
+# weights, biases, gram_inv, beta and, with a normalizer, scale and offset as
+# raw little-endian float64. The header counts fix every shape (_shapes), and
+# raw floats round-trip bit for bit. One decoder, _decode, holds every rule a
+# file must keep: load_model runs it on the file's bytes, and save_model on
+# the bytes it is about to write, so it writes no file that load_model would
+# reject.
 
 _FORMAT_TAG = "elmstream-model"
 _FORMAT_VERSION = "2"
@@ -685,6 +711,9 @@ def _decode(path, head: list[bytes], payload) -> tuple[dict, list[np.ndarray]]:
         if name != key:
             raise DataError(f"{path}: expected '{key} <value>' at line {lineno}")
         fields[key] = _HEADER[key](text, path, lineno, key)
+        if text != str(fields[key]):  # such as "+10", "0001", "1_0" or "0.00"
+            raise DataError(f"{path}:{lineno}: {key} must be written {str(fields[key])!r}, "
+                            f"got {text!r}")
     if lines[-1] != "end":
         raise DataError(f"{path}: missing end marker")
     shapes = _shapes(fields)

@@ -1,6 +1,9 @@
 import argparse
+import functools
+import gc
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -42,6 +45,12 @@ from elmstream.model import (
 )
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**variables):
+    """The environment of a child Python that imports this tree's package."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **variables)
 
 
 @pytest.fixture
@@ -109,8 +118,7 @@ class TestTrainCommand:
         # large enough for OpenBLAS to split across threads when it may.
         data = tmp_path / "train.csv"
         write_csv(data, synthetic_stream(420, 20, 5, seed=31))
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        env = child_env(OPENBLAS_NUM_THREADS="1")
         outs = [tmp_path / "m1.txt", tmp_path / "m2.txt"]
         for out in outs:
             argv = [sys.executable, "-m", "elmstream.cli", "train", "--data", str(data),
@@ -767,6 +775,72 @@ class TestUsage:
                      "--hidden", "1", "--init-block", "1", "--block", "1",
                      "--out", str(tmp_path / "m.txt")])
         assert code == EXIT_USAGE
+
+
+class TestProcessEntry:
+    """``python -m elmstream.cli`` and the ``elmstream`` script run
+    ``cli.entry``: it freezes the import-time heap out of the garbage
+    collector, then exits with ``main``'s code. ``main`` alone leaves the
+    collector as it found it."""
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [("train", EXIT_OK), ("no_hidden", EXIT_USAGE), ("ragged_csv", EXIT_DATA),
+         ("singular_init", EXIT_NUMERIC)],
+    )
+    def test_child_exits_with_the_code_and_all_output_of_main(
+        self, interpolating_csv, tmp_path, capsys, case, code
+    ):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("0.1,0.2,1,0,1\n0.3,1,0\n", encoding="utf-8")
+        argv = {
+            "train": train_args(interpolating_csv, tmp_path / "m.txt"),
+            "no_hidden": ["train", "--data", str(interpolating_csv), "--labels", "3",
+                          "--init-block", "6", "--block", "2", "--out", str(tmp_path / "m.txt")],
+            "ragged_csv": train_args(ragged, tmp_path / "m.txt", **{"init-block": "1"}),
+            # ridge 0 and 6 rows for 7 neurons: the Gram matrix is singular
+            "singular_init": train_args(interpolating_csv, tmp_path / "m.txt", hidden="7"),
+        }[case]
+        assert main(argv) == code
+        expected = capsys.readouterr()
+        child = subprocess.run([sys.executable, "-m", "elmstream.cli", *argv], env=child_env(),
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == code
+        # All of the output, but for the training time's value.
+        timeless = functools.partial(re.sub, r"(?m)^training time: .* s$", "training time:")
+        assert timeless(child.stdout) == timeless(expected.out)
+        assert (child.stdout == "") == (code != EXIT_OK)
+        assert child.stderr == expected.err
+        assert (child.stderr == "") == (code == EXIT_OK)
+
+    def test_main_changes_no_gc_state_and_entry_freezes(
+        self, interpolating_csv, tmp_path, monkeypatch, capsys
+    ):
+        frozen = gc.get_freeze_count()
+        argv = train_args(interpolating_csv, tmp_path / "m.txt")
+        assert main(argv) == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+        monkeypatch.setattr(sys, "argv", ["elmstream", *argv])
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli.entry()
+            assert exc.value.code == EXIT_OK
+            assert gc.get_freeze_count() > frozen
+        finally:
+            gc.unfreeze()
+        assert "model: " in capsys.readouterr().out
+
+    def test_module_and_script_run_the_entry(self):
+        pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+        assert '\nelmstream = "elmstream.cli:entry"\n' in pyproject
+        # The module's __main__ block, run as -m runs it, in a child that
+        # then reads the child's own freeze count.
+        probe = ("import gc, runpy\n"
+                 "try:\n    runpy.run_module('elmstream.cli', run_name='__main__')\n"
+                 "except SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0)")
+        child = subprocess.run([sys.executable, "-c", probe, "train"], env=child_env(),
+                               capture_output=True, text=True, timeout=120)
+        assert child.stdout == f"{EXIT_USAGE} True\n"
 
 
 def test_sparse_input_runs_as_the_same_rows_in_csv(tmp_path, capsys):

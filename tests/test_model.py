@@ -1170,6 +1170,49 @@ class TestReadOnlyState:
         assert np.array_equal(model.beta, np.ones_like(beta))
 
 
+class TestStateShapes:
+    """The model checks M's and beta's shapes against its layer when they
+    are assigned and when it is unpickled, so a wrong shape never reaches
+    ``update`` or ``save_model`` as an IndexError or a broadcast."""
+
+    @pytest.mark.parametrize(
+        "name, shape, message",
+        [("beta", (4,), r"^beta must have shape \(4, labels\) with labels >= 1 for 4 neurons, "
+                        r"got \(4,\)$"),
+         ("beta", (4, 0), r"got \(4, 0\)$"),
+         ("beta", (3, 2), r"got \(3, 2\)$"),
+         ("beta", (4, 2, 1), r"got \(4, 2, 1\)$"),
+         ("gram_inv", (3, 3), r"^gram_inv must have shape \(4, 4\) for 4 neurons, got \(3, 3\)$"),
+         ("gram_inv", (4, 3), r"got \(4, 3\)$"),
+         ("gram_inv", (16,), r"got \(16,\)$")],
+        ids=["vector_beta", "no_labels", "short_beta", "three_dimensional_beta",
+             "small_gram_inv", "oblong_gram_inv", "flat_gram_inv"],
+    )
+    def test_wrong_shape_is_refused(self, name, shape, message):
+        layer = init_hidden(3, 4, seed=0)
+        arrays = {"gram_inv": np.eye(4), "beta": np.zeros((4, 2)), name: np.zeros(shape)}
+        with pytest.raises(ShapeError, match=message):
+            OselmModel(layer, **arrays)
+        # Assignment and unpickling check as construction does.
+        model = OselmModel(layer, np.eye(4), np.zeros((4, 2)), samples_seen=4, blocks_seen=1)
+        with pytest.raises(ShapeError, match=message):
+            setattr(model, name, np.zeros(shape))
+        model.__dict__[{"gram_inv": "_base", "beta": "_beta"}[name]] = np.zeros(shape)
+        with pytest.raises(ShapeError, match=message):
+            pickle.loads(pickle.dumps(model))
+
+    def test_refused_assignment_leaves_the_model_as_it_was(self):
+        layer, x, y = stream_fixture(seed=80)
+        model = init_phase(layer, x[:30], y[:30])
+        gram_inv, beta = model.gram_inv, model.beta
+        with pytest.raises(ShapeError):
+            model.gram_inv = gram_inv[:-1, :-1]
+        with pytest.raises(ShapeError):
+            model.beta = beta.ravel()
+        assert model.gram_inv is gram_inv and model.beta is beta
+        update(model, x[30:32], y[30:32])
+
+
 class TestIllConditionedStream:
     """A stream whose hidden output H has cond(H'H) of about 4e11 (sine
     activation, 400 neurons, 5 features). There beta itself is
@@ -1457,8 +1500,10 @@ class TestSerialization:
              ":7: samples_seen must be an integer >= 1, got '5.5'$"),
             (lambda m: _set(m, samples_seen=True),
              ":7: samples_seen must be an integer >= 1, got 'True'$"),
-            (lambda m: _set(m, beta=np.vstack([m.beta, m.beta[:1]])),
+            (lambda m: _set(m, _beta=np.vstack([m.beta, m.beta[:1]])),  # past the setter
              r"size 18 into shape \(8, ?2\)$"),
+            (lambda m: _set(m, hidden=init_hidden(5, 9, seed=0)),
+             r"size 64 into shape \(9, ?9\)$"),
             (lambda m: object.__setattr__(m.hidden, "activation", "tanh"),
              ":2: unknown activation 'tanh'$"),
             (lambda m: _set(m, samples_seen="5\n"),
@@ -1471,7 +1516,7 @@ class TestSerialization:
              "no_samples_no_blocks", "no_samples", "no_blocks",
              "asymmetric_gram_inv", "nan_beta", "inf_weight",
              "fractional_samples_seen", "boolean_samples_seen", "beta_rows",
-             "unknown_activation", "newline_in_samples_seen",
+             "layer_rows", "unknown_activation", "newline_in_samples_seen",
              "header_lines_in_samples_seen"],
     )
     def test_what_load_model_would_reject_is_not_saved(self, tmp_path, fault, message):
@@ -1533,6 +1578,17 @@ class TestSerialization:
             f"{p}:{lineno}: samples_seen must be an integer >= 1, got 'abc'"
         )
 
+    def test_header_value_spelled_otherwise_names_its_line(self, tmp_path):
+        p = tmp_path / "m.txt"
+        save_model(p, self.make_model())
+        p.write_bytes(p.read_bytes().replace(b"\nthreshold ", b"\nthreshold +", 1))
+        with pytest.raises(DataError) as exc:
+            load_model(p)
+        threshold = repr(float(self.make_model().threshold))
+        assert str(exc.value) == (
+            f"{p}:6: threshold must be written {threshold!r}, got '+{threshold}'"
+        )
+
     def test_version_1_file_rejected(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("elmstream-model 1\nactivation sigmoid\ninput_dim 1\n")
@@ -1552,10 +1608,23 @@ class TestSerialization:
             lambda h, v: (h, np.insert(v, _BIASES, 0.5)),  # weights one float long
             _replace_float(_GRAM_INV + 1, lambda x: 3.0 * x),
             _replace_float(_GRAM_INV + 1, lambda x: np.nextafter(x, np.inf)),  # [0, 1]
+            # Spellings save_model never writes, though int() or float() reads them.
+            _replace_field("samples_seen", "1_0"),
+            _replace_field("samples_seen", "+10"),
+            _replace_field("samples_seen", " 10"),
+            _replace_field("blocks_seen", "0001"),
+            _replace_field("hidden_count", "08"),
+            _replace_field("threshold", "0.00"),
+            _replace_field("threshold", "+0.0"),
+            _replace_field("threshold", "0.0_0"),
+            _replace_field("threshold", "1e-1"),
         ],
         ids=["broadcast_bias", "nan_threshold", "normalizer_width", "nan_gram_inv",
              "negative_samples_seen", "zero_blocks_seen", "non_integer_input_dim",
-             "negative_weights_rows", "asymmetric_gram_inv", "one_ulp_asymmetric_gram_inv"],
+             "negative_weights_rows", "asymmetric_gram_inv", "one_ulp_asymmetric_gram_inv",
+             "underscored_samples_seen", "signed_samples_seen", "spaced_samples_seen",
+             "zero_padded_blocks_seen", "zero_padded_hidden_count", "padded_threshold",
+             "signed_threshold", "underscored_threshold", "exponent_threshold"],
     )
     def test_inconsistent_or_nonfinite_content_rejected(self, tmp_path, corrupt):
         model = self.make_model()

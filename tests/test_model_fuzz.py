@@ -102,7 +102,7 @@ non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
 bad_counts = st.sampled_from([0, -1, 5.5, True])
 one_off = st.sampled_from([-1, 1])
 faults = st.sampled_from(["weights", "gram_inv", "beta", "asymmetry", "diagonal", "beta_rows",
-                          "threshold", "samples_seen", "blocks_seen", "activation",
+                          "layer_rows", "threshold", "samples_seen", "blocks_seen", "activation",
                           "normalizer_width", "normalizer_entry"])
 
 
@@ -136,7 +136,10 @@ def faulty_models(draw):
         bad.gram_inv = np.array(model.gram_inv)
         np.fill_diagonal(bad.gram_inv, with_entry(draw, np.diag(model.gram_inv)))
     elif fault == "beta_rows":
-        bad.beta = np.vstack([model.beta, model.beta[:1]])
+        bad._beta = np.vstack([model.beta, model.beta[:1]])  # past the setter's check
+    elif fault == "layer_rows":
+        bad.hidden = HiddenLayer(np.vstack([layer.weights, layer.weights[:1]]),
+                                 np.r_[layer.biases, layer.biases[:1]], layer.activation)
     elif fault == "threshold":
         bad.threshold = draw(non_finite)
     elif fault in ("samples_seen", "blocks_seen"):
