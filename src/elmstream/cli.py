@@ -133,6 +133,8 @@ class RunConfig:
                 value = getattr(self, name)
                 if value is not None and not ok(value):
                     raise UsageError(f"{_flag(name)} must be {requirement}, got {value!r}")
+        if self.command == "cv" and self.folds is not None and self.fold_file is not None:
+            raise UsageError("--folds and --fold-file are both given; 'cv' takes one")
         for f in fields(self):
             required = f.metadata.get("required")
             if required and _is_flag_of(f, self.command) and (required is True or required(self)):
@@ -250,14 +252,22 @@ def _require(cfg: RunConfig, name: str) -> None:
 
 
 def _read(cfg: RunConfig, plan: StreamPlan | None = None):
-    """The dataset ``cfg.data`` or, given an unshuffled ``plan``, its
-    blocks, read from the file one block at a time."""
+    """The dataset ``cfg.data`` or, given a ``plan``, its blocks, read from
+    the file one block at a time."""
     if cfg.format == "sparse":
         args = (cfg.data, cfg.features, cfg.labels)
         return load_sparse(*args) if plan is None else stream_sparse(*args, plan)
     if plan is None:
         return load_csv(cfg.data, cfg.labels, cfg.header)
     return stream_csv(cfg.data, cfg.labels, plan, cfg.header)
+
+
+def _blocks_of(cfg: RunConfig, ds: LabeledDataset, plan: StreamPlan):
+    """The blocks of ``plan`` cut from ``ds`` or, with --shuffle-seed S,
+    from one copy of its rows in ``default_rng(S).permutation`` order."""
+    if cfg.shuffle_seed is not None:
+        ds = ds.subset(np.random.default_rng(cfg.shuffle_seed).permutation(ds.n_samples))
+    return stream_blocks(ds, plan)
 
 
 def _write_kv(path: str, lines: list[str]) -> None:
@@ -360,8 +370,8 @@ def _evaluate(
 def run_train(cfg: RunConfig) -> TrainOutcome:
     """Train on ``cfg.data``, read one block at a time as it is learned; a
     shuffle needs every row first, so shuffled input is loaded whole, then cut."""
-    plan = StreamPlan(cfg.init_block, cfg.block, cfg.shuffle_seed)
-    blocks = _read(cfg, plan) if cfg.shuffle_seed is None else stream_blocks(_read(cfg), plan)
+    plan = StreamPlan(cfg.init_block, cfg.block)
+    blocks = _read(cfg, plan) if cfg.shuffle_seed is None else _blocks_of(cfg, _read(cfg), plan)
     return _train_streaming(blocks, cfg, cfg.seed)
 
 
@@ -376,12 +386,12 @@ def run_cv(cfg: RunConfig) -> CvOutcome:
         folds = load_fold_file(cfg.fold_file, ds.n_samples)
     else:
         folds = kfold(ds, cfg.folds, cfg.seed)
-    plan = StreamPlan(cfg.init_block, cfg.block, cfg.shuffle_seed)
+    plan = StreamPlan(cfg.init_block, cfg.block)
     reports = []
     for i, (train_idx, test_idx) in enumerate(folds):
         train_ds = ds.subset(train_idx)
         norm = fit_normalizer(train_ds)
-        outcome = _train_streaming(stream_blocks(train_ds, plan), cfg, cfg.seed + i, norm=norm)
+        outcome = _train_streaming(_blocks_of(cfg, train_ds, plan), cfg, cfg.seed + i, norm=norm)
         reports.append(
             _evaluate(outcome.model, norm, ds.subset(test_idx), outcome.train_time)
         )

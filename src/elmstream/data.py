@@ -6,10 +6,12 @@ around a line is ignored, and blank or whitespace-only lines are
 skipped. In sparse and config files ``#`` starts a comment. An error in
 a line names its ``path:line``.
 
-* Dense CSV: comma-separated, optional single header line (skipped;
-  rows must match its width). Each data row holds D real feature fields
-  followed by M label fields that must be literally ``0`` or ``1``;
-  whitespace around a field is ignored.
+* Dense CSV: comma-separated, with an optional single header line that
+  is skipped. The first non-blank line, the header or else the first
+  row, fixes the field count: it must be more than M, or DataError names
+  that line, and every data row must have it. Each data row holds D real
+  feature fields followed by M label fields that must be literally ``0``
+  or ``1``; whitespace around a field is ignored.
 * Sparse: one sample per line, ``<label-idx-list> <idx>:<val> ...`` with
   1-based indices, the label list comma-separated. Unlisted features and
   labels are zero. A line whose first token contains ``:`` has an empty
@@ -27,11 +29,11 @@ dataset, ``stream_csv`` and ``stream_sparse`` hand them out as the blocks
 of a stream, so a fault in a later row raises when its block is read.
 ``cli``'s ``train`` and ``bench`` stream; ``eval``, ``cv`` and a shuffled
 stream need every row first, so they load whole files. ``stream_blocks``
-cuts a loaded dataset into a plan's blocks as they are read: it holds the
-dataset's arrays and the plan, nothing per block, and each read of a
-block gives a new dataset of row views of those arrays. Every dataset, a
-block included, is made by the ``LabeledDataset`` constructor, which
-checks its arrays' shapes.
+cuts a loaded dataset, in its row order, into a plan's blocks as they
+are read: it holds the dataset's arrays and the plan, nothing per block,
+and each read of a block gives a new dataset of row views of those
+arrays. Every dataset, a block included, is made by the
+``LabeledDataset`` constructor, which checks its arrays' shapes.
 """
 
 from __future__ import annotations
@@ -149,8 +151,9 @@ def _text_lines(path: str, comment: str | None = None) -> Iterator[tuple[int, st
 def load_csv(path, label_count: int, has_header: bool = False) -> LabeledDataset:
     """Load a dense CSV dataset whose last ``label_count`` fields are labels.
 
-    With ``has_header`` the first non-blank line is a header: it is
-    skipped, and its field count is the width every data row must have.
+    With ``has_header`` the first non-blank line is a header, which is
+    skipped; else it is the first row. Its field count is the width every
+    data row must have.
     """
     return _joined(_csv_chunks, str(path), label_count, has_header)
 
@@ -177,21 +180,18 @@ def stream_csv(path, label_count: int, plan: StreamPlan,
     block is passed on, the first stream block: it is read ahead, so an
     infeasible plan raises DataError before the first block is returned.
     A fault in a later row raises DataError when its block is read.
-    ``plan`` must not shuffle: a shuffle needs every row first.
     """
-    return _stream("stream_csv", plan, _csv_chunks, str(path), label_count, has_header)
+    return _stream(plan, _csv_chunks, str(path), label_count, has_header)
 
 
 def stream_sparse(path, feature_count: int, label_count: int,
                   plan: StreamPlan) -> Iterator[LabeledDataset]:
     """``stream_csv`` for ``load_sparse(path, feature_count, label_count)``."""
-    return _stream("stream_sparse", plan, _sparse_chunks, str(path), feature_count, label_count)
+    return _stream(plan, _sparse_chunks, str(path), feature_count, label_count)
 
 
-def _stream(name: str, plan: StreamPlan, chunks, *args) -> Iterator[LabeledDataset]:
-    """The body of ``name``: the blocks of ``plan``, read by ``chunks(*args, sizes)``."""
-    if plan.shuffle_seed is not None:
-        raise ValueError(f"{name} reads rows in file order; shuffle with stream_blocks")
+def _stream(plan: StreamPlan, chunks, *args) -> Iterator[LabeledDataset]:
+    """The blocks of ``plan``, read by ``chunks(*args, sizes)``."""
     sizes = itertools.chain([plan.init_block_size], itertools.repeat(plan.block_size))
     blocks = chunks(*args, sizes)
     ahead = list(itertools.islice(blocks, 2))
@@ -201,63 +201,66 @@ def _stream(name: str, plan: StreamPlan, chunks, *args) -> Iterator[LabeledDatas
     yield from blocks
 
 
-def _chunks(path: str, sizes: Iterable[int], parse, comment: str | None = None,
-            head: int = 0) -> Iterator[LabeledDataset]:
-    """Consecutive chunks of the text file ``path``, each ``parse(rows,
-    width)`` of as many (line number, text) rows as the next of ``sizes``
-    (after ``head`` header lines in the first; the last may be short).
-    ``width`` is the last chunk's features plus labels, None at first."""
-    rows = _text_lines(path, comment)
-    width = None
-    for size in sizes:
-        chunk = list(itertools.islice(rows, size + head))
-        if width is not None and not chunk:
-            return  # the file ended with the previous chunk
-        ds = parse(chunk, width)
-        width = ds.n_features + ds.n_labels
-        yield ds
-        head = 0
+def _chunks(path: str, rows: Iterator[tuple[int, str]], sizes: Iterator[int],
+            parse) -> Iterator[LabeledDataset]:
+    """Consecutive chunks of ``rows``, the (line number, text) rows of the
+    file ``path``, each ``parse(chunk)`` of as many rows as the next of
+    ``sizes``; the last may be short. No rows at all raise DataError."""
+    chunk = list(itertools.islice(rows, next(sizes)))
+    if not chunk:
+        raise DataError(f"{path}: no data rows")
+    while chunk:
+        yield parse(chunk)
+        chunk = list(itertools.islice(rows, next(sizes)))
 
 
 def _csv_chunks(path: str, label_count: int, has_header: bool,
-                sizes: Iterable[int]) -> Iterator[LabeledDataset]:
+                sizes: Iterator[int]) -> Iterator[LabeledDataset]:
     """The ``_chunks`` of a CSV file, each parsed in bulk by one
     ``np.loadtxt`` call. A chunk is read line by line only when the bulk
     parse declines: to load the few spellings it does not take (``1_0``,
     non-ASCII digits, padded labels) or to name the ``path:line`` of an
     error.
+
+    The first line, the header with ``has_header`` and else the first
+    row, is read once here: its field count, which must exceed
+    ``label_count``, is the width every row is parsed at.
     """
     if label_count < 1:
         raise DataError(f"label_count must be >= 1, got {label_count}")
+    rows = _text_lines(path)
+    first = next(rows, None)
+    if first is not None:  # else _chunks raises before a chunk is parsed
+        lineno, line = first
+        width = line.count(",") + 1
+        if width <= label_count:
+            raise DataError(
+                f"{path}:{lineno}: {'header' if has_header else 'row'} has "
+                f"{width} fields, need more than {label_count}"
+            )
+        if not has_header:
+            rows = itertools.chain([first], rows)
 
-    def parse(rows, width):
-        header = has_header and width is None
-        ds = _csv_in_bulk([line for _, line in rows], label_count, header, width)
-        return ds if ds is not None else _csv_by_line(rows, path, label_count, header, width)
+    def parse(chunk):
+        ds = _csv_in_bulk([line for _, line in chunk], label_count, width)
+        return ds if ds is not None else _csv_by_line(chunk, path, label_count, width)
 
-    return _chunks(path, sizes, parse, head=has_header)
+    yield from _chunks(path, rows, sizes, parse)
 
 
-def _csv_in_bulk(lines: list[str], label_count: int, has_header: bool,
-                 width: int | None = None) -> LabeledDataset | None:
+def _csv_in_bulk(lines: list[str], label_count: int, width: int) -> LabeledDataset | None:
     """The dataset of stripped, non-blank CSV ``lines`` whose every row is
-    plainly valid and ``width`` fields wide (any width when None), else None.
+    plainly valid and ``width`` fields wide, ``width`` more than
+    ``label_count``; else None.
 
-    Every fault declines: no data rows, a header wider or narrower than
-    the first row, a label field that is not literally ``,0`` or ``,1``,
-    a field ``np.loadtxt`` cannot parse, a ragged row or a non-finite
-    value all leave the verdict to ``_csv_by_line``. Every field
-    ``np.loadtxt`` accepts, ``float`` reads to the same value once
-    stripped.
+    Every fault declines: a label field that is not literally ``,0`` or
+    ``,1``, a field ``np.loadtxt`` cannot parse, a row of another width
+    or a non-finite value all leave the verdict to ``_csv_by_line``.
+    Every field ``np.loadtxt`` accepts, ``float`` reads to the same value
+    once stripped.
     """
-    if has_header:
-        if len(lines) < 2 or lines[0].count(",") != lines[1].count(","):
-            return None
-        lines = lines[1:]
-    # A row ends in label_count pairs ",0" or ",1". The first row's length
-    # bounds the comma string, whatever label_count is asked for.
-    if not lines or 2 * label_count > len(lines[0]):
-        return None
+    # A row ends in label_count pairs ",0" or ",1". As label_count < width,
+    # the comma string is shorter than the line that fixed the width.
     commas = "," * label_count
     start = -2 * label_count
     for ln in lines:
@@ -267,7 +270,7 @@ def _csv_in_bulk(lines: list[str], label_count: int, has_header: bool,
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if width not in (None, values.shape[1]) or not all_finite(values):
+    if values.shape[1] != width or not all_finite(values):
         return None
     return LabeledDataset(
         features=np.ascontiguousarray(values[:, :-label_count]),
@@ -276,29 +279,17 @@ def _csv_in_bulk(lines: list[str], label_count: int, has_header: bool,
 
 
 def _csv_by_line(rows: Iterable[tuple[int, str]], path: str, label_count: int,
-                 has_header: bool, width: int | None = None) -> LabeledDataset:
+                 width: int) -> LabeledDataset:
     """Reference reader of ``load_csv``: validates the CSV ``rows`` of
     ``path``, (line number, stripped non-blank line) pairs, one by one,
-    and raises DataError naming ``path:line`` at the first fault.
-
-    ``width`` is the field count that earlier lines fixed. When it is
-    None, the first line fixes it: the header with ``has_header``, else
-    the first row.
+    against the field count ``width`` the first line fixed, and raises
+    DataError naming ``path:line`` at the first fault.
     """
     feature_rows: list[list[float]] = []
     label_rows: list[list[bool]] = []
     for lineno, line in rows:
         fields = [f.strip() for f in line.split(",")]
-        if width is None:
-            if len(fields) <= label_count:
-                raise DataError(
-                    f"{path}:{lineno}: {'header' if has_header else 'row'} has "
-                    f"{len(fields)} fields, need more than {label_count}"
-                )
-            width = len(fields)
-            if has_header:
-                continue
-        elif len(fields) != width:
+        if len(fields) != width:
             raise DataError(
                 f"{path}:{lineno}: ragged row with {len(fields)} fields, expected {width}"
             )
@@ -311,8 +302,6 @@ def _csv_by_line(rows: Iterable[tuple[int, str]], path: str, label_count: int,
                 raise DataError(f"{path}:{lineno}: label field {f!r} is not 0 or 1")
         feature_rows.append(feats)
         label_rows.append([f == "1" for f in labs])
-    if not feature_rows:
-        raise DataError(f"{path}: no data rows")
     return LabeledDataset(
         features=np.array(feature_rows, dtype=float),
         labels=np.array(label_rows, dtype=np.int8),
@@ -335,15 +324,13 @@ def _index(text: str, count: int, seen: set, what: str, path: str, lineno: int) 
 
 
 def _sparse_chunks(path: str, feature_count: int, label_count: int,
-                   sizes: Iterable[int]) -> Iterator[LabeledDataset]:
+                   sizes: Iterator[int]) -> Iterator[LabeledDataset]:
     """The ``_chunks`` of a sparse file, each read line by line into one
     zeroed feature array and one label array."""
     if feature_count < 1 or label_count < 1:
         raise DataError("feature_count and label_count must both be >= 1")
 
-    def parse(rows, width):
-        if not rows:
-            raise DataError(f"{path}: no data rows")
+    def parse(rows):
         features = np.zeros((len(rows), feature_count))
         labels = np.zeros((len(rows), label_count), dtype=np.int8)
         for r, (lineno, line) in enumerate(rows):
@@ -361,7 +348,7 @@ def _sparse_chunks(path: str, feature_count: int, label_count: int,
                 features[r, col] = _finite_float(val_text, path, lineno, "feature value")
         return LabeledDataset(features=features, labels=labels)
 
-    return _chunks(path, sizes, parse, "#")
+    return _chunks(path, _text_lines(path, "#"), sizes, parse)
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,11 +428,12 @@ def kfold(ds: LabeledDataset, k: int, seed: int = 0) -> list[tuple[np.ndarray, n
 
 @dataclass(frozen=True)
 class StreamPlan:
-    """How a dataset is cut into an initial block plus stream blocks."""
+    """How a dataset is cut into an initial block plus stream blocks: the
+    two sizes and nothing else. Rows are cut in the order they come in;
+    ``cli`` shuffles a dataset (--shuffle-seed) before it is cut."""
 
     init_block_size: int
     block_size: int
-    shuffle_seed: int | None = None
 
     def __post_init__(self):
         n0, b = self.init_block_size, self.block_size
@@ -472,23 +460,20 @@ def stream_blocks(ds: LabeledDataset, plan: StreamPlan) -> Sequence[LabeledDatas
     Stream blocks have ``plan.block_size`` rows except a final remainder
     block of at least one row. When the initial block covers the whole
     dataset the result is that single block. Concatenating the blocks in
-    order reproduces the dataset, seeded-shuffled when ``shuffle_seed``
-    is set. The plan's feasibility is checked, and the shuffle made, here.
+    order reproduces the dataset: they are only cut, never shuffled. The
+    plan's feasibility is checked here.
 
     The result is a read-only sequence that holds the two arrays, the
     plan's sizes and the range of block numbers it covers, and nothing
     per block. A block is cut when it is read, and an iteration reads
     each block as an index does: each read gives a new LabeledDataset
-    whose arrays are row views, not copies, of ``ds``'s arrays or, with
-    ``shuffle_seed``, of one shuffled copy of them, so writing to a block
-    writes to that array. A slice is a sequence of the same kind. As
+    whose arrays are row views, not copies, of ``ds``'s arrays, so writing
+    to a block writes to ``ds``. A slice is a sequence of the same kind. As
     datasets compare by identity, a block read earlier is not ``in`` the
     sequence, which cuts a new one at each read.
     """
     n = ds.n_samples
     _check_feasible(plan, n)
-    if plan.shuffle_seed is not None:
-        ds = ds.subset(np.random.default_rng(plan.shuffle_seed).permutation(n))
     n0, b = plan.init_block_size, plan.block_size
     return _Blocks(ds.features, ds.labels, n0, b, range(1 + -(-(n - n0) // b)))
 

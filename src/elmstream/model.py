@@ -247,6 +247,8 @@ def _check_gram_inv(m: np.ndarray, layer: HiddenLayer) -> None:
     n = layer.hidden_count
     if m.shape != (n, n):
         raise ShapeError(f"gram_inv must have shape {(n, n)} for {n} neurons, got {m.shape}")
+    if not np.array_equal(m, m.T):  # update reads h M0 as (M0 H')'
+        raise ValueError("gram_inv is not exactly symmetric")
 
 
 def _check_beta(beta: np.ndarray, layer: HiddenLayer) -> None:
@@ -272,8 +274,9 @@ class OselmModel:
     Assigning ``gram_inv`` or ``beta`` checks its shape against the hidden
     layer, as unpickling does: M must be H x H and beta 2-D with H rows and
     at least one column, for H neurons, else ShapeError names both shapes.
-    ``update`` writes its results past these checks, whose shapes are right
-    by construction, so no arrival pays for them.
+    M must also be exactly symmetric, as ``update`` reads h M0 as (M0 H')',
+    else ValueError. ``update`` writes its results past these checks, as
+    they hold by construction, so no arrival pays for them.
 
     Assigning ``gram_inv`` or ``beta`` also records max|M0| and |beta|^2.
     One bound governs the load, max|M0| plus the pending rows' squared

@@ -300,6 +300,40 @@ class TestStreamedTrain:
             assert peaks[1] <= 1.25 * peaks[0], (fmt, peaks)
 
 
+class TestShuffleSeed:
+    """--shuffle-seed S streams the rows in ``default_rng(S).permutation(n)`` order."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "sparse"])
+    def test_train_learns_the_permuted_file(self, tmp_path, fmt):
+        ds = synthetic_stream(40, 4, 3, seed=65)
+        perm = np.random.default_rng(7).permutation(ds.n_samples)
+        data, keys = write_stream(tmp_path, fmt, ds)
+        (tmp_path / "permuted").mkdir()
+        permuted, _ = write_stream(tmp_path / "permuted", fmt, ds.subset(perm))
+        models = {}
+        for name, path, over in [("shuffled", data, {"shuffle-seed": "7"}),
+                                 ("permuted", permuted, {}), ("unshuffled", data, {})]:
+            models[name] = tmp_path / f"{name}.model"
+            argv = train_args(path, models[name], **{"init-block": "10", "block": "4"},
+                              **flags(keys), **over)
+            assert main(argv) == EXIT_OK
+        shuffled, permuted, unshuffled = (models[k].read_bytes() for k in models)
+        assert shuffled == permuted
+        assert shuffled != unshuffled
+
+    def test_cv_report_repeats(self, tmp_path, capsys):
+        data = tmp_path / "cv.csv"
+        write_csv(data, synthetic_stream(60, 4, 3, seed=66))
+        argv = ["cv", "--data", str(data), "--labels", "3", "--folds", "3",
+                "--hidden", "8", "--init-block", "10", "--block", "5", "--shuffle-seed", "4"]
+        reports = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            reports.append(without_times(capsys.readouterr().out))
+        assert reports[0] == reports[1]
+        assert len(reports[0]) > 3
+
+
 class TestEvalCommand:
     def test_perfect_interpolation_gives_zero_hamming(
         self, interpolating_csv, tmp_path, capsys
@@ -405,7 +439,7 @@ class TestCvCommand:
         second = capsys.readouterr().out
         assert without_times(first) == without_times(second)
 
-    def test_fold_file_input(self, tmp_path):
+    def test_fold_file_input(self, tmp_path, capsys):
         ds = synthetic_stream(12, 3, 2, seed=62)
         data = tmp_path / "cv.csv"
         write_csv(data, ds)
@@ -415,6 +449,26 @@ class TestCvCommand:
                      "--fold-file", str(fold_file), "--hidden", "2",
                      "--init-block", "3", "--block", "3"])
         assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "fold 1/2" in out and "fold 2/2" in out and "fold 3/" not in out
+
+    def test_folds_and_fold_file_together_are_a_usage_error(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # Either may come from a flag or from the config file; nothing is read.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "both.cfg").write_text("folds 5\nfold_file folds.txt\n")
+        (tmp_path / "folds.cfg").write_text("folds 5\n")
+        cv = ["cv", "--data", "d.csv", "--labels", "2", "--hidden", "2", "--init-block", "3",
+              "--block", "3"]
+        for extra in (["--folds", "5", "--fold-file", "folds.txt"], ["--config", "both.cfg"],
+                      ["--config", "folds.cfg", "--fold-file", "folds.txt"]):
+            assert main(cv + extra) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                "usage error: --folds and --fold-file are both given; 'cv' takes one\n"
+            )
+        # Other commands ignore both keys.
+        RunConfig(command="train", data="d.csv", labels=2, hidden=1, init_block=1, block=1,
+                  folds=5, fold_file="folds.txt")
 
     def test_fold_index_past_int64_is_a_data_error(self, tmp_path, capsys):
         ds = synthetic_stream(4, 3, 2, seed=62)

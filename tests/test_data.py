@@ -142,11 +142,12 @@ class TestLoadCsv:
         # The per-line reader is for errors and rare spellings only.
         p = tmp_path / "plain.csv"
         write_csv(p, small_learnable)
-        ds = _csv_in_bulk(p.read_text().splitlines(), 3, has_header=False)
+        width = small_learnable.n_features + small_learnable.n_labels
+        ds = _csv_in_bulk(p.read_text().splitlines(), 3, width)
         assert np.array_equal(ds.features, small_learnable.features)
         assert np.array_equal(ds.labels, small_learnable.labels)
         p.write_text("1_0,2.5,1\n")
-        assert _csv_in_bulk(p.read_text().splitlines(), 1, has_header=False) is None
+        assert _csv_in_bulk(p.read_text().splitlines(), 1, 3) is None
 
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
     def test_chunk_of_another_width_is_ragged(self, tmp_path, monkeypatch, chunk_rows):
@@ -169,15 +170,6 @@ class TestLoadCsv:
             load_csv(p, label_count=10**12)
         with pytest.raises(DataError, match=r"^label_count must be >= 1, got 0$"):
             load_csv(p, label_count=0)
-
-    def test_stream_csv_refuses_a_shuffling_plan(self, tmp_path):
-        p = tmp_path / "toy.csv"
-        p.write_text("1.0,2.0,1\n3.0,4.0,0\n")
-        with pytest.raises(ValueError, match="^stream_csv reads rows in file order"):
-            list(stream_csv(p, 1, StreamPlan(1, 1, shuffle_seed=0)))
-        p.write_text("1 1:1.0\n2:3.0\n")
-        with pytest.raises(ValueError, match="^stream_sparse reads rows in file order"):
-            list(stream_sparse(p, 2, 1, StreamPlan(1, 1, shuffle_seed=0)))
 
     def test_underscore_digits_load_as_python_floats(self, tmp_path):
         p = tmp_path / "digits.csv"
@@ -513,17 +505,6 @@ class TestStreamBlocks:
         cat = np.vstack([b.features for b in blocks])
         assert np.array_equal(cat, ds.features)
 
-    def test_shuffle_is_seeded_permutation(self):
-        ds = synthetic_stream(40, 2, 2, seed=15)
-        blocks = stream_blocks(ds, StreamPlan(10, 10, shuffle_seed=3))
-        again = stream_blocks(ds, StreamPlan(10, 10, shuffle_seed=3))
-        cat = np.vstack([b.features for b in blocks])
-        assert np.array_equal(cat, np.vstack([b.features for b in again]))
-        assert not np.array_equal(cat, ds.features)
-        assert np.array_equal(
-            np.sort(cat, axis=0), np.sort(ds.features, axis=0)
-        )
-
     def test_datasets_compare_by_identity(self):
         # == between dataclasses compares their fields, and == between
         # arrays has no single truth value.
@@ -572,15 +553,6 @@ class TestStreamBlocks:
             assert np.shares_memory(blk.features, ds.features)
             assert np.shares_memory(blk.labels, ds.labels)
 
-    def test_shuffled_blocks_are_views_of_one_copy(self):
-        ds = synthetic_stream(57, 3, 2, seed=14)
-        blocks = stream_blocks(ds, StreamPlan(13, 7, shuffle_seed=5))
-        for name in ("features", "labels"):
-            copy = getattr(blocks[0], name).base
-            assert copy is not None
-            assert not np.shares_memory(copy, getattr(ds, name))
-            assert all(getattr(b, name).base is copy for b in blocks)
-
     def test_fifty_one_block_configuration(self):
         # A 1500-row training split cut as init=100 plus blocks of 28
         # yields 51 processed blocks in total.
@@ -593,8 +565,6 @@ def listed_blocks(ds, plan):
     """The blocks of ``plan`` as a list, every one cut at once: the
     reference ``stream_blocks`` is checked against."""
     n = ds.n_samples
-    if plan.shuffle_seed is not None:
-        ds = ds.subset(np.random.default_rng(plan.shuffle_seed).permutation(n))
     x, y = ds.features, ds.labels
     bounds = [0, *range(plan.init_block_size, n, plan.block_size), n]
     return [LabeledDataset(x[a:z], y[a:z]) for a, z in zip(bounds, bounds[1:])]
@@ -605,9 +575,8 @@ def offset(a):
     return a.__array_interface__["data"][0] - a.base.__array_interface__["data"][0]
 
 
-def assert_same_blocks(got, want, shuffled):
-    """Same rows, cut at the same place of arrays laid out alike: the same
-    arrays unless ``shuffled``, where each side made its own copy."""
+def assert_same_blocks(got, want):
+    """Same rows, cut at the same place of the same arrays."""
     got, want = list(got), list(want)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -617,7 +586,7 @@ def assert_same_blocks(got, want, shuffled):
             assert (a.shape, a.strides, a.dtype, offset(a)) == (b.shape, b.strides, b.dtype,
                                                                 offset(b))
             assert np.array_equal(a, b)
-            assert (a.base is b.base) != shuffled
+            assert a.base is b.base
 
 
 PLANS = {
@@ -625,7 +594,6 @@ PLANS = {
     "even": (11, StreamPlan(3, 2)),
     "single_rows": (9, StreamPlan(3, 1)),
     "init_is_every_row": (9, StreamPlan(9, 4)),
-    "shuffled": (23, StreamPlan(5, 4, shuffle_seed=2)),
 }
 BOUNDS = (None, -100, -7, -2, -1, 0, 1, 2, 5, 100)
 SLICES = [slice(a, b, step) for a in BOUNDS for b in BOUNDS for step in (None, 1, 2, 3, -1, -2)]
@@ -640,29 +608,27 @@ class TestLazyBlocks:
         ds = synthetic_stream(rows, 3, 2, seed=rows)
         got, want = stream_blocks(ds, plan), listed_blocks(ds, plan)
         assert len(got) == len(want)
-        shuffled = plan.shuffle_seed is not None
         for i in range(-len(want), len(want)):
-            assert_same_blocks([got[i]], [want[i]], shuffled)
+            assert_same_blocks([got[i]], [want[i]])
             assert got[i] is not got[i]  # each read is a new dataset
         for i in (-len(want) - 2, -len(want) - 1, len(want), len(want) + 1):
             with pytest.raises(IndexError):
                 got[i]
         with pytest.raises(TypeError):
             got[1.0]
-        assert_same_blocks(got, want, shuffled)
+        assert_same_blocks(got, want)
 
     def test_slices(self, rows, plan):
         ds = synthetic_stream(rows, 3, 2, seed=rows)
         got, want = stream_blocks(ds, plan), listed_blocks(ds, plan)
-        shuffled = plan.shuffle_seed is not None
         for sl in SLICES:
             part = got[sl]
             assert type(part) is type(got) and len(part) == len(want[sl])
             # Iterating a slice gives what indexing it gives.
-            assert_same_blocks(part, [part[i] for i in range(len(part))], False)
-            assert_same_blocks(part, want[sl], shuffled)
+            assert_same_blocks(part, [part[i] for i in range(len(part))])
+            assert_same_blocks(part, want[sl])
             for inner in (slice(1, None), slice(None, None, -2), slice(-2, None)):
-                assert_same_blocks(part[inner], want[sl][inner], shuffled)
+                assert_same_blocks(part[inner], want[sl][inner])
         assert list(reversed(got))[0].n_samples == want[-1].n_samples
 
     def test_writes_reach_the_dataset(self, rows, plan):
@@ -671,10 +637,7 @@ class TestLazyBlocks:
         for k, block in enumerate(blocks):
             block.features[...] = k
         blocks[-1].labels[-1, -1] = 7
-        if plan.shuffle_seed is None:
-            x, y = ds.features, ds.labels
-        else:
-            x, y = blocks[0].features.base, blocks[0].labels.base
+        x, y = ds.features, ds.labels
         numbers = np.concatenate([np.full(b.n_samples, k) for k, b in enumerate(blocks)])
         assert np.array_equal(x, np.repeat(numbers[:, None], 3, axis=1))
         assert y[-1, -1] == 7

@@ -1212,6 +1212,22 @@ class TestStateShapes:
         assert model.gram_inv is gram_inv and model.beta is beta
         update(model, x[30:32], y[30:32])
 
+    def test_gram_inv_that_is_not_exactly_symmetric_is_refused(self):
+        # update reads h M0 as (M0 H')', which holds only for a symmetric M0.
+        layer = init_hidden(3, 8, seed=0)
+        asymmetric = np.eye(8)
+        asymmetric[0, 1] += 1e-3
+        message = "^gram_inv is not exactly symmetric$"
+        with pytest.raises(ValueError, match=message):
+            OselmModel(layer, asymmetric, np.zeros((8, 2)), samples_seen=40, blocks_seen=1)
+        model = OselmModel(layer, np.eye(8), np.zeros((8, 2)), samples_seen=40, blocks_seen=1)
+        with pytest.raises(ValueError, match=message):
+            model.gram_inv = asymmetric
+        assert np.array_equal(model.gram_inv, np.eye(8))
+        model.__dict__["_base"] = asymmetric
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(pickle.dumps(model))
+
 
 class TestIllConditionedStream:
     """A stream whose hidden output H has cond(H'H) of about 4e11 (sine
@@ -1421,6 +1437,13 @@ def _set(model, **attributes):
         setattr(model, name, value)
 
 
+def _nudged_in_place(model, at):
+    """Move ``model.gram_inv``'s entry ``at`` one ulp up in place, past the
+    setter's symmetry check, and return no normalizer."""
+    model.gram_inv = np.array(model.gram_inv)  # M0 itself, with no rows pending
+    model.gram_inv[at] = np.nextafter(model.gram_inv[at], np.inf)
+
+
 def _nudged(a, at, value=None):
     """A copy of ``a`` whose entry ``at`` is ``value``, or one ulp above it."""
     a = a.copy()
@@ -1490,8 +1513,7 @@ class TestSerialization:
              ":7: samples_seen must be an integer >= 1, got '0'$"),
             (lambda m: _set(m, samples_seen=1, blocks_seen=0),
              ":8: blocks_seen must be an integer >= 1, got '0'$"),
-            (lambda m: _set(m, gram_inv=_nudged(m.gram_inv, (0, 1))),
-             ": gram_inv is not exactly symmetric$"),
+            (lambda m: _nudged_in_place(m, (0, 1)), ": gram_inv is not exactly symmetric$"),
             (lambda m: _set(m, beta=_nudged(m.beta, (3, 1), np.nan)), ": non-finite array value$"),
             (lambda m: _set(m, hidden=HiddenLayer(_nudged(m.hidden.weights, (2, 4), np.inf),
                                                   m.hidden.biases, m.hidden.activation)),

@@ -11,9 +11,11 @@ Likewise a sparse file written by the test-side writer must load back
 exactly, and a corrupted one must raise DataError or load a dataset of the
 declared widths with finite features and 0/1 labels. A dense CSV text,
 well-formed or not, must give ``load_csv`` and its per-line reference
-reader the same arrays or the same DataError. And no interleaving of
-``predict_raw`` with ``update``, in-place edits of the arrival, its bytes
-in another shape and model copies changes a bit of what ``update`` learns.
+reader the same arrays or the same DataError, and ``stream_csv`` the
+blocks ``stream_blocks`` cuts from ``load_csv`` or the same DataError.
+And no interleaving of ``predict_raw`` with ``update``, in-place edits of
+the arrival, its bytes in another shape and model copies changes a bit
+of what ``update`` learns.
 Examples are derandomized, so every run checks the same cases.
 """
 
@@ -32,9 +34,10 @@ from elmstream.data import (  # noqa: E402
     LabeledDataset,
     Normalizer,
     StreamPlan,
-    _csv_by_line,
     load_csv,
     load_sparse,
+    stream_blocks,
+    stream_csv,
     stream_sparse,
 )
 from elmstream.labels import to_bipolar  # noqa: E402
@@ -128,10 +131,13 @@ def faulty_models(draw):
     if fault == "weights":
         weights = with_entry(draw, layer.weights, draw(non_finite))
         bad.hidden = HiddenLayer(weights, layer.biases, layer.activation)
-    elif fault in ("gram_inv", "beta"):
-        setattr(bad, fault, with_entry(draw, getattr(model, fault), draw(non_finite)))
-    elif fault == "asymmetry":
-        bad.gram_inv = with_entry(draw, model.gram_inv)
+    elif fault == "beta":
+        bad.beta = with_entry(draw, model.beta, draw(non_finite))
+    elif fault in ("gram_inv", "asymmetry"):
+        # Written in place: the setter refuses a gram_inv that is not exactly symmetric.
+        value = draw(non_finite) if fault == "gram_inv" else None
+        bad.gram_inv = np.array(model.gram_inv)
+        bad.gram_inv[...] = with_entry(draw, model.gram_inv, value)
     elif fault == "diagonal":
         bad.gram_inv = np.array(model.gram_inv)
         np.fill_diagonal(bad.gram_inv, with_entry(draw, np.diag(model.gram_inv)))
@@ -351,7 +357,8 @@ def test_corrupted_sparse_file_raises_data_error_or_loads_consistently(
 
 # Dense CSV: load_csv parses in bulk and falls back to the per-line reader,
 # data._csv_by_line. Whatever the text, the two must agree: the same arrays
-# bit for bit, or the same DataError message.
+# bit for bit, or the same DataError message. So must stream_csv and the
+# blocks stream_blocks cuts from load_csv's dataset.
 
 FLOAT_STYLES = ["{!r}"] * 3 + [
     "{:.6g}",
@@ -378,6 +385,7 @@ row_faults = st.lists(
     max_size=2,
 )
 row_counts = st.integers(0, 5)
+plans = st.builds(StreamPlan, one_to_4, one_to_3)
 header_width_changes = st.sampled_from([0, 0, 0, 0, -1, 1])
 
 
@@ -416,14 +424,20 @@ def csv_texts(draw):
     return text, m, has_header
 
 
-def csv_outcome(loader, path, m, has_header):
+def csv_outcome(read):
+    """The arrays of the datasets ``read()`` gives, bit for bit, or the
+    text of the DataError it raises."""
     try:
-        ds = loader(path, m, has_header)
+        datasets = list(read())
     except DataError as exc:
         return "DataError", str(exc)
-    assert ds.features.dtype == np.float64 and ds.features.flags.c_contiguous
-    assert ds.labels.dtype == np.int8 and ds.labels.flags.c_contiguous
-    return (ds.features.shape, ds.features.tobytes(), ds.labels.shape, ds.labels.tobytes())
+    arrays = []
+    for ds in datasets:
+        assert ds.features.dtype == np.float64 and ds.features.flags.c_contiguous
+        assert ds.labels.dtype == np.int8 and ds.labels.flags.c_contiguous
+        arrays.append((ds.features.shape, ds.features.tobytes(),
+                       ds.labels.shape, ds.labels.tobytes()))
+    return arrays
 
 
 @pytest.fixture(scope="module")
@@ -432,19 +446,20 @@ def csv_path(tmp_path_factory):
 
 
 @settings(FUZZ, max_examples=200)
-@given(drawn=csv_texts(), chunk_rows=one_to_3)
-def test_csv_load_matches_the_per_line_reader(csv_path, drawn, chunk_rows):
-    # load_csv reads chunks of 1 to 3 rows here, so the texts' up to 5
-    # rows cross chunk boundaries at every kind of line end and fault.
+@given(drawn=csv_texts(), chunk_rows=one_to_3, plan=plans)
+def test_csv_load_matches_the_per_line_reader(csv_path, drawn, chunk_rows, plan):
+    # load_csv reads chunks of 1 to 3 rows here and stream_csv blocks of 1
+    # to 4, so the texts' up to 5 rows cross chunk boundaries at every
+    # kind of line end and fault.
     text, m, has_header = drawn
     csv_path.write_bytes(text.encode("utf-8"))
     with mock.patch("elmstream.data._CHUNK_ROWS", chunk_rows):
-        loaded = csv_outcome(load_csv, csv_path, m, has_header)
-    # The reference numbers, strips and drops blank lines itself.
-    lines = csv_path.read_text(encoding="utf-8").split("\n")
-    rows = [(n, line.strip()) for n, line in enumerate(lines, start=1) if line.strip()]
-    assert loaded == csv_outcome(
-        lambda path, *args: _csv_by_line(rows, str(path), *args), csv_path, m, has_header
+        loaded = csv_outcome(lambda: [load_csv(csv_path, m, has_header)])
+    # The reference reads every chunk line by line: the bulk parse declines.
+    with mock.patch("elmstream.data._csv_in_bulk", lambda *args: None):
+        assert csv_outcome(lambda: [load_csv(csv_path, m, has_header)]) == loaded
+    assert csv_outcome(lambda: stream_csv(csv_path, m, plan, has_header)) == csv_outcome(
+        lambda: stream_blocks(load_csv(csv_path, m, has_header), plan)
     )
 
 

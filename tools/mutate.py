@@ -53,17 +53,6 @@ EQUIVALENT = {
         "the cast also runs on non-empty indices; callers pass integers or a mask, unchanged by it",
     "data.py:_text_lines: 1 -> 2 in `line = line.split(comment, 1)[0]`":
         "only the text before the first comment character is kept",
-    "data.py:_csv_in_bulk: 2 -> 3"
-    " in `if len(lines) < 2 or lines[0].count(\",\") != lines[1].count(\",\"):`":
-        "a declined chunk gets the per-line reader's dataset or error",
-    "data.py:_csv_in_bulk: len(lines) < 2 -> len(lines) <= 2"
-    " in `if len(lines) < 2 or lines[0].count(\",\") != lines[1].count(\",\"):`":
-        "a declined chunk gets the per-line reader's dataset or error",
-    "data.py:_csv_in_bulk: 2 -> 3 in `if not lines or 2 * label_count > len(lines[0]):`":
-        "a declined chunk gets the per-line reader's dataset or error",
-    "data.py:_csv_in_bulk: 2 * label_count > len(lines[0]) -> 2 * label_count >= len(lines[0])"
-    " in `if not lines or 2 * label_count > len(lines[0]):`":
-        "a declined chunk gets the per-line reader's dataset or error",
     "metrics.py:compute_report: 1 -> 2"
     " in `f1 = np.where(both_empty, 1.0, 2 * inter / np.maximum(n_pred + n_true, 1))`":
         "a row whose counts sum to 1 has no common label: 0 / 1 and 0 / 2 are both 0",
