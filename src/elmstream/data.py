@@ -353,9 +353,11 @@ def _sparse_chunks(path: str, feature_count: int, label_count: int,
 
 @dataclass(frozen=True, eq=False)
 class Normalizer:
-    """Frozen per-feature affine map x -> x * scale + offset. Construction,
-    and unpickling, raise DataError unless scale and offset are 1-D arrays
-    of one size, so neither is broadcast over the features. Normalizers
+    """Frozen per-feature affine map x -> x * scale + offset. Construction
+    raises DataError unless scale and offset are 1-D arrays of one size, so
+    neither is broadcast over the features, and makes the two arrays
+    read-only, so a write into them in place raises numpy's ValueError.
+    Copies and unpickling construct the normalizer again. Normalizers
     compare and hash by identity, as datasets do."""
 
     scale: np.ndarray
@@ -367,10 +369,11 @@ class Normalizer:
                 f"scale and offset must be 1-D arrays of one size, got {self.scale.shape} "
                 f"and {self.offset.shape}"
             )
+        self.scale.setflags(write=False)
+        self.offset.setflags(write=False)
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.__post_init__()
+    def __reduce__(self):
+        return Normalizer, (self.scale, self.offset)
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

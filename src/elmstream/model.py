@@ -69,15 +69,15 @@ ACTIVATIONS = {
 class HiddenLayer:
     """Random input weights and biases, frozen after construction.
 
-    Construction, and unpickling, check the layer: an activation not in
-    ``ACTIVATIONS`` raises ValueError, and weights that are not 2-D or
-    biases that are not one entry per neuron raise ShapeError, so one bias
-    is never broadcast over every neuron. Construction makes the two
-    arrays read-only, so a write into them in place raises numpy's
-    ValueError, and records once whether the layer is bounded:
-    |W|^2 + |b|^2 <= 2^200, under which ``hidden_output`` skips numpy's
-    overflow guard. Layers compare and hash by identity: == would compare
-    their arrays.
+    Construction checks the layer: an activation not in ``ACTIVATIONS``
+    raises ValueError, and weights that are not 2-D or biases that are not
+    one entry per neuron raise ShapeError, so one bias is never broadcast
+    over every neuron. Construction makes the two arrays read-only, so a
+    write into them in place raises numpy's ValueError, and records once
+    whether the layer is bounded: |W|^2 + |b|^2 <= 2^200, under which
+    ``hidden_output`` skips numpy's overflow guard. Copies and unpickling
+    construct the layer again. Layers compare and hash by identity: ==
+    would compare their arrays.
     """
 
     weights: np.ndarray  # hidden_count x input_dim
@@ -99,10 +99,8 @@ class HiddenLayer:
         norm = np.vdot(self.weights, self.weights) + np.vdot(self.biases, self.biases)
         object.__setattr__(self, "_bounded", bool(norm <= _LAYER_LIMIT))  # NaN fails too
 
-    def __setstate__(self, state):
-        # copy.deepcopy and pickle give writable copies of the arrays.
-        self.__dict__.update(state)
-        self.__post_init__()
+    def __reduce__(self):
+        return HiddenLayer, (self.weights, self.biases, self.activation)
 
     @property
     def input_dim(self) -> int:
@@ -232,14 +230,16 @@ def _peak(m: np.ndarray) -> float:
 
 
 def _fold(base: np.ndarray, pending: np.ndarray) -> tuple[np.ndarray, float]:
-    """M0 - G'G in G'G's fresh buffer, and its peak. numpy computes G'G
-    with syrk, so the result is exactly symmetric when M0 is."""
+    """M0 - G'G in G'G's fresh buffer, read-only, and its peak. numpy
+    computes G'G with syrk, so the result is exactly symmetric when M0
+    is."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported by the check
         m = pending.T @ pending
         np.subtract(base, m, out=m)
     peak = _peak(m)
     if not math.isfinite(peak):
         raise NumericalError("inverse Gram matrix contains non-finite entries")
+    m.setflags(write=False)
     return m, peak
 
 
@@ -278,16 +278,16 @@ class OselmModel:
     else ValueError. ``update`` writes its results past these checks, as
     they hold by construction, so no arrival pays for them.
 
-    Assigning ``gram_inv`` or ``beta`` also records max|M0| and |beta|^2.
-    One bound governs the load, max|M0| plus the pending rows' squared
-    norms: ``update`` keeps rows pending only while it is at most 2^400,
-    and under that bound, with |beta|^2 <= 2^800, ``update`` and
-    ``predict_raw`` skip numpy's overflow guard. ``beta`` is read-only:
-    assigning it stores a read-only copy, ``update`` stores its fresh
-    weights read-only, and a write into them in place raises numpy's
-    ValueError. Change M by assignment: after a write into ``gram_inv`` in
-    place, an overflow may show as numpy's warning before the
-    NumericalError.
+    M and beta are read-only, so what passed these checks stays as it
+    was: assigning ``gram_inv`` makes the array itself read-only, with no
+    copy, assigning ``beta`` stores a read-only copy, ``update`` stores its
+    new M0 and weights read-only, a read of ``gram_inv`` while rows are
+    pending gives a read-only M, and a write into any of them in place
+    raises numpy's ValueError. Assigning ``gram_inv`` or ``beta`` also
+    records max|M0| and |beta|^2. One bound governs the load, max|M0| plus
+    the pending rows' squared norms: ``update`` keeps rows pending only
+    while it is at most 2^400, and under that bound, with |beta|^2 <=
+    2^800, ``update`` and ``predict_raw`` skip numpy's overflow guard.
 
     ``predict_raw`` on an arrival of 1 to 64 rows keeps one record of the
     rows and their hidden output h: the hidden layer object, the rows'
@@ -297,9 +297,10 @@ class OselmModel:
     ``update`` reuses h and the raw outputs when it learns the same rows,
     in the same shape, through the same layer. ``init_phase`` leaves a
     record of a small enough initial block, for the ``predict_raw`` that
-    calibrates the threshold. The record belongs to the model that made
-    it: it is never saved, and no copy carries it, whether made by
-    ``copy.copy``, ``copy.deepcopy`` or pickle.
+    calibrates the threshold. The record is never saved. ``copy.copy``,
+    which shares the record's arrays, drops it, as ``update`` hands out the
+    record's own raw outputs; ``copy.deepcopy`` and pickle copy it with the
+    rest of the model, the copy's own layer in it.
     """
 
     def __init__(
@@ -327,6 +328,7 @@ class OselmModel:
     @gram_inv.setter
     def gram_inv(self, m: np.ndarray) -> None:
         _check_gram_inv(m, self.hidden)
+        m.setflags(write=False)
         self._base = m  # M0
         self._downdates = np.empty((_capacity(1, len(m)), len(m)))  # G is its first rows
         self._pending = 0
@@ -354,19 +356,13 @@ class OselmModel:
         twin._projected = None  # update hands out the record's raw outputs
         return twin
 
-    def __getstate__(self):
-        # A record belongs to the model that made it, as in __copy__.
-        state = self.__dict__.copy()
-        del state["_projected"]
-        return state
-
     def __setstate__(self, state):
-        # copy.deepcopy and pickle give a writable copy of beta.
+        # copy.deepcopy and pickle give writable copies of M0 and beta.
         self.__dict__.update(state)
         _check_gram_inv(self._base, self.hidden)
         _check_beta(self._beta, self.hidden)
+        self._base.setflags(write=False)
         self._beta.setflags(write=False)
-        self._projected = None
 
     @property
     def label_count(self) -> int:
@@ -647,8 +643,9 @@ def predict_raw(model: OselmModel, x) -> np.ndarray:
 # weights, biases, gram_inv, beta and, with a normalizer, scale and offset as
 # raw little-endian float64. The header counts fix every shape (_shapes), and
 # raw floats round-trip bit for bit. One decoder, _decode, holds every rule a
-# file must keep: load_model runs it on the file's bytes, and save_model on
-# the bytes it is about to write, so it writes no file that load_model would
+# file must keep and builds the model through the constructors, which check
+# the rest: load_model runs it on the file's bytes, and save_model on the
+# bytes it is about to write, so it writes no file that load_model would
 # reject.
 
 _FORMAT_TAG = "elmstream-model"
@@ -696,11 +693,15 @@ def _shapes(fields: dict) -> list[tuple[int, ...]]:
     return shapes
 
 
-def _decode(path, head: list[bytes], payload) -> tuple[dict, list[np.ndarray]]:
-    """The header fields and the arrays of a model file whose header lines
-    are ``head`` and whose arrays are the bytes ``payload`` (a bytes-like
-    object whose len is its byte count). The arrays are views of
-    ``payload``, read-only when it is. The first fault raises DataError
+def _decode(path, head: list[bytes], payload) -> tuple[OselmModel, Normalizer | None]:
+    """The model and the normalizer, or None, of a model file whose header
+    lines are ``head`` and whose arrays are the bytes ``payload`` (a
+    bytes-like object whose len is its byte count). They are built by the
+    ``HiddenLayer``, ``OselmModel`` and ``Normalizer`` constructors; on
+    arrays the header's counts shape and that are finite, only one of
+    their checks can fail: a ``gram_inv`` that is not exactly symmetric.
+    The layer's arrays, ``gram_inv`` and the normalizer's arrays are
+    read-only views of ``payload``. The first fault raises DataError
     naming ``path``."""
     try:
         lines = [line.decode("utf-8").rstrip("\n") for line in head]
@@ -728,20 +729,25 @@ def _decode(path, head: list[bytes], payload) -> tuple[dict, list[np.ndarray]]:
     if not all_finite(flat):
         raise DataError(f"{path}: non-finite array value")
     parts = np.split(flat, np.cumsum(sizes)[:-1])
-    arrays = [part.reshape(shape) for part, shape in zip(parts, shapes)]
-    if not np.array_equal(arrays[2], arrays[2].T):
-        raise DataError(f"{path}: gram_inv is not exactly symmetric")
-    return fields, arrays
+    weights, biases, gram_inv, beta, *norm = map(np.reshape, parts, shapes)
+    layer = HiddenLayer(weights, biases, fields["activation"])
+    try:
+        model = OselmModel(layer, gram_inv, beta, fields["threshold"],
+                           fields["samples_seen"], fields["blocks_seen"])
+    except ValueError as exc:  # gram_inv is not exactly symmetric
+        raise DataError(f"{path}: {exc}") from None
+    return model, Normalizer(*norm) if norm else None
 
 
 def save_model(path, model: OselmModel, normalizer: Normalizer | None = None) -> None:
     """Write the model (and the feature normalizer, if any) in format v2.
 
     The arrays are reshaped to the shapes the header's counts give, into
-    one buffer, and the header lines and that buffer go through
-    ``load_model``'s decoder before the file is opened. So whatever
-    ``load_model`` would reject raises ValueError and writes nothing: an
-    array of another size (numpy's ValueError), and, as DataError naming
+    one buffer, and the header lines and that buffer go through the whole
+    of ``load_model``'s decoding, constructors included, before the file
+    is opened. So whatever ``load_model`` would reject raises ValueError
+    and writes nothing: an array of another size (numpy's ValueError),
+    and, as DataError naming
     ``path``, a non-finite threshold or array entry, a ``gram_inv`` that
     is not exactly symmetric, a ``samples_seen`` or ``blocks_seen`` that
     is not an integer of at least 1, an unknown activation, or a header
@@ -777,19 +783,11 @@ def save_model(path, model: OselmModel, normalizer: Normalizer | None = None) ->
 
 def load_model(path) -> tuple[OselmModel, Normalizer | None]:
     """Read a model file written by ``save_model``; a file it would not
-    write raises DataError naming ``path``. The layer's arrays, ``gram_inv``
-    and the normalizer's arrays are read-only views of the file's bytes."""
+    write raises DataError naming ``path``. ``_decode`` builds the model and
+    the normalizer through their constructors, so the layer's arrays,
+    ``gram_inv`` and the normalizer's arrays are read-only views of the
+    file's bytes, and beta a read-only copy."""
     with open(path, "rb") as fh:
         head = [fh.readline() for _ in range(len(_HEADER) + 2)]
         payload = fh.read()
-    fields, (weights, biases, gram_inv, beta, *norm) = _decode(path, head, payload)
-    layer = HiddenLayer(weights=weights, biases=biases, activation=fields["activation"])
-    model = OselmModel(
-        hidden=layer,
-        gram_inv=gram_inv,
-        beta=beta,
-        threshold=fields["threshold"],
-        samples_seen=fields["samples_seen"],
-        blocks_seen=fields["blocks_seen"],
-    )
-    return model, Normalizer(*norm) if norm else None
+    return _decode(path, head, payload)

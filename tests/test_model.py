@@ -1078,16 +1078,28 @@ class TestProjectionReuse:
         model = self.initial_block(seed=84)[0]
         assert model._projected is None
 
-    @pytest.mark.parametrize(
-        "twin", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
-        ids=["copy", "deepcopy", "pickle"],
-    )
+    @pytest.mark.parametrize("twin", [copy.copy], ids=["copy"])
     def test_copied_model_has_no_record(self, twin):
+        # A shallow copy would share the record's arrays: see the next test.
         model, _, x0, _, _ = self.initial_block(seed=86)
         copied = twin(model)
         assert model._projected is not None
         assert copied._projected is None
         assert predict_raw(copied, x0).tobytes() == predict_raw(model, x0).tobytes()
+
+    @pytest.mark.parametrize(
+        "twin", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_deep_copied_model_carries_its_own_record(self, twin, projections):
+        model, _, x0, _, _ = self.initial_block(seed=86)
+        copied = twin(model)
+        assert copied._projected[0] is copied.hidden is not model.hidden
+        assert not any(np.shares_memory(a, b) for a, b in
+                       zip(copied._projected[3:], model._projected[3:]))
+        projections.clear()
+        assert predict_raw(copied, x0).tobytes() == predict_raw(model, x0).tobytes()
+        assert projections == []
 
     def test_writing_into_what_update_returned_leaves_a_copy_as_it_was(self):
         # update hands out the record's own raw outputs; a copy made after
@@ -1123,24 +1135,32 @@ class TestProjectionReuse:
 
 
 class TestReadOnlyState:
-    """The layer's arrays and the model's beta are read-only, so a write
-    into them in place raises instead of leaving the projection record,
-    which is keyed by the layer's identity and dropped when beta is
-    assigned, stale."""
+    """The layer's arrays, the model's M and beta and the normalizer's
+    arrays are read-only, so a write into them in place raises instead of
+    passing by the checks they passed when they were set, or leaving the
+    projection record, which is keyed by the layer's identity and dropped
+    when beta is assigned, stale."""
 
     @staticmethod
     def sources(tmp_path):
+        # H = 20 gives a buffer of 5 rows: 2 rows stay pending, 10 fold.
         layer, x, y = stream_fixture(seed=78)
         model = init_phase(layer, x[:30], y[:30])
         assigned = copy.copy(model)
         assigned.beta = np.ones_like(model.beta)
+        assigned.gram_inv = np.eye(layer.hidden_count)
         updated = copy.copy(model)
         update(updated, x[30:32], y[30:32])
+        assert updated._pending == 2
+        folded = copy.copy(model)
+        update(folded, x[30:40], y[30:40])
+        assert folded._pending == 0
         save_model(tmp_path / "model.elm", model)
         return {
             "init_phase": model,
             "assigned": assigned,
             "updated": updated,
+            "folded": folded,
             "loaded": load_model(tmp_path / "model.elm")[0],
             "deepcopy": copy.deepcopy(model),
             "pickle": pickle.loads(pickle.dumps(model)),
@@ -1148,7 +1168,7 @@ class TestReadOnlyState:
 
     def test_beta_and_layer_arrays_reject_writes(self, tmp_path):
         for name, model in self.sources(tmp_path).items():
-            for array in (model.beta, model.hidden.weights, model.hidden.biases):
+            for array in (model.gram_inv, model.beta, model.hidden.weights, model.hidden.biases):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1.0
             assert model.hidden._bounded, name
@@ -1160,6 +1180,23 @@ class TestReadOnlyState:
             weights[0, 0] = 2.0
         with pytest.raises(ValueError, match="read-only"):
             biases[0] = 2.0
+
+    def test_constructed_model_and_normalizer_are_read_only(self, tmp_path):
+        # M is stored as given, made read-only; beta is copied. A copied,
+        # unpickled or loaded normalizer is constructed too.
+        gram_inv, scale, offset = np.eye(2), np.ones(3), np.zeros(3)
+        model = OselmModel(init_hidden(3, 2, seed=0), gram_inv, np.zeros((2, 1)),
+                           samples_seen=2, blocks_seen=1)
+        norm = Normalizer(scale, offset)
+        assert model.gram_inv is gram_inv
+        save_model(tmp_path / "model.elm", model, norm)
+        arrays = [gram_inv, scale, offset]
+        for source in (copy.deepcopy(norm), pickle.loads(pickle.dumps(norm)),
+                       load_model(tmp_path / "model.elm")[1]):
+            arrays += [source.scale, source.offset]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
 
     def test_assigned_beta_is_a_copy(self):
         layer, x, y = stream_fixture(seed=79)
@@ -1437,11 +1474,11 @@ def _set(model, **attributes):
         setattr(model, name, value)
 
 
-def _nudged_in_place(model, at):
-    """Move ``model.gram_inv``'s entry ``at`` one ulp up in place, past the
-    setter's symmetry check, and return no normalizer."""
-    model.gram_inv = np.array(model.gram_inv)  # M0 itself, with no rows pending
-    model.gram_inv[at] = np.nextafter(model.gram_inv[at], np.inf)
+def _nudged_past_the_setter(model, at):
+    """Move M0's entry ``at`` one ulp up, past the setter's symmetry check,
+    and return no normalizer."""
+    assert model._pending == 0  # M0 is M
+    model.__dict__["_base"] = _nudged(model.gram_inv, at)
 
 
 def _nudged(a, at, value=None):
@@ -1513,7 +1550,7 @@ class TestSerialization:
              ":7: samples_seen must be an integer >= 1, got '0'$"),
             (lambda m: _set(m, samples_seen=1, blocks_seen=0),
              ":8: blocks_seen must be an integer >= 1, got '0'$"),
-            (lambda m: _nudged_in_place(m, (0, 1)), ": gram_inv is not exactly symmetric$"),
+            (lambda m: _nudged_past_the_setter(m, (0, 1)), ": gram_inv is not exactly symmetric$"),
             (lambda m: _set(m, beta=_nudged(m.beta, (3, 1), np.nan)), ": non-finite array value$"),
             (lambda m: _set(m, hidden=HiddenLayer(_nudged(m.hidden.weights, (2, 4), np.inf),
                                                   m.hidden.biases, m.hidden.activation)),

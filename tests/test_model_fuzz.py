@@ -134,13 +134,13 @@ def faulty_models(draw):
     elif fault == "beta":
         bad.beta = with_entry(draw, model.beta, draw(non_finite))
     elif fault in ("gram_inv", "asymmetry"):
-        # Written in place: the setter refuses a gram_inv that is not exactly symmetric.
+        # Past the setter, which refuses a gram_inv that is not exactly symmetric.
         value = draw(non_finite) if fault == "gram_inv" else None
-        bad.gram_inv = np.array(model.gram_inv)
-        bad.gram_inv[...] = with_entry(draw, model.gram_inv, value)
+        bad.__dict__["_base"] = with_entry(draw, model.gram_inv, value)
     elif fault == "diagonal":
-        bad.gram_inv = np.array(model.gram_inv)
-        np.fill_diagonal(bad.gram_inv, with_entry(draw, np.diag(model.gram_inv)))
+        gram_inv = np.array(model.gram_inv)
+        np.fill_diagonal(gram_inv, with_entry(draw, np.diag(model.gram_inv)))
+        bad.gram_inv = gram_inv
     elif fault == "beta_rows":
         bad._beta = np.vstack([model.beta, model.beta[:1]])  # past the setter's check
     elif fault == "layer_rows":
